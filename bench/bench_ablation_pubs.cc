@@ -70,7 +70,7 @@ geomeanSpeedup(const SweepResult &sweep, const Variant &variant,
 int
 main(int argc, char **argv)
 {
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     // A representative D-BP pair keeps this ablation bench fast.
     std::vector<wl::Workload> picks;
@@ -79,7 +79,7 @@ main(int argc, char **argv)
     std::vector<wl::Workload> sjengOnly{picks[0]};
     std::vector<wl::Workload> mcfOnly{wl::makeWorkload("mcf_like")};
 
-    SweepSpec spec;
+    SweepSpec spec(options);
     Variant base =
         addVariant(spec, picks, sim::makeConfig(sim::Machine::Base),
                    "base");
@@ -245,7 +245,7 @@ main(int argc, char **argv)
                  pct(geomeanSpeedup(sweep, tagless, base.runs))});
     std::printf("ABLATION: table tagging (Section IV claims hashing is "
                 "nearly free)\n\n%s\n", tags.str().c_str());
-    maybeWriteCsv("ablation_tags", tags);
+    maybeWriteCsv(options, "ablation_tags", tags);
 
     // --- report: IQ organisations ---
     TextTable iqKinds({"iq_organisation", "ipc_vs_random"});
@@ -256,7 +256,7 @@ main(int argc, char **argv)
     std::printf("ABLATION: IQ organisation IPC vs the random queue "
                 "(Section III-B1 taxonomy)\n\n%s\n",
                 iqKinds.str().c_str());
-    maybeWriteCsv("ablation_iq_kind", iqKinds);
+    maybeWriteCsv(options, "ablation_iq_kind", iqKinds);
 
     // --- report: mode-switch thresholds ---
     TextTable thresholds({"llc_mpki_threshold", "speedup(sjeng)",
@@ -270,7 +270,7 @@ main(int argc, char **argv)
     }
     std::printf("ABLATION: mode-switch LLC MPKI threshold\n\n%s\n",
                 thresholds.str().c_str());
-    maybeWriteCsv("ablation_mode_threshold", thresholds);
+    maybeWriteCsv(options, "ablation_mode_threshold", thresholds);
 
     // --- report: big-code tag handling ---
     TextTable bigCode({"tables (large footprint)", "speedup"});
@@ -285,7 +285,7 @@ main(int argc, char **argv)
                                        bigBase.runs))});
     std::printf("ABLATION: table tagging under a ~6K-instruction "
                 "footprint\n\n%s\n", bigCode.str().c_str());
-    maybeWriteCsv("ablation_tags_bigcode", bigCode);
+    maybeWriteCsv(options, "ablation_tags_bigcode", bigCode);
 
     // --- report: blind vs conf_tab ---
     TextTable blind({"confidence source (mixed kernel)", "speedup",
@@ -301,7 +301,7 @@ main(int argc, char **argv)
     std::printf("ABLATION: blind vs conf_tab on a mixed-confidence "
                 "kernel (Fig. 11's blind gap)\n\n%s\n",
                 blind.str().c_str());
-    maybeWriteCsv("ablation_blind", blind);
+    maybeWriteCsv(options, "ablation_blind", blind);
 
     // --- report: confidence counter shape ---
     TextTable shapes({"counter_shape", "speedup", "unconfident_rate"});
@@ -320,7 +320,7 @@ main(int argc, char **argv)
                 "(the paper adopts resetting counters; up/down forgives "
                 "isolated mispredictions)\n\n%s\n",
                 shapes.str().c_str());
-    maybeWriteCsv("ablation_counter_shape", shapes);
+    maybeWriteCsv(options, "ablation_counter_shape", shapes);
 
     // --- report: Section III-C variants ---
     TextTable variants({"variant", "speedup_vs_unified_base"});
@@ -335,6 +335,6 @@ main(int argc, char **argv)
                 "approximates; PUBS applies to distributed IQs too)\n\n"
                 "%s",
                 variants.str().c_str());
-    maybeWriteCsv("ablation_iii_c", variants);
+    maybeWriteCsv(options, "ablation_iii_c", variants);
     return 0;
 }

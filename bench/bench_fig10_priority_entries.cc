@@ -18,22 +18,22 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
     std::fprintf(stderr, "fig10: base machine\n");
-    SuiteRun base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
-                             true, "base");
+    SweepResult base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
+                             options, true, "base");
 
     // D-BP subset (classified on the base machine).
     std::vector<size_t> dbp;
     for (size_t i = 0; i < suite.size(); ++i)
-        if (base.ok(i) && base.results[i].branchMpki > dbpThreshold)
+        if (base.ok(i) && base.at(i).branchMpki > dbpThreshold)
             dbp.push_back(i);
 
     // One batch over every (entry count, policy, workload) point.
     const unsigned entryCounts[] = {2, 4, 6, 8, 10, 12};
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (unsigned entries : entryCounts) {
         for (bool stallPolicy : {true, false}) {
             pubs::cpu::CoreParams params =
@@ -60,7 +60,7 @@ main(int argc, char **argv)
                     continue;
                 (stallPolicy ? stall : nonStall)
                     .push_back(sweep.at(index).speedupOver(
-                        base.results[dbp[k]]));
+                        base.at(dbp[k])));
             }
         }
         table.addRow({std::to_string(entries),
@@ -72,6 +72,6 @@ main(int argc, char **argv)
     std::printf("(paper: stall@2 below base; optimum 6; stall beats "
                 "non-stall)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig10_priority_entries", table);
+    maybeWriteCsv(options, "fig10_priority_entries", table);
     return 0;
 }

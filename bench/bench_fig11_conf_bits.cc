@@ -19,16 +19,16 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
     std::fprintf(stderr, "fig11: base machine\n");
-    SuiteRun base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
-                             true, "base");
+    SweepResult base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
+                             options, true, "base");
 
     std::vector<size_t> dbp;
     for (size_t i = 0; i < suite.size(); ++i)
-        if (base.ok(i) && base.results[i].branchMpki > dbpThreshold)
+        if (base.ok(i) && base.at(i).branchMpki > dbpThreshold)
             dbp.push_back(i);
 
     // One batch over every (counter width | blind, workload) point.
@@ -43,7 +43,7 @@ main(int argc, char **argv)
         points.push_back({std::to_string(bits), bits, true});
     points.push_back({"blind", 0, false});
 
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (const Point &point : points) {
         pubs::cpu::CoreParams params = sim::makeConfig(sim::Machine::Pubs);
         params.pubs.useConfTab = point.useConfTab;
@@ -64,7 +64,7 @@ main(int argc, char **argv)
             if (!sweep.ok(index))
                 continue;
             const pubs::sim::RunResult &r = sweep.at(index);
-            speedups.push_back(r.speedupOver(base.results[dbp[k]]));
+            speedups.push_back(r.speedupOver(base.at(dbp[k])));
             rates.push_back(point.useConfTab ? r.unconfidentBranchRate
                                              : 1.0);
         }
@@ -77,6 +77,6 @@ main(int argc, char **argv)
     std::printf("(paper: optimum 6 bits at ~71%% unconfident; blind "
                 "below PUBS)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig11_conf_bits", table);
+    maybeWriteCsv(options, "fig11_conf_bits", table);
     return 0;
 }

@@ -18,16 +18,16 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
     std::fprintf(stderr, "fig12: base machine\n");
-    SuiteRun base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
-                             true, "base");
+    SweepResult base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
+                             options, true, "base");
 
     std::vector<size_t> dbp;
     for (size_t i = 0; i < suite.size(); ++i)
-        if (base.ok(i) && base.results[i].branchMpki > dbpThreshold)
+        if (base.ok(i) && base.at(i).branchMpki > dbpThreshold)
             dbp.push_back(i);
 
     pubs::cpu::CoreParams withSwitch = sim::makeConfig(sim::Machine::Pubs);
@@ -35,7 +35,7 @@ main(int argc, char **argv)
     noSwitch.pubs.modeSwitch = false;
 
     // One batch: each D-BP workload with the switch on and off.
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (size_t i : dbp) {
         spec.add(suite[i], withSwitch, "pubs/switch-on");
         spec.add(suite[i], noSwitch, "pubs/switch-off");
@@ -53,11 +53,11 @@ main(int argc, char **argv)
         size_t i = dbp[k];
         const pubs::sim::RunResult &on = sweep.at(2 * k);
         const pubs::sim::RunResult &off = sweep.at(2 * k + 1);
-        double sOn = on.speedupOver(base.results[i]);
-        double sOff = off.speedupOver(base.results[i]);
+        double sOn = on.speedupOver(base.at(i));
+        double sOff = off.speedupOver(base.at(i));
         onRatios.push_back(sOn);
         offRatios.push_back(sOff);
-        table.addRow({suite[i].name, num(base.results[i].llcMpki, 1),
+        table.addRow({suite[i].name, num(base.at(i).llcMpki, 1),
                       pct(sOn), pct(sOff),
                       num(on.pubsEnabledFraction, 2)});
     }
@@ -69,6 +69,6 @@ main(int argc, char **argv)
     std::printf("(paper: mcf and soplex degrade when the switch is "
                 "off)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig12_mode_switch", table);
+    maybeWriteCsv(options, "fig12_mode_switch", table);
     return 0;
 }

@@ -21,7 +21,7 @@ main(int argc, char **argv)
     namespace wl = pubs::wl;
     namespace branch = pubs::branch;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto defaultBp =
         branch::makePredictor(branch::PredictorKind::Perceptron);
@@ -34,12 +34,12 @@ main(int argc, char **argv)
 
     auto suite = wl::makeSuite();
     std::fprintf(stderr, "fig13: base machine\n");
-    SuiteRun base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
-                             true, "base");
+    SweepResult base = runSuite(suite, sim::makeConfig(sim::Machine::Base),
+                             options, true, "base");
 
     std::vector<size_t> dbp;
     for (size_t i = 0; i < suite.size(); ++i)
-        if (base.ok(i) && base.results[i].branchMpki > dbpThreshold)
+        if (base.ok(i) && base.at(i).branchMpki > dbpThreshold)
             dbp.push_back(i);
 
     pubs::cpu::CoreParams pubsCfg = sim::makeConfig(sim::Machine::Pubs);
@@ -47,7 +47,7 @@ main(int argc, char **argv)
     bigBpCfg.predictor = branch::PredictorKind::PerceptronLarge;
 
     // One batch: each D-BP workload under PUBS and the big predictor.
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (size_t i : dbp) {
         spec.add(suite[i], pubsCfg, "pubs");
         spec.add(suite[i], bigBpCfg, "base/large-bp");
@@ -65,12 +65,12 @@ main(int argc, char **argv)
         size_t i = dbp[k];
         const pubs::sim::RunResult &withPubs = sweep.at(2 * k);
         const pubs::sim::RunResult &withBigBp = sweep.at(2 * k + 1);
-        double sPubs = withPubs.speedupOver(base.results[i]);
-        double sBig = withBigBp.speedupOver(base.results[i]);
+        double sPubs = withPubs.speedupOver(base.at(i));
+        double sBig = withBigBp.speedupOver(base.at(i));
         pubsRatios.push_back(sPubs);
         bigRatios.push_back(sBig);
         table.addRow({suite[i].name,
-                      num(base.results[i].branchMpki, 1),
+                      num(base.at(i).branchMpki, 1),
                       num(withBigBp.branchMpki, 1), pct(sPubs),
                       pct(sBig)});
     }
@@ -81,6 +81,6 @@ main(int argc, char **argv)
     std::printf("(paper: the enlarged predictor's gain is marginal; "
                 "PUBS is clearly better)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig13_large_predictor", table);
+    maybeWriteCsv(options, "fig13_large_predictor", table);
     return 0;
 }

@@ -22,7 +22,7 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
     const sim::Machine machines[4] = {
@@ -30,7 +30,7 @@ main(int argc, char **argv)
         sim::Machine::PubsAge};
 
     // One batch: the whole suite on all four machines.
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (int m = 0; m < 4; ++m)
         for (const auto &workload : suite)
             spec.add(workload, sim::makeConfig(machines[m]),
@@ -84,6 +84,6 @@ main(int argc, char **argv)
     std::printf("(paper D-BP GMs: PUBS +7.8%%, AGE +6.5%%, PUBS+AGE "
                 "+10.2%%; PUBS over AGE in performance: +11.1%%)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig15_age_matrix", table);
+    maybeWriteCsv(options, "fig15_age_matrix", table);
     return 0;
 }

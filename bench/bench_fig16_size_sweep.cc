@@ -19,7 +19,7 @@ main(int argc, char **argv)
     namespace wl = pubs::wl;
     namespace cpu = pubs::cpu;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
 
@@ -48,11 +48,12 @@ main(int argc, char **argv)
 
     // Classify D-BP on the default (medium) base machine.
     std::fprintf(stderr, "fig16: classification run\n");
-    SuiteRun medium = runSuite(suite, sim::makeConfig(sim::Machine::Base),
-                               true, "base");
+    SweepResult medium =
+        runSuite(suite, sim::makeConfig(sim::Machine::Base), options, true,
+                 "base");
     std::vector<size_t> dbp;
     for (size_t i = 0; i < suite.size(); ++i)
-        if (medium.ok(i) && medium.results[i].branchMpki > dbpThreshold)
+        if (medium.ok(i) && medium.at(i).branchMpki > dbpThreshold)
             dbp.push_back(i);
 
     // One batch over every (size, machine, workload) point — the
@@ -60,7 +61,7 @@ main(int argc, char **argv)
     const sim::Machine machines[4] = {
         sim::Machine::Base, sim::Machine::Pubs, sim::Machine::Age,
         sim::Machine::PubsAge};
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (auto size : classes) {
         for (const sim::Machine machine : machines) {
             std::string label = std::string(sim::machineName(machine)) +
@@ -100,6 +101,6 @@ main(int argc, char **argv)
     std::printf("(paper: effectiveness grows with size; PUBS > AGE, "
                 "PUBS+AGE best)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("fig16_size_sweep", table);
+    maybeWriteCsv(options, "fig16_size_sweep", table);
     return 0;
 }

@@ -20,12 +20,12 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     // One batch: the whole suite on both machines, scheduled across the
     // pool at once so slow and fast workloads interleave.
     auto suite = wl::makeSuite();
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (const auto &workload : suite)
         spec.add(workload, sim::makeConfig(sim::Machine::Base), "base");
     for (const auto &workload : suite)
@@ -58,6 +58,6 @@ main(int argc, char **argv)
     std::printf("FIGURE 8: speedup of PUBS over the base\n");
     std::printf("(paper: GM diff +7.8%%, max +19.2%% sjeng, min +0.3%% "
                 "mcf, GM easy ~0%%)\n\n%s", table.str().c_str());
-    maybeWriteCsv("fig8_speedup", table);
+    maybeWriteCsv(options, "fig8_speedup", table);
     return 0;
 }

@@ -45,10 +45,10 @@ main(int argc, char **argv)
     namespace sim = pubs::sim;
     namespace wl = pubs::wl;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     auto suite = wl::makeSuite();
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (const auto &workload : suite)
         spec.add(workload, sim::makeConfig(sim::Machine::Base), "base");
     for (const auto &workload : suite)
@@ -93,6 +93,6 @@ main(int argc, char **argv)
                 "programs: r = %.2f\n", r);
     std::printf("mean speedup: compute %s vs memory-intensive %s\n",
                 pct(meanCompute).c_str(), pct(meanMem).c_str());
-    maybeWriteCsv("fig9_correlation", table);
+    maybeWriteCsv(options, "fig9_correlation", table);
     return 0;
 }

@@ -26,7 +26,6 @@
 #include "mem/cache.hh"
 #include "pubs/slice_unit.hh"
 #include "sim/config.hh"
-#include "sim/run_pool.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -318,21 +317,6 @@ BM_PipelineSimulation(benchmark::State &state)
 BENCHMARK(BM_PipelineSimulation)->Unit(benchmark::kMillisecond);
 
 void
-BM_RunPoolNoopTasks(benchmark::State &state)
-{
-    // Pure scheduling overhead: submit/steal/complete with empty tasks.
-    sim::RunPool pool((unsigned)state.range(0));
-    constexpr int batch = 256;
-    for (auto _ : state) {
-        for (int i = 0; i < batch; ++i)
-            pool.submit([] {});
-        pool.wait();
-    }
-    state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_RunPoolNoopTasks)->Arg(1)->Arg(4);
-
-void
 BM_ParallelSweep(benchmark::State &state)
 {
     // Whole-batch simulation throughput through the sweep engine; the
@@ -342,9 +326,9 @@ BM_ParallelSweep(benchmark::State &state)
     uint64_t committed = 0;
     for (auto _ : state) {
         bench::SweepSpec spec;
-        spec.jobs = (unsigned)state.range(0);
-        spec.warmup = 1000;
-        spec.insts = 20000;
+        spec.options.jobs = (unsigned)state.range(0);
+        spec.options.warmup = 1000;
+        spec.options.insts = 20000;
         spec.verbose = false;
         for (const auto *w : {&sjeng, &gobmk}) {
             spec.add(*w, sim::makeConfig(sim::Machine::Base), "base");
@@ -451,14 +435,14 @@ kernelTimingsJson()
  * not part of the determinism contract.
  */
 int
-writeHostspeed(const char *path)
+writeHostspeed(const char *path, const bench::RunOptions &options)
 {
     using namespace ::pubs::bench;
     namespace sim = ::pubs::sim;
     namespace wl = ::pubs::wl;
 
     auto suite = wl::makeSuite();
-    SweepSpec spec;
+    SweepSpec spec(options);
     for (const auto &workload : suite)
         spec.add(workload, sim::makeConfig(sim::Machine::Base), "base");
     for (const auto &workload : suite)
@@ -470,8 +454,8 @@ writeHostspeed(const char *path)
     std::ostringstream out;
     out << "{\n";
     out << "  \"bench\": \"fig8_hostspeed\",\n";
-    out << "  \"measure_insts\": " << measureInsts() << ",\n";
-    out << "  \"warmup_insts\": " << warmupInsts() << ",\n";
+    out << "  \"measure_insts\": " << options.insts << ",\n";
+    out << "  \"warmup_insts\": " << options.warmup << ",\n";
     out << "  \"jobs\": " << sweep.jobs << ",\n";
     out << kernelTimingsJson();
     out << "  \"runs\": [\n";
@@ -524,22 +508,26 @@ main(int argc, char **argv)
 {
     // `--hostspeed <file.json>` switches from the google-benchmark
     // microbenchmarks to the whole-simulator host-speed sweep. The
-    // remaining flags go to the respective harness (--jobs N here,
-    // --benchmark_* to google-benchmark).
+    // remaining flags go to the respective harness (--jobs N through
+    // the run-option table, --benchmark_* to google-benchmark).
     const char *hostspeedPath = nullptr;
+    std::vector<char *> harness{argv[0]};
     std::vector<char *> rest;
     for (int i = 0; i < argc; ++i) {
         if (std::strcmp(argv[i], "--hostspeed") == 0 && i + 1 < argc) {
             hostspeedPath = argv[++i];
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            ::pubs::bench::setBenchJobs(
-                (unsigned)std::strtoul(argv[++i], nullptr, 10));
+            harness.push_back(argv[i]);
+            harness.push_back(argv[++i]);
         } else {
             rest.push_back(argv[i]);
         }
     }
-    if (hostspeedPath)
-        return writeHostspeed(hostspeedPath);
+    if (hostspeedPath) {
+        return writeHostspeed(hostspeedPath,
+                              ::pubs::bench::parseRunOptions(
+                                  (int)harness.size(), harness.data()));
+    }
 
     int restArgc = (int)rest.size();
     benchmark::Initialize(&restArgc, rest.data());

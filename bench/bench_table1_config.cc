@@ -15,7 +15,7 @@ main(int argc, char **argv)
 {
     using namespace pubs;
 
-    bench::parseBenchArgs(argc, argv);
+    bench::parseRunOptions(argc, argv);
 
     cpu::CoreParams base = sim::makeConfig(sim::Machine::Base);
     std::printf("TABLE I: base processor configuration\n%s\n",

@@ -16,7 +16,7 @@ main(int argc, char **argv)
     using namespace pubs::bench;
     namespace pp = pubs::pubs;
 
-    parseBenchArgs(argc, argv);
+    RunOptions options = parseRunOptions(argc, argv);
 
     pp::PubsParams defaults;
     std::printf("%s\n", pp::formatCostTable(defaults).c_str());
@@ -48,6 +48,6 @@ main(int argc, char **argv)
 
     std::printf("cost sensitivity (Section IV design points)\n\n%s",
                 table.str().c_str());
-    maybeWriteCsv("table3_cost", table);
+    maybeWriteCsv(options, "table3_cost", table);
     return 0;
 }

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -19,429 +18,11 @@
 #include "common/run_codec.hh"
 #include "common/stats.hh"
 #include "common/sweep_journal.hh"
+#include "sim/parallel_for.hh"
 #include "sim/proc_pool.hh"
-#include "sim/run_pool.hh"
 
 namespace pubs::bench
 {
-
-namespace
-{
-
-uint64_t
-envCount(const char *name, uint64_t fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    fatal_if(end == value || parsed == 0, "bad %s value '%s'", name, value);
-    return parsed;
-}
-
-/** Jobs pinned by --jobs / setBenchJobs(); 0 = auto. */
-std::atomic<unsigned> pinnedJobs{0};
-
-/** Worker processes pinned by --procs / setBenchProcs(). */
-std::atomic<unsigned> pinnedProcs{0};
-std::atomic<bool> procsPinned{false};
-
-/** Journal path / resume flag pinned by --journal / --resume. */
-std::mutex journalConfigMutex;
-std::string pinnedJournalPath;
-bool journalPathPinned = false;
-int pinnedResume = -1; ///< -1 = unset, else 0/1
-
-/** Observability flags pinned by --trace-events / --report / --progress. */
-std::string pinnedTracePath;
-bool tracePathPinned = false;
-std::string pinnedReportPath;
-bool reportPathPinned = false;
-int pinnedProgress = -1; ///< -1 = unset, else 0/1
-
-/** CPI-stack / branch-profile emission pinned by --cpi-stack /
- *  --branch-profile. -1 = unset, else 0/1. */
-int pinnedCpiStack = -1;
-int pinnedBranchProfile = -1;
-
-/** Sampling knobs pinned by --sample / --sample-period. */
-std::atomic<unsigned> pinnedSampleWindows{0};
-std::atomic<bool> sampleWindowsPinned{false};
-std::atomic<uint64_t> pinnedSamplePeriod{0};
-std::atomic<bool> samplePeriodPinned{false};
-
-/** Checkpoint cache directory pinned by --checkpoint-dir. */
-std::string pinnedCheckpointDir;
-bool checkpointDirPinned = false;
-
-/** Serialises CSV appends across concurrent sweeps in one process. */
-std::mutex csvMutex;
-
-} // namespace
-
-uint64_t
-measureInsts()
-{
-    return envCount("PUBS_BENCH_INSTS", 1000000);
-}
-
-uint64_t
-warmupInsts()
-{
-    return envCount("PUBS_BENCH_WARMUP", 200000);
-}
-
-unsigned
-benchJobs()
-{
-    unsigned pinned = pinnedJobs.load(std::memory_order_relaxed);
-    if (pinned)
-        return pinned;
-    uint64_t env = envCount("PUBS_BENCH_JOBS", 0x10000);
-    if (env != 0x10000)
-        return (unsigned)env;
-    return sim::RunPool::hardwareThreads();
-}
-
-void
-setBenchJobs(unsigned jobs)
-{
-    pinnedJobs.store(jobs, std::memory_order_relaxed);
-}
-
-unsigned
-benchProcs()
-{
-    if (procsPinned.load(std::memory_order_relaxed))
-        return pinnedProcs.load(std::memory_order_relaxed);
-    uint64_t env = envCount("PUBS_BENCH_PROCS", 0x10000);
-    if (env != 0x10000)
-        return (unsigned)env;
-    return 0;
-}
-
-void
-setBenchProcs(unsigned procs)
-{
-    pinnedProcs.store(procs, std::memory_order_relaxed);
-    procsPinned.store(true, std::memory_order_relaxed);
-}
-
-std::string
-journalPath()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (journalPathPinned)
-            return pinnedJournalPath;
-    }
-    const char *env = std::getenv("PUBS_BENCH_JOURNAL");
-    return env ? env : "";
-}
-
-void
-setJournalPath(std::string path)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedJournalPath = std::move(path);
-    journalPathPinned = true;
-}
-
-bool
-resumeRequested()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (pinnedResume >= 0)
-            return pinnedResume != 0;
-    }
-    const char *env = std::getenv("PUBS_BENCH_RESUME");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
-void
-setResume(bool resume)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedResume = resume ? 1 : 0;
-}
-
-std::string
-traceEventsPath()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (tracePathPinned)
-            return pinnedTracePath;
-    }
-    const char *env = std::getenv("PUBS_TRACE_EVENTS");
-    return env ? env : "";
-}
-
-void
-setTraceEventsPath(std::string path)
-{
-    bool enable = !path.empty();
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        pinnedTracePath = std::move(path);
-        tracePathPinned = true;
-    }
-    if (enable)
-        prof::enable();
-    else
-        prof::disable();
-}
-
-std::string
-reportPath()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (reportPathPinned)
-            return pinnedReportPath;
-    }
-    const char *env = std::getenv("PUBS_BENCH_REPORT");
-    return env ? env : "";
-}
-
-void
-setReportPath(std::string path)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedReportPath = std::move(path);
-    reportPathPinned = true;
-}
-
-bool
-progressRequested()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (pinnedProgress >= 0)
-            return pinnedProgress != 0;
-    }
-    const char *env = std::getenv("PUBS_PROGRESS");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
-void
-setProgress(bool progress)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedProgress = progress ? 1 : 0;
-}
-
-bool
-cpiStackRequested()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (pinnedCpiStack >= 0)
-            return pinnedCpiStack != 0;
-    }
-    const char *env = std::getenv("PUBS_CPI_STACK");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
-void
-setCpiStack(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedCpiStack = enabled ? 1 : 0;
-}
-
-bool
-branchProfileRequested()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (pinnedBranchProfile >= 0)
-            return pinnedBranchProfile != 0;
-    }
-    const char *env = std::getenv("PUBS_BRANCH_PROFILE");
-    return env && *env && std::strcmp(env, "0") != 0;
-}
-
-void
-setBranchProfile(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedBranchProfile = enabled ? 1 : 0;
-}
-
-std::string
-progressJsonPath()
-{
-    const char *env = std::getenv("PUBS_PROGRESS_JSON");
-    return env && *env ? env : "progress.json";
-}
-
-unsigned
-sampleWindows()
-{
-    if (sampleWindowsPinned.load(std::memory_order_relaxed))
-        return pinnedSampleWindows.load(std::memory_order_relaxed);
-    uint64_t env = envCount("PUBS_BENCH_SAMPLE", 0x10000);
-    return env != 0x10000 ? (unsigned)env : 0;
-}
-
-void
-setSampleWindows(unsigned windows)
-{
-    pinnedSampleWindows.store(windows, std::memory_order_relaxed);
-    sampleWindowsPinned.store(true, std::memory_order_relaxed);
-}
-
-uint64_t
-samplePeriod()
-{
-    if (samplePeriodPinned.load(std::memory_order_relaxed))
-        return pinnedSamplePeriod.load(std::memory_order_relaxed);
-    uint64_t env = envCount("PUBS_BENCH_SAMPLE_PERIOD", 0x10000);
-    return env != 0x10000 ? env : 0;
-}
-
-void
-setSamplePeriod(uint64_t period)
-{
-    pinnedSamplePeriod.store(period, std::memory_order_relaxed);
-    samplePeriodPinned.store(true, std::memory_order_relaxed);
-}
-
-std::string
-checkpointDir()
-{
-    {
-        std::lock_guard<std::mutex> lock(journalConfigMutex);
-        if (checkpointDirPinned)
-            return pinnedCheckpointDir;
-    }
-    const char *env = std::getenv("PUBS_CHECKPOINT_DIR");
-    return env ? env : "";
-}
-
-void
-setCheckpointDir(std::string dir)
-{
-    std::lock_guard<std::mutex> lock(journalConfigMutex);
-    pinnedCheckpointDir = std::move(dir);
-    checkpointDirPinned = true;
-}
-
-sim::SamplePlan
-benchSamplePlan(uint64_t warmup, uint64_t insts)
-{
-    sim::SamplePlan plan;
-    plan.windows = sampleWindows();
-    if (!plan.windows)
-        return plan;
-    plan.measureInsts = std::max<uint64_t>(1, insts / plan.windows);
-    plan.warmupInsts = warmup / plan.windows;
-    uint64_t period = samplePeriod();
-    // Default to contiguous windows: the stitched run then covers the
-    // same instruction stream as a straight-through run of the same
-    // total budget, which is what EXPERIMENTS.md compares against.
-    plan.periodInsts =
-        period ? period : plan.warmupInsts + plan.measureInsts;
-    return plan;
-}
-
-void
-parseBenchArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            unsigned long jobs = std::strtoul(argv[++i], nullptr, 10);
-            fatal_if(jobs == 0, "--jobs wants a positive thread count");
-            setBenchJobs((unsigned)jobs);
-        } else if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
-            unsigned long procs = std::strtoul(argv[++i], nullptr, 10);
-            fatal_if(procs == 0,
-                     "--procs wants a positive process count");
-            setBenchProcs((unsigned)procs);
-        } else if (std::strcmp(argv[i], "--journal") == 0 &&
-                   i + 1 < argc) {
-            setJournalPath(argv[++i]);
-        } else if (std::strcmp(argv[i], "--resume") == 0) {
-            setResume(true);
-        } else if (std::strcmp(argv[i], "--trace-events") == 0 &&
-                   i + 1 < argc) {
-            setTraceEventsPath(argv[++i]);
-        } else if (std::strcmp(argv[i], "--report") == 0 && i + 1 < argc) {
-            setReportPath(argv[++i]);
-        } else if (std::strcmp(argv[i], "--progress") == 0) {
-            setProgress(true);
-        } else if (std::strcmp(argv[i], "--cpi-stack") == 0) {
-            setCpiStack(true);
-        } else if (std::strcmp(argv[i], "--branch-profile") == 0) {
-            setBranchProfile(true);
-        } else if (std::strcmp(argv[i], "--sample") == 0 && i + 1 < argc) {
-            unsigned long windows = std::strtoul(argv[++i], nullptr, 10);
-            fatal_if(windows == 0,
-                     "--sample wants a positive window count");
-            setSampleWindows((unsigned)windows);
-        } else if (std::strcmp(argv[i], "--sample-period") == 0 &&
-                   i + 1 < argc) {
-            unsigned long long period =
-                std::strtoull(argv[++i], nullptr, 10);
-            fatal_if(period == 0,
-                     "--sample-period wants a positive instruction "
-                     "count");
-            setSamplePeriod((uint64_t)period);
-        } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0 &&
-                   i + 1 < argc) {
-            setCheckpointDir(argv[++i]);
-        } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--jobs N] [--procs N] [--journal PATH] "
-                "[--resume] [--trace-events PATH] [--report PATH] "
-                "[--progress] [--cpi-stack] [--branch-profile] "
-                "[--sample N] [--sample-period N] "
-                "[--checkpoint-dir PATH]\n"
-                "  --jobs N       parallel in-process runs (default: "
-                "hardware concurrency, or $PUBS_BENCH_JOBS)\n"
-                "  --procs N      fault-isolated worker processes "
-                "instead of threads (or $PUBS_BENCH_PROCS); crashed or "
-                "hung runs are retried, then skipped\n"
-                "  --journal PATH write-ahead journal of completed runs "
-                "(or $PUBS_BENCH_JOURNAL)\n"
-                "  --resume       serve journaled runs of an "
-                "interrupted sweep (or $PUBS_BENCH_RESUME=1)\n"
-                "  --trace-events PATH  host-phase profile as Chrome "
-                "trace-event JSON (or $PUBS_TRACE_EVENTS)\n"
-                "  --report PATH  self-contained HTML dashboard "
-                "(or $PUBS_BENCH_REPORT)\n"
-                "  --progress     live progress meter + progress.json "
-                "(or $PUBS_PROGRESS=1; $PUBS_PROGRESS_JSON sets the "
-                "path)\n"
-                "  --cpi-stack    emit per-run top-down CPI stacks to "
-                "$PUBS_BENCH_CSV/cpi_stack.csv and the dashboard "
-                "(or $PUBS_CPI_STACK=1)\n"
-                "  --branch-profile  per-static-branch cost profile to "
-                "$PUBS_BENCH_CSV/branch_profile.csv and the dashboard; "
-                "forces core telemetry on (or $PUBS_BRANCH_PROFILE=1)\n"
-                "  --sample N     sampled simulation with N measurement "
-                "windows per run (or $PUBS_BENCH_SAMPLE); budgets are "
-                "split across the windows\n"
-                "  --sample-period N  instructions between window "
-                "starts (or $PUBS_BENCH_SAMPLE_PERIOD; default: "
-                "contiguous windows)\n"
-                "  --checkpoint-dir PATH  content-addressed checkpoint "
-                "cache shared across runs (or $PUBS_CHECKPOINT_DIR)\n",
-                argv[0]);
-            std::exit(std::strcmp(argv[i], "--help") == 0 ? 0 : 2);
-        }
-    }
-    if (resumeRequested() && journalPath().empty())
-        fatal("--resume needs --journal PATH (or $PUBS_BENCH_JOURNAL)");
-    // Environment-only activation (no --trace-events flag on the
-    // command line) still has to switch the profiler on.
-    if (!traceEventsPath().empty())
-        prof::enable();
-}
 
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header))
@@ -501,12 +82,12 @@ num(double value, int digits)
 }
 
 bool
-maybeWriteCsv(const std::string &benchName, const TextTable &table)
+maybeWriteCsv(const RunOptions &options, const std::string &benchName,
+              const TextTable &table)
 {
-    const char *dir = std::getenv("PUBS_BENCH_CSV");
-    if (!dir || !*dir)
+    if (options.csvDir.empty())
         return false;
-    std::string path = std::string(dir) + "/" + benchName + ".csv";
+    std::string path = options.csvDir + "/" + benchName + ".csv";
     std::ostringstream out;
     auto emitRow = [&out](const std::vector<std::string> &cells) {
         for (size_t c = 0; c < cells.size(); ++c)
@@ -527,29 +108,30 @@ maybeWriteCsv(const std::string &benchName, const TextTable &table)
 namespace
 {
 
+/** Serialises CSV appends across concurrent sweeps in one process. */
+std::mutex csvMutex;
+
 /**
- * Atomically append @p rows to $PUBS_BENCH_CSV/<name> (creating it
- * with @p header): a kill mid-write leaves the previous complete file,
- * never a torn one. Caller holds csvMutex (or is provably
- * single-threaded); atomicity is per whole file, not per line.
+ * Atomically append @p rows to <csvDir>/<name> (creating it with
+ * @p header): a kill mid-write leaves the previous complete file, never
+ * a torn one. Caller holds csvMutex; atomicity is per whole file, not
+ * per line.
  */
 void
-appendCsvAtomic(const char *name, const char *header,
-                const std::string &rows)
+appendCsvAtomic(const std::string &csvDir, const char *name,
+                const char *header, const std::string &rows)
 {
-    const char *dir = std::getenv("PUBS_BENCH_CSV");
-    if (!dir || !*dir || rows.empty())
+    if (csvDir.empty() || rows.empty())
         return;
-    std::string path = std::string(dir) + "/" + name;
+    std::string path = csvDir + "/" + name;
     std::string error = atomicAppendFile(path, header, rows);
     if (!error.empty())
         warn("cannot append CSV: %s", error.c_str());
 }
 
 /**
- * One host-speed record for $PUBS_BENCH_CSV/simspeed.csv, so every
- * bench invocation accumulates a simulator-performance log alongside
- * its model results.
+ * One host-speed record for simspeed.csv, so every bench invocation
+ * accumulates a simulator-performance log alongside its model results.
  */
 std::string
 simSpeedCsvLine(const sim::RunResult &result,
@@ -568,9 +150,9 @@ constexpr const char *simSpeedCsvHeader =
     "workload,pubs,instructions,cycles,sim_seconds,kips\n";
 
 /**
- * Record every skipped item of a finished sweep in
- * $PUBS_BENCH_CSV/skipped.csv (header on creation), in spec order, so
- * a batch's holes are machine-readable instead of stderr-only.
+ * Record every skipped item of a finished sweep in skipped.csv (header
+ * on creation), in spec order, so a batch's holes are machine-readable
+ * instead of stderr-only.
  */
 void
 appendSkipCsv(const SweepSpec &spec, const SweepResult &result)
@@ -592,7 +174,7 @@ appendSkipCsv(const SweepSpec &spec, const SweepResult &result)
             << spec.items[i].machine << ',' << row.errorKind << ','
             << row.phase << ",\"" << message << "\"\n";
     }
-    appendCsvAtomic("skipped.csv",
+    appendCsvAtomic(spec.options.csvDir, "skipped.csv",
                     "workload,machine,error_kind,phase,error\n",
                     out.str());
 }
@@ -623,7 +205,8 @@ appendCpiStackCsv(const SweepSpec &spec, const SweepResult &result)
             out << ',' << cpi.cycles[c];
         out << '\n';
     }
-    appendCsvAtomic("cpi_stack.csv", header.c_str(), out.str());
+    appendCsvAtomic(spec.options.csvDir, "cpi_stack.csv", header.c_str(),
+                    out.str());
 }
 
 /**
@@ -652,7 +235,7 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
                 << b.sliceCovered << '\n';
         }
     }
-    appendCsvAtomic("branch_profile.csv",
+    appendCsvAtomic(spec.options.csvDir, "branch_profile.csv",
                     "workload,machine,pc,commits,mispredicts,"
                     "penalty_cycles,conf_correct,conf_wrong,"
                     "unconf_correct,unconf_wrong,slice_insts,"
@@ -662,7 +245,7 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
 
 /** Append one pool-utilization + farm-health record to sweep_pool.csv. */
 void
-appendPoolCsv(const SweepResult &result)
+appendPoolCsv(const SweepSpec &spec, const SweepResult &result)
 {
     const FarmStats &farm = result.farm;
     char line[288];
@@ -680,7 +263,7 @@ appendPoolCsv(const SweepResult &result)
                   (unsigned long long)farm.retries,
                   (unsigned long long)farm.skips,
                   (unsigned long long)farm.journalServed);
-    appendCsvAtomic("sweep_pool.csv",
+    appendCsvAtomic(spec.options.csvDir, "sweep_pool.csv",
                     "runs,failed,jobs,wall_seconds,busy_seconds,"
                     "utilization,launches,crashes,timeouts,stale_kills,"
                     "corrupt_frames,retries,skips,journal_served\n",
@@ -688,19 +271,6 @@ appendPoolCsv(const SweepResult &result)
 }
 
 } // namespace
-
-sim::RunResult
-runWorkload(const wl::Workload &workload, const cpu::CoreParams &params)
-{
-    sim::RunResult result =
-        sim::simulate(params, workload.program, warmupInsts(),
-                      measureInsts());
-    result.workload = workload.name;
-    std::lock_guard<std::mutex> lock(csvMutex);
-    appendCsvAtomic("simspeed.csv", simSpeedCsvHeader,
-                    simSpeedCsvLine(result, params));
-    return result;
-}
 
 size_t
 SweepSpec::add(wl::Workload workload, cpu::CoreParams params,
@@ -712,7 +282,7 @@ SweepSpec::add(wl::Workload workload, cpu::CoreParams params,
 }
 
 std::string
-SweepResult::statsJson(bool includeFarm) const
+SweepResult::statsJson() const
 {
     auto quoted = [](const std::string &s) {
         return '"' + jsonEscape(s) + '"';
@@ -759,18 +329,7 @@ SweepResult::statsJson(bool includeFarm) const
         }
         out << "}";
     }
-    out << "\n]";
-    if (includeFarm) {
-        out << ",\n\"farm\": {\"launches\": " << farm.launches
-            << ", \"crashes\": " << farm.crashes
-            << ", \"timeouts\": " << farm.timeouts
-            << ", \"stale_kills\": " << farm.staleKills
-            << ", \"corrupt_frames\": " << farm.corruptFrames
-            << ", \"retries\": " << farm.retries
-            << ", \"skips\": " << farm.skips
-            << ", \"journal_served\": " << farm.journalServed << "}";
-    }
-    out << "}\n";
+    out << "\n]}\n";
     return out.str();
 }
 
@@ -785,26 +344,28 @@ namespace
  * shapes a run.
  */
 uint64_t
-sweepKey(const SweepSpec &spec, uint64_t warmup, uint64_t insts)
+sweepKey(const SweepSpec &spec)
 {
+    const RunOptions &options = spec.options;
     uint32_t lo = 0, hi = 0x50554253u;
     auto mix = [&](const std::string &text) {
         lo = crc32(text, lo);
         hi = crc32(text, hi ^ 0x9e3779b9u);
     };
-    mix(std::to_string(warmup) + ":" + std::to_string(insts) + ":" +
+    mix(std::to_string(options.warmup) + ":" +
+        std::to_string(options.insts) + ":" +
         std::to_string(spec.items.size()));
     // A sampled sweep's rows are not interchangeable with a
     // straight-through sweep's: mixing the plan keeps a --resume from
     // serving one to the other. Disabled sampling leaves the key
     // unchanged, so existing journals stay valid.
-    sim::SamplePlan plan = benchSamplePlan(warmup, insts);
+    sim::SamplePlan plan = options.samplePlan();
     if (plan.enabled())
         mix("sample:" + plan.describe());
     // Branch-profile rows ride in the journaled payload, so rows taken
     // with the flag off must not be served to a sweep that wants them
     // (and vice versa). Off leaves the key — and old journals — intact.
-    if (branchProfileRequested())
+    if (options.branchProfile)
         mix("branch_profile:1");
     for (const SweepItem &item : spec.items) {
         mix(item.workload.name);
@@ -817,7 +378,7 @@ sweepKey(const SweepSpec &spec, uint64_t warmup, uint64_t insts)
 
 /** Run one sweep item to a SweepRow (never throws SimError out). */
 SweepRow
-runSweepItem(const SweepItem &item, uint64_t warmup, uint64_t insts)
+runSweepItem(const SweepItem &item, const RunOptions &options)
 {
     SweepRow row;
     sim::clearFailedPhase();
@@ -826,24 +387,24 @@ runSweepItem(const SweepItem &item, uint64_t warmup, uint64_t insts)
         // streams, stats); nothing is shared with siblings, so the
         // result depends only on the item, never on the schedule.
         cpu::CoreParams params = item.params;
-        if (branchProfileRequested()) {
+        if (options.branchProfile) {
             // Telemetry is purely observational (simulated cycles are
             // bit-identical with it on), so forcing it here changes
             // only what the row carries, never the model results.
             params.telemetry = true;
             params.heartbeatToStderr = false;
         }
-        sim::SamplePlan plan = benchSamplePlan(warmup, insts);
+        sim::SamplePlan plan = options.samplePlan();
         sim::RunResult r;
         if (plan.enabled()) {
-            std::string dir = checkpointDir();
-            sim::CheckpointStore store(dir);
-            r = sim::simulateSampled(params, item.workload.program,
-                                     plan, dir.empty() ? nullptr : &store,
-                                     item.machine);
+            sim::CheckpointStore store(options.checkpointDir);
+            r = sim::simulateSampled(
+                params, item.workload.program, plan,
+                options.checkpointDir.empty() ? nullptr : &store,
+                item.machine);
         } else {
-            r = sim::simulate(params, item.workload.program, warmup,
-                              insts);
+            r = sim::simulate(params, item.workload.program,
+                              options.warmup, options.insts);
         }
         r.workload = item.workload.name;
         r.machine = item.machine;
@@ -880,165 +441,155 @@ logSweepRow(const SweepRow &row, const SweepItem &item, size_t done,
     }
 }
 
-/** In-process thread-pool execution of the slots in @p todo. */
-void
-runSweepThreads(const SweepSpec &spec, uint64_t warmup, uint64_t insts,
-                const std::vector<size_t> &todo, SweepResult &result,
-                SweepJournal *journal, progress::Meter *meter)
-{
-    sim::RunPool pool(spec.jobs ? spec.jobs : benchJobs());
-    result.jobs = pool.threads();
+using Clock = std::chrono::steady_clock;
 
-    // Worker threads report straight into the meter; the sink is global
-    // (one live sweep at a time), cleared once the pool drains.
-    if (meter) {
-        progress::setCallbackSink(
-            [meter](const progress::Sample &sample) {
+double
+secondsSince(Clock::time_point start)
+{
+    return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * Run the slots in @p todo on threads or worker processes. Both
+ * backends hand each slot's encoded row to one hook, which decodes it
+ * into result.rows, journals it, and reports it; a worker process that
+ * crashes, hangs, or corrupts its frames beyond retry arrives there as
+ * a failed outcome and becomes a "proc" skip row.
+ */
+void
+runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
+         SweepResult &result, SweepJournal *journal,
+         progress::Meter *meter)
+{
+    const RunOptions &options = spec.options;
+    std::unique_ptr<sim::ProcPool> pool;
+    if (options.procs) {
+        sim::ProcPool::Config config =
+            sim::ProcPool::configFromEnv(sim::ProcPool::Config{});
+        config.procs = options.procs;
+        config.verbose = spec.verbose;
+        if (meter) {
+            // Workers interleave progress heartbeats with the result
+            // frame, and a heartbeat stream that goes quiet gets the
+            // worker SIGKILLed + retried well before the coarse per-run
+            // timeout. PUBS_PROC_STALE overrides; negative disables.
+            if (config.staleSeconds == 0.0)
+                config.staleSeconds = 30.0;
+            config.onProgress = [meter](const progress::Sample &sample) {
                 meter->update(sample);
-            },
-            250);
+            };
+        } else {
+            config.staleSeconds = 0.0;
+        }
+        pool = std::make_unique<sim::ProcPool>(config);
+        result.jobs = pool->procs();
+    } else {
+        result.jobs = options.jobs ? options.jobs : sim::hardwareThreads();
     }
 
-    std::mutex logMutex;
-    std::atomic<size_t> completed{0};
-    for (size_t slot : todo) {
-        pool.submit([&, slot] {
-            const SweepItem &item = spec.items[slot];
-            SweepRow &row = result.rows[slot];
-            progress::beginTask(slot, item.workload.name,
-                                warmup + insts);
-            row = runSweepItem(item, warmup, insts);
-            progress::endTask();
+    // Worker side: simulate and encode the row — including a SimError
+    // skip row, which is a result, not a worker failure.
+    auto runSlot = [&](size_t index) {
+        size_t slot = todo[index];
+        const SweepItem &item = spec.items[slot];
+        progress::beginTask(slot, item.workload.name,
+                            options.warmup + options.insts);
+        std::string payload = encodeSweepRow(runSweepItem(item, options));
+        progress::endTask();
+        return payload;
+    };
+
+    // The one result hook, in completion order: decode, journal, report.
+    std::mutex hookMutex;
+    size_t completed = 0;
+    auto onResult = [&](size_t index, const sim::ProcResult &outcome) {
+        std::lock_guard<std::mutex> lock(hookMutex);
+        size_t slot = todo[index];
+        const SweepItem &item = spec.items[slot];
+        SweepRow &row = result.rows[slot];
+        if (outcome.ok && decodeSweepRow(outcome.payload, row)) {
             // Write-ahead: the row is durable before the sweep's final
             // output exists, so a kill from here on cannot lose it.
             if (journal) {
                 prof::Scope span("journal/commit");
-                journal->record(slot, encodeSweepRow(row));
+                journal->record(slot, outcome.payload);
             }
-            if (meter)
-                meter->runFinished(slot, row.ok());
-            size_t done = completed.fetch_add(1) + 1;
-            if (spec.verbose) {
-                std::lock_guard<std::mutex> lock(logMutex);
-                logSweepRow(row, item, done, todo.size());
+        } else {
+            row = SweepRow{};
+            row.error = outcome.ok ? "worker returned an undecodable "
+                                     "result payload"
+                                   : outcome.error;
+            row.errorKind = SimError::kindName(SimError::Kind::Proc);
+            row.result.workload = item.workload.name;
+            row.result.machine = item.machine;
+            // Deliberately not journaled: a --resume rerun retries the
+            // slot instead of resurrecting the failure.
+        }
+        if (meter) {
+            if (pool) {
+                meter->setFarmTotals(pool->stats().retries,
+                                     pool->stats().timeouts,
+                                     pool->stats().staleKills);
             }
+            meter->runFinished(slot, row.ok());
+        }
+        if (spec.verbose)
+            logSweepRow(row, item, ++completed, todo.size());
+    };
+
+    Clock::time_point start = Clock::now();
+    if (pool) {
+        pool->run(todo.size(),
+                  [&](size_t index, unsigned) { return runSlot(index); },
+                  onResult);
+        const sim::ProcPoolStats &stats = pool->stats();
+        result.busySeconds = stats.busySeconds;
+        result.farm.launches = stats.launches;
+        result.farm.crashes = stats.crashes;
+        result.farm.timeouts = stats.timeouts;
+        result.farm.staleKills = stats.staleKills;
+        result.farm.corruptFrames = stats.corruptFrames;
+        result.farm.retries = stats.retries;
+        result.farm.skips = stats.permanentFailures;
+        if (spec.verbose &&
+            (stats.retries || stats.timeouts || stats.staleKills ||
+             stats.crashes || stats.corruptFrames)) {
+            std::fprintf(stderr,
+                         "  proc pool: %llu launches, %llu crashes, %llu "
+                         "timeouts, %llu stale kills, %llu corrupt "
+                         "frames, %llu retries, %llu skipped\n",
+                         (unsigned long long)stats.launches,
+                         (unsigned long long)stats.crashes,
+                         (unsigned long long)stats.timeouts,
+                         (unsigned long long)stats.staleKills,
+                         (unsigned long long)stats.corruptFrames,
+                         (unsigned long long)stats.retries,
+                         (unsigned long long)stats.permanentFailures);
+        }
+    } else {
+        // Worker threads report straight into the meter; the sink is
+        // global (one live sweep at a time), cleared once they join.
+        if (meter) {
+            progress::setCallbackSink(
+                [meter](const progress::Sample &sample) {
+                    meter->update(sample);
+                },
+                250);
+        }
+        std::atomic<double> busySeconds{0.0};
+        sim::parallelFor(result.jobs, todo.size(), [&](size_t index) {
+            Clock::time_point begin = Clock::now();
+            sim::ProcResult outcome;
+            outcome.payload = runSlot(index);
+            outcome.ok = true;
+            busySeconds += secondsSince(begin);
+            onResult(index, outcome);
         });
+        if (meter)
+            progress::clearSink();
+        result.busySeconds = busySeconds;
     }
-    pool.wait();
-    if (meter)
-        progress::clearSink();
-
-    sim::PoolStats stats = pool.stats();
-    result.wallSeconds = stats.wallSeconds;
-    result.busySeconds = stats.busySeconds;
-}
-
-/**
- * Fault-isolated execution of the slots in @p todo across forked
- * worker processes: a crashing, hanging, or frame-corrupting run is
- * retried with backoff and, beyond retry, becomes a "proc" skip row.
- */
-void
-runSweepProcs(const SweepSpec &spec, uint64_t warmup, uint64_t insts,
-              const std::vector<size_t> &todo, SweepResult &result,
-              SweepJournal *journal, unsigned procs,
-              progress::Meter *meter)
-{
-    sim::ProcPool::Config config =
-        sim::ProcPool::configFromEnv(sim::ProcPool::Config{});
-    config.procs = procs;
-    config.verbose = spec.verbose;
-    if (meter) {
-        // Typed-frame protocol: workers interleave progress heartbeats
-        // with the final result frame, and a heartbeat stream that goes
-        // quiet gets the worker SIGKILLed + retried well before the
-        // coarse per-run timeout. PUBS_PROC_STALE overrides; negative
-        // disables.
-        config.progressFrames = true;
-        if (config.staleSeconds == 0.0)
-            config.staleSeconds = 30.0;
-        config.onProgress = [meter](const progress::Sample &sample) {
-            meter->update(sample);
-        };
-    }
-    sim::ProcPool pool(config);
-    result.jobs = pool.procs();
-
-    size_t completed = 0;
-    pool.run(
-        todo.size(),
-        [&](size_t index, unsigned attempt) {
-            // Worker process: simulate and ship the row — including a
-            // SimError skip row, which is a result, not a worker
-            // failure — back over the CRC-checked pipe.
-            (void)attempt;
-            size_t slot = todo[index];
-            const SweepItem &item = spec.items[slot];
-            progress::beginTask(slot, item.workload.name,
-                                warmup + insts);
-            std::string payload =
-                encodeSweepRow(runSweepItem(item, warmup, insts));
-            progress::endTask();
-            return payload;
-        },
-        [&](size_t index, const sim::ProcResult &outcome) {
-            // Parent, in completion order: decode, journal, report.
-            size_t slot = todo[index];
-            const SweepItem &item = spec.items[slot];
-            SweepRow &row = result.rows[slot];
-            if (outcome.ok && decodeSweepRow(outcome.payload, row)) {
-                if (journal) {
-                    prof::Scope span("journal/commit");
-                    journal->record(slot, outcome.payload);
-                }
-            } else {
-                row = SweepRow{};
-                row.error = outcome.ok
-                                ? "worker returned an undecodable "
-                                  "result payload"
-                                : outcome.error;
-                row.errorKind =
-                    SimError::kindName(SimError::Kind::Proc);
-                row.result.workload = item.workload.name;
-                row.result.machine = item.machine;
-                // Deliberately not journaled: a --resume rerun retries
-                // the slot instead of resurrecting the failure.
-            }
-            if (meter) {
-                meter->setFarmTotals(pool.stats().retries,
-                                     pool.stats().timeouts,
-                                     pool.stats().staleKills);
-                meter->runFinished(slot, row.ok());
-            }
-            if (spec.verbose)
-                logSweepRow(row, item, ++completed, todo.size());
-        });
-
-    const sim::ProcPoolStats &stats = pool.stats();
-    result.wallSeconds = stats.wallSeconds;
-    result.busySeconds = stats.busySeconds;
-    result.farm.launches = stats.launches;
-    result.farm.crashes = stats.crashes;
-    result.farm.timeouts = stats.timeouts;
-    result.farm.staleKills = stats.staleKills;
-    result.farm.corruptFrames = stats.corruptFrames;
-    result.farm.retries = stats.retries;
-    result.farm.skips = stats.permanentFailures;
-    if (spec.verbose &&
-        (stats.retries || stats.timeouts || stats.staleKills ||
-         stats.crashes || stats.corruptFrames)) {
-        std::fprintf(stderr,
-                     "  proc pool: %llu launches, %llu crashes, %llu "
-                     "timeouts, %llu stale kills, %llu corrupt frames, "
-                     "%llu retries, %llu skipped\n",
-                     (unsigned long long)stats.launches,
-                     (unsigned long long)stats.crashes,
-                     (unsigned long long)stats.timeouts,
-                     (unsigned long long)stats.staleKills,
-                     (unsigned long long)stats.corruptFrames,
-                     (unsigned long long)stats.retries,
-                     (unsigned long long)stats.permanentFailures);
-    }
+    result.wallSeconds = secondsSince(start);
 }
 
 } // namespace
@@ -1046,11 +597,7 @@ runSweepProcs(const SweepSpec &spec, uint64_t warmup, uint64_t insts,
 SweepResult
 runSweep(const SweepSpec &spec)
 {
-    uint64_t warmup =
-        spec.warmup == SweepSpec::envBudget ? warmupInsts() : spec.warmup;
-    uint64_t insts =
-        spec.insts == SweepSpec::envBudget ? measureInsts() : spec.insts;
-
+    const RunOptions &options = spec.options;
     SweepResult result;
     result.rows.resize(spec.items.size());
 
@@ -1060,15 +607,13 @@ runSweep(const SweepSpec &spec)
     std::unique_ptr<SweepJournal> journal;
     std::vector<size_t> todo;
     size_t served = 0;
-    std::string basePath = journalPath();
-    if (!basePath.empty()) {
+    if (!options.journal.empty()) {
         static std::atomic<unsigned> sweepCounter{0};
         unsigned nth = sweepCounter.fetch_add(1);
-        std::string path =
-            nth ? basePath + "." + std::to_string(nth) : basePath;
+        std::string path = nth ? options.journal + "." + std::to_string(nth)
+                               : options.journal;
         journal = std::make_unique<SweepJournal>(
-            path, sweepKey(spec, warmup, insts), spec.items.size(),
-            resumeRequested());
+            path, sweepKey(spec), spec.items.size(), options.resume);
     }
     for (size_t i = 0; i < spec.items.size(); ++i) {
         if (journal && journal->has(i) &&
@@ -1089,21 +634,14 @@ runSweep(const SweepSpec &spec)
 
     // Live progress plane: per-worker heartbeats -> one meter.
     std::unique_ptr<progress::Meter> meter;
-    if (progressRequested()) {
+    if (options.progress) {
         progress::Meter::Config meterConfig;
         meterConfig.totalRuns = todo.size();
-        meterConfig.jsonPath = progressJsonPath();
+        meterConfig.jsonPath = options.progressJson;
         meter = std::make_unique<progress::Meter>(meterConfig);
     }
 
-    unsigned procs = spec.procs ? spec.procs : benchProcs();
-    if (procs) {
-        runSweepProcs(spec, warmup, insts, todo, result, journal.get(),
-                      procs, meter.get());
-    } else {
-        runSweepThreads(spec, warmup, insts, todo, result, journal.get(),
-                        meter.get());
-    }
+    runSlots(spec, todo, result, journal.get(), meter.get());
     if (meter) {
         meter->setFarmTotals(result.farm.retries, result.farm.timeouts,
                              result.farm.staleKills);
@@ -1119,7 +657,7 @@ runSweep(const SweepSpec &spec)
                      "  sweep: %zu runs on %u %s in %.2f s "
                      "(utilization %.0f%%)\n",
                      spec.items.size(), result.jobs,
-                     procs ? "procs" : "jobs", result.wallSeconds,
+                     options.procs ? "procs" : "jobs", result.wallSeconds,
                      result.utilization() * 100.0);
     }
 
@@ -1131,54 +669,45 @@ runSweep(const SweepSpec &spec)
         if (result.rows[i].ok())
             speedRows += simSpeedCsvLine(result.rows[i].result,
                                          spec.items[i].params);
-    appendCsvAtomic("simspeed.csv", simSpeedCsvHeader, speedRows);
+    appendCsvAtomic(options.csvDir, "simspeed.csv", simSpeedCsvHeader,
+                    speedRows);
     appendSkipCsv(spec, result);
-    appendPoolCsv(result);
-    if (cpiStackRequested())
+    appendPoolCsv(spec, result);
+    if (options.cpiStack)
         appendCpiStackCsv(spec, result);
-    if (branchProfileRequested())
+    if (options.branchProfile)
         appendBranchProfileCsv(spec, result);
 
     // Observability outputs, rewritten (atomically) after every sweep so
     // a driver that runs several sweeps leaves them cumulative and a
     // kill mid-driver leaves the last complete version.
-    if (!reportPath().empty()) {
+    if (!options.report.empty()) {
         globalReport().addSweep(spec, result);
-        std::string error = globalReport().writeHtml(reportPath());
+        std::string error = globalReport().writeHtml(options.report);
         if (!error.empty())
             warn("cannot write dashboard: %s", error.c_str());
     }
-    {
+    if (!options.traceEvents.empty()) {
         prof::Scope span("sweep/trace_export");
-        std::string trace = traceEventsPath();
-        if (!trace.empty()) {
-            try {
-                prof::writeTrace(trace);
-            } catch (const SimError &error) {
-                warn("cannot write trace events: %s", error.what());
-            }
+        try {
+            prof::writeTrace(options.traceEvents);
+        } catch (const SimError &error) {
+            warn("cannot write trace events: %s", error.what());
         }
     }
     return result;
 }
 
-SuiteRun
+SweepResult
 runSuite(const std::vector<wl::Workload> &suite,
-         const cpu::CoreParams &params, bool verbose,
-         const std::string &machine)
+         const cpu::CoreParams &params, const RunOptions &options,
+         bool verbose, const std::string &machine)
 {
-    SweepSpec spec;
+    SweepSpec spec(options);
     spec.verbose = verbose;
     for (const auto &workload : suite)
         spec.add(workload, params, machine);
-    SweepResult sweep = runSweep(spec);
-
-    SuiteRun run;
-    for (SweepRow &row : sweep.rows) {
-        run.results.push_back(std::move(row.result));
-        run.errors.push_back(std::move(row.error));
-    }
-    return run;
+    return runSweep(spec);
 }
 
 double

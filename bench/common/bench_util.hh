@@ -1,10 +1,10 @@
 /**
  * @file
- * Shared benchmark-harness utilities: instruction budgets (overridable
- * via PUBS_BENCH_INSTS / PUBS_BENCH_WARMUP), aligned text tables in the
- * style of the paper's figures, optional CSV emission
- * (PUBS_BENCH_CSV=<dir>), and the parallel sweep engine every figure
- * driver batches its runs through.
+ * Shared benchmark-harness utilities: aligned text tables in the style
+ * of the paper's figures, optional CSV emission (PUBS_BENCH_CSV=<dir>),
+ * and the parallel sweep engine every figure driver batches its runs
+ * through. Budgets, worker counts and outputs come from one RunOptions
+ * value (run_options.hh) carried by each SweepSpec.
  *
  * Determinism contract of the sweep engine: each run is an independent
  * Simulator seeded entirely from its SweepItem (params.seed + the
@@ -32,160 +32,15 @@
 #define PUBS_BENCH_COMMON_BENCH_UTIL_HH
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/sampling.hh"
+#include "common/run_options.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
 
 namespace pubs::bench
 {
-
-/** Measured instructions per run (default 1M; the paper used 100M). */
-uint64_t measureInsts();
-
-/** Warmup instructions per run (default 200K). */
-uint64_t warmupInsts();
-
-/**
- * Worker threads used by sweeps whose SweepSpec does not pin a count:
- * the --jobs flag (parseBenchArgs) if given, else PUBS_BENCH_JOBS, else
- * hardware concurrency.
- */
-unsigned benchJobs();
-
-/** Pin the benchJobs() default (what --jobs does). 0 restores auto. */
-void setBenchJobs(unsigned jobs);
-
-/**
- * Worker *processes* used by sweeps whose SweepSpec does not pin a
- * count: the --procs flag if given, else PUBS_BENCH_PROCS, else 0 —
- * and 0 means in-process threads (benchJobs()).
- */
-unsigned benchProcs();
-
-/** Pin the benchProcs() default (what --procs does). */
-void setBenchProcs(unsigned procs);
-
-/**
- * Write-ahead journal path for sweeps (--journal / PUBS_BENCH_JOURNAL);
- * empty disables journaling. A driver running several sweeps numbers
- * them path, path.1, path.2, ... in call order.
- */
-std::string journalPath();
-
-/** Pin the journal path (what --journal does). Empty disables. */
-void setJournalPath(std::string path);
-
-/** Was --resume (or PUBS_BENCH_RESUME=1) requested? */
-bool resumeRequested();
-
-/** Pin the resume flag (what --resume does). */
-void setResume(bool resume);
-
-/**
- * Chrome trace-event output path (--trace-events / PUBS_TRACE_EVENTS);
- * empty disables host-phase profiling. When set, the profiler is
- * enabled and each runSweep() rewrites the trace file atomically.
- */
-std::string traceEventsPath();
-
-/** Pin the trace path and enable the profiler. Empty disables. */
-void setTraceEventsPath(std::string path);
-
-/**
- * Dashboard output path (--report / PUBS_BENCH_REPORT); empty disables.
- * When set, every runSweep() feeds the global report builder
- * (bench/common/report.hh) and rewrites the self-contained HTML.
- */
-std::string reportPath();
-
-/** Pin the dashboard path (what --report does). Empty disables. */
-void setReportPath(std::string path);
-
-/** Was --progress (or PUBS_PROGRESS=1) requested? */
-bool progressRequested();
-
-/** Pin the progress flag (what --progress does). */
-void setProgress(bool progress);
-
-/**
- * Was --cpi-stack (or PUBS_CPI_STACK=1) requested? When on, every
- * runSweep() additionally emits $PUBS_BENCH_CSV/cpi_stack.csv (one row
- * per run, one column per top-down CPI component) and the dashboard
- * gains a stacked-bar CPI panel. The stack itself is always collected;
- * the flag only gates emission, so no-flag output stays byte-identical.
- */
-bool cpiStackRequested();
-
-/** Pin the CPI-stack flag (what --cpi-stack does). */
-void setCpiStack(bool enabled);
-
-/**
- * Was --branch-profile (or PUBS_BRANCH_PROFILE=1) requested? When on,
- * sweep runs force-enable core telemetry (stderr heartbeat off), every
- * runSweep() emits $PUBS_BENCH_CSV/branch_profile.csv (top static
- * branches per run with the confidence×outcome quadrant and slice
- * coverage), and the dashboard gains a top-branches table.
- */
-bool branchProfileRequested();
-
-/** Pin the branch-profile flag (what --branch-profile does). */
-void setBranchProfile(bool enabled);
-
-/**
- * Sampled-simulation windows per run (--sample / PUBS_BENCH_SAMPLE);
- * 0 (the default) runs every sweep item straight through.
- */
-unsigned sampleWindows();
-
-/** Pin the window count (what --sample does). 0 disables sampling. */
-void setSampleWindows(unsigned windows);
-
-/**
- * Instructions between sampled-window starts (--sample-period /
- * PUBS_BENCH_SAMPLE_PERIOD); 0 derives a contiguous period from the
- * per-window budgets (warmup + measure).
- */
-uint64_t samplePeriod();
-
-/** Pin the sampling period (what --sample-period does). */
-void setSamplePeriod(uint64_t period);
-
-/**
- * Content-addressed checkpoint artifact directory (--checkpoint-dir /
- * PUBS_CHECKPOINT_DIR); empty disables the cache. Sampled sweep runs
- * serve window fast-forward state from here and publish what they
- * compute, so workers (and --resume reruns) share the work.
- */
-std::string checkpointDir();
-
-/** Pin the checkpoint directory (what --checkpoint-dir does). */
-void setCheckpointDir(std::string dir);
-
-/**
- * The sampling plan sweeps run under, built from sampleWindows() /
- * samplePeriod() and the sweep budgets: the measurement and warmup
- * budgets are split evenly across the windows. Disabled (windows == 0)
- * unless --sample is in effect.
- */
-sim::SamplePlan benchSamplePlan(uint64_t warmup, uint64_t insts);
-
-/**
- * Where the live progress document goes when --progress is on:
- * $PUBS_PROGRESS_JSON if set, else "progress.json".
- */
-std::string progressJsonPath();
-
-/**
- * Parse the shared bench-driver command line (--jobs N, --procs N,
- * --journal PATH, --resume, --trace-events PATH, --report PATH,
- * --progress, --sample N, --sample-period N, --checkpoint-dir PATH,
- * --help). Unknown flags print usage and exit(2). Every
- * bench_* main calls this first so the whole harness honours the flags
- * uniformly.
- */
-void parseBenchArgs(int argc, char **argv);
 
 /** The paper's D-BP threshold: branch MPKI > 3.0 on the base machine. */
 constexpr double dbpThreshold = 3.0;
@@ -220,14 +75,11 @@ std::string pct(double ratio);
 std::string num(double value, int digits = 3);
 
 /**
- * Write the table as CSV into $PUBS_BENCH_CSV/<benchName>.csv if that
- * environment variable is set. Returns true if written.
+ * Write the table as CSV into <options.csvDir>/<benchName>.csv if a CSV
+ * directory is set. Returns true if written.
  */
-bool maybeWriteCsv(const std::string &benchName, const TextTable &table);
-
-/** Run one workload on one machine configuration. */
-sim::RunResult runWorkload(const wl::Workload &workload,
-                           const cpu::CoreParams &params);
+bool maybeWriteCsv(const RunOptions &options, const std::string &benchName,
+                   const TextTable &table);
 
 // --- parallel sweep engine -------------------------------------------
 
@@ -240,18 +92,17 @@ struct SweepItem
     std::string machine;
 };
 
-/** A batch of independent runs plus the budgets they share. */
+/** A batch of independent runs plus the options they share. */
 struct SweepSpec
 {
-    /** Sentinel: take the budget from the PUBS_BENCH_* environment. */
-    static constexpr uint64_t envBudget = ~0ull;
+    SweepSpec() = default;
+    explicit SweepSpec(RunOptions runOptions)
+        : options(std::move(runOptions))
+    {
+    }
 
+    RunOptions options; ///< budgets, workers, journal, outputs
     std::vector<SweepItem> items;
-    uint64_t warmup = envBudget;
-    uint64_t insts = envBudget;
-    unsigned jobs = 0;  ///< worker threads; 0 = benchJobs()
-    /** Worker processes; 0 = benchProcs() (whose 0 = use threads). */
-    unsigned procs = 0;
     bool verbose = true;
 
     /** Append one run; @return its index (== result slot). */
@@ -279,8 +130,8 @@ struct SweepRow
 /**
  * Farm-health counters of one sweep: how hard the recovery machinery
  * had to work. All zero for an in-process (threads) sweep except
- * journalServed. Host-dependent, so excluded from statsJson()'s
- * determinism contract unless explicitly requested.
+ * journalServed. Host-dependent, so they go to sweep_pool.csv and the
+ * dashboard, never into statsJson().
  */
 struct FarmStats
 {
@@ -327,64 +178,40 @@ struct SweepResult
 
     /**
      * The whole sweep as one JSON object containing only deterministic
-     * fields (no wall-clock / KIPS): byte-identical at any job count.
-     * @p includeFarm additionally emits the farm-health counters, which
-     * are host-dependent (retries, timeouts) and therefore off by
-     * default to preserve the byte-exactness contract.
+     * fields (no wall-clock / KIPS / farm counters): byte-identical at
+     * any job count.
      */
-    std::string statsJson(bool includeFarm = false) const;
+    std::string statsJson() const;
 };
 
 /**
- * Run every item of @p spec across a work-stealing thread pool, or —
- * when a process count is configured (spec.procs / --procs /
- * PUBS_BENCH_PROCS) — across fault-isolated worker processes with
- * per-run timeout, retry, and skip-after-N-failures. An item that
- * throws SimError is recorded as a skipped row (and in
- * $PUBS_BENCH_CSV/skipped.csv) without sinking the batch, and a worker
- * process that crashes or hangs beyond retry becomes a "proc" skip row
- * the same way; host-speed rows go to simspeed.csv and pool utilization
- * to sweep_pool.csv, all in spec order. With a journal configured,
- * completed runs are write-ahead journaled and --resume serves them
- * back byte-identically after an interruption.
+ * Run every item of @p spec on spec.options.jobs threads (parallelFor)
+ * or, when spec.options.procs is set, on that many fault-isolated
+ * worker processes with per-run timeout, retry, and
+ * skip-after-N-failures. Either way each run's encoded row goes through
+ * one hook that decodes, journals, and reports it. An item that throws
+ * SimError is recorded as a skipped row (and in skipped.csv) without
+ * sinking the batch, and a worker process that crashes or hangs beyond
+ * retry becomes a "proc" skip row the same way; any other exception
+ * from an in-process run is rethrown here. Host-speed rows go to
+ * simspeed.csv and pool utilization to sweep_pool.csv, all in spec
+ * order. With a journal configured, completed runs are write-ahead
+ * journaled and --resume serves them back byte-identically after an
+ * interruption.
  */
 SweepResult runSweep(const SweepSpec &spec);
 
-/** Results of running the whole suite on one machine. */
-struct SuiteRun
-{
-    std::vector<sim::RunResult> results; ///< index-aligned with suite
-
-    /**
-     * Workloads whose simulation threw a SimError (index-aligned with
-     * the suite: empty string = ran clean). A failed entry keeps a
-     * default-constructed RunResult so downstream ratio math can skip
-     * it without renumbering.
-     */
-    std::vector<std::string> errors;
-
-    size_t
-    failed() const
-    {
-        size_t n = 0;
-        for (const std::string &error : errors)
-            n += error.empty() ? 0 : 1;
-        return n;
-    }
-
-    bool ok(size_t index) const { return errors[index].empty(); }
-};
-
 /**
- * Run every workload in @p suite on @p params, in parallel via
- * runSweep(). A workload that throws SimError (bad configuration, trace
- * corruption, checker divergence) is recorded and skipped; the sweep
- * continues with the remaining workloads. @p machine labels the runs in
- * CSV/JSON output.
+ * Run every workload in @p suite on @p params as one runSweep(). A
+ * workload that throws SimError (bad configuration, trace corruption,
+ * checker divergence) becomes a skipped row at its suite index; the
+ * sweep continues with the remaining workloads. @p machine labels the
+ * runs in CSV/JSON output.
  */
-SuiteRun runSuite(const std::vector<wl::Workload> &suite,
-                  const cpu::CoreParams &params, bool verbose = true,
-                  const std::string &machine = "");
+SweepResult runSuite(const std::vector<wl::Workload> &suite,
+                     const cpu::CoreParams &params,
+                     const RunOptions &options, bool verbose = true,
+                     const std::string &machine = "");
 
 /** Geometric mean of per-workload ratios over a subset selector. */
 double geoMeanRatio(const std::vector<double> &ratios);

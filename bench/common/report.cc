@@ -47,45 +47,36 @@ ReportBuilder::setTitle(std::string title)
     title_ = std::move(title);
 }
 
+ReportBuilder::Run
+ReportBuilder::runRow(const SweepRow &row, const RunOptions &options)
+{
+    Run run;
+    run.workload = row.result.workload;
+    run.machine = row.result.machine;
+    run.ok = row.ok();
+    run.instructions = row.result.instructions;
+    run.cycles = row.result.cycles;
+    run.ipc = row.result.ipc;
+    run.kips = row.result.kips();
+    run.branchMpki = row.result.branchMpki;
+    run.llcMpki = row.result.llcMpki;
+    run.unconfidentRate = row.result.unconfidentBranchRate;
+    run.errorKind = row.errorKind;
+    if (row.ok() && options.cpiStack) {
+        run.hasCpi = true;
+        run.cpi = row.result.pipeline.cpi.cycles;
+    }
+    if (row.ok() && options.branchProfile)
+        run.branches = row.result.branchProfile;
+    return run;
+}
+
 void
 ReportBuilder::addSweep(const SweepSpec &spec, const SweepResult &result)
 {
     std::lock_guard<std::mutex> lock(reportMutex);
-    for (size_t i = 0; i < result.rows.size(); ++i) {
-        const SweepRow &row = result.rows[i];
-        Run run;
-        run.workload = spec.items[i].workload.name;
-        run.machine = spec.items[i].machine;
-        run.ok = row.ok();
-        run.instructions = row.result.instructions;
-        run.cycles = row.result.cycles;
-        run.ipc = row.result.ipc;
-        run.kips = row.result.kips();
-        run.branchMpki = row.result.branchMpki;
-        run.llcMpki = row.result.llcMpki;
-        run.unconfidentRate = row.result.unconfidentBranchRate;
-        run.errorKind = row.errorKind;
-        if (row.ok() && cpiStackRequested()) {
-            run.hasCpi = true;
-            run.cpi = row.result.pipeline.cpi.cycles;
-        }
-        if (row.ok() && branchProfileRequested()) {
-            for (const sim::BranchProfileRow &b :
-                 row.result.branchProfile) {
-                Run::Branch branch;
-                branch.pc = b.pc;
-                branch.commits = b.commits;
-                branch.mispredicts = b.mispredicts;
-                branch.penaltyCycles = b.penaltyCycles;
-                branch.unconfCorrect = b.unconfCorrect;
-                branch.unconfWrong = b.unconfWrong;
-                branch.sliceInsts = b.sliceInsts;
-                branch.sliceCovered = b.sliceCovered;
-                run.branches.push_back(branch);
-            }
-        }
-        runs_.push_back(std::move(run));
-    }
+    for (const SweepRow &row : result.rows)
+        runs_.push_back(runRow(row, spec.options));
     farm_.launches += result.farm.launches;
     farm_.crashes += result.farm.crashes;
     farm_.timeouts += result.farm.timeouts;
@@ -161,7 +152,7 @@ ReportBuilder::dataJson() const
         if (!r.branches.empty()) {
             out << ", \"branches\": [";
             for (size_t b = 0; b < r.branches.size(); ++b) {
-                const Run::Branch &br = r.branches[b];
+                const sim::BranchProfileRow &br = r.branches[b];
                 out << (b ? ", " : "") << "{\"pc\": " << br.pc
                     << ", \"commits\": " << br.commits
                     << ", \"mispredicts\": " << br.mispredicts

@@ -50,29 +50,24 @@ class ReportBuilder
 
         /** Top-down CPI stack of the run; emitted into the data
          *  document (and rendered as a stacked bar) only when
-         *  @ref hasCpi — set by addSweep() under --cpi-stack. */
+         *  @ref hasCpi — set by runRow() under --cpi-stack. */
         bool hasCpi = false;
         std::array<uint64_t, cpu::numCpiComponents> cpi{};
 
-        /** One top-cost static branch (dashboard table row). */
-        struct Branch
-        {
-            uint64_t pc = 0;
-            uint64_t commits = 0;
-            uint64_t mispredicts = 0;
-            uint64_t penaltyCycles = 0;
-            uint64_t unconfCorrect = 0;
-            uint64_t unconfWrong = 0;
-            uint64_t sliceInsts = 0;
-            uint64_t sliceCovered = 0;
-        };
-
-        /** Filled by addSweep() under --branch-profile. */
-        std::vector<Branch> branches;
+        /** Top-cost static branches; filled by runRow() under
+         *  --branch-profile. */
+        std::vector<sim::BranchProfileRow> branches;
     };
 
     /** Dashboard heading; defaults to "PUBS sweep farm". */
     void setTitle(std::string title);
+
+    /**
+     * The dashboard row of one run; the CPI stack and top branches are
+     * filled only when @p options asks for them (--cpi-stack,
+     * --branch-profile).
+     */
+    static Run runRow(const SweepRow &row, const RunOptions &options);
 
     /** Fold one finished sweep's rows + farm counters in. */
     void addSweep(const SweepSpec &spec, const SweepResult &result);

@@ -1,80 +1,27 @@
 /**
  * @file
- * A command-line driver for one-off simulations:
- *
- *     pubs_sim_cli [options]
- *       --workload <name|path.trc>   suite workload or trace file
- *       --machine  <base|pubs|age|pubs+age>
- *       --size     <small|medium|large|huge>
- *       --insts    <n>               measured instructions (default 1M)
- *       --warmup   <n>               warmup instructions (default 200K)
- *       --seed     <n>
- *       --priority-entries <n>       PUBS partition size
- *       --conf-bits <n>              confidence counter width
- *       --no-mode-switch             disable the LLC-MPKI mode switch
- *       --non-stall                  non-stall dispatch policy
- *       --distributed-iq             Section III-C2 distributed IQ
- *       --iq <random|shifting|circular>
- *       --check <off|warn|throw|abort>  checker + audit policy
- *       --check lockstep             verify every suite workload with the
- *                                    lockstep checker and the structural
- *                                    auditor; PASS/FAIL per workload
- *       --audit-interval <n>         cycles between structural audits
- *       --stats-json <path>          write the full stat registry as JSON
- *                                    (implies --telemetry)
- *       --pipeview <path>            write a gem5-O3PipeView pipeline
- *                                    trace (view with Konata)
- *       --telemetry                  collect PUBS slice telemetry and the
- *                                    branch-site profile
- *       --cpi-stack                  print the top-down CPI stack after
- *                                    the run (always collected; this
- *                                    only prints it)
- *       --branch-profile             print the per-static-branch cost
- *                                    profile (implies --telemetry)
- *       --heartbeat <cycles>         heartbeat interval (0 disables)
- *       --progress                   live progress readout (TTY meter,
- *                                    machine-readable lines otherwise)
- *                                    + progress.json; PUBS_PROGRESS=1
- *                                    enables it too
- *       --trace-events <path>        host-phase profile as Chrome trace
- *                                    events (open in Perfetto)
- *       --report <path>              self-contained HTML dashboard of
- *                                    this run (implies --telemetry)
- *       --jobs <n>                   worker threads for --check lockstep
- *                                    (default: hardware concurrency)
- *       --procs <n>                  fault-isolated worker *processes*
- *                                    for --check lockstep: a crashing or
- *                                    hanging workload is retried and at
- *                                    worst reported FAIL, never takes
- *                                    down the verifier (see PUBS_FAULT,
- *                                    PUBS_PROC_TIMEOUT, PUBS_PROC_RETRIES)
- *       --skip <n>                   functionally fast-forward n
- *                                    instructions before the run
- *       --save-checkpoint <path>     fast-forward (--skip), write a
- *                                    checkpoint, and exit
- *       --restore-checkpoint <path>  start from a checkpoint instead of
- *                                    from reset
- *       --sample <n>                 sampled simulation: n measurement
- *                                    windows stitched with 95% CIs
- *       --sample-period <n>          instructions between window starts
- *                                    (default: contiguous windows)
- *       --checkpoint-dir <dir>       content-addressed checkpoint cache
- *                                    reused across sampled runs
- *       --list                       list suite workloads and exit
+ * A command-line driver for one-off simulations: one workload (suite
+ * name or .trc trace) on one machine, optionally fast-forwarded,
+ * checkpointed, sampled, or dumped as stats JSON / pipeview / an HTML
+ * dashboard; or, with --check lockstep, every suite workload under the
+ * lockstep checker and the structural auditor as one sweep (PASS/FAIL
+ * per workload). `pubs_sim_cli --help` lists every flag: this driver's
+ * own rows, then the harness rows it shares with the bench drivers
+ * (bench/common/run_options.hh: --jobs, --procs, --progress, --report,
+ * --cpi-stack, --branch-profile, --sample, ...).
  *
  * Prints the full pipeline stat group. Recoverable failures (bad
  * configuration, corrupt trace, checker divergence under --check throw)
- * print "error: ..." and exit 1 instead of aborting; so do workloads
- * whose worker process fails beyond retry under --procs.
+ * print "error: ..." and exit 1 instead of aborting; so does --check
+ * lockstep when a workload fails, including a worker process that fails
+ * beyond retry under --procs. Malformed flags print the usage and
+ * exit 2.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include <cstdlib>
-
+#include "common/bench_util.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
@@ -84,8 +31,6 @@
 #include "cpu/telemetry.hh"
 #include "emu/emulator.hh"
 #include "sim/config.hh"
-#include "sim/proc_pool.hh"
-#include "sim/run_pool.hh"
 #include "sim/sampling.hh"
 #include "sim/simulator.hh"
 #include "trace/pipeview.hh"
@@ -97,245 +42,63 @@ namespace
 
 using namespace pubs;
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--workload W] [--machine M] [--size S]\n"
-                 "          [--insts N] [--warmup N] [--seed N]\n"
-                 "          [--priority-entries N] [--conf-bits N]\n"
-                 "          [--no-mode-switch] [--non-stall]\n"
-                 "          [--distributed-iq] [--iq KIND] [--list]\n"
-                 "          [--check off|warn|throw|abort|lockstep]\n"
-                 "          [--audit-interval N]\n"
-                 "          [--stats-json PATH] [--pipeview PATH]\n"
-                 "          [--telemetry] [--cpi-stack]\n"
-                 "          [--branch-profile] [--heartbeat N] [--jobs N]\n"
-                 "          [--procs N] [--progress]\n"
-                 "          [--trace-events PATH] [--report PATH]\n"
-                 "          [--skip N] [--save-checkpoint PATH]\n"
-                 "          [--restore-checkpoint PATH] [--sample N]\n"
-                 "          [--sample-period N] [--checkpoint-dir DIR]\n",
-                 argv0);
-    std::exit(2);
-}
-
-sim::Machine
-parseMachine(const std::string &name)
-{
-    if (name == "base")
-        return sim::Machine::Base;
-    if (name == "pubs")
-        return sim::Machine::Pubs;
-    if (name == "age")
-        return sim::Machine::Age;
-    if (name == "pubs+age")
-        return sim::Machine::PubsAge;
-    fatal("unknown machine '%s'", name.c_str());
-}
-
-cpu::SizeClass
-parseSize(const std::string &name)
-{
-    if (name == "small")
-        return cpu::SizeClass::Small;
-    if (name == "medium")
-        return cpu::SizeClass::Medium;
-    if (name == "large")
-        return cpu::SizeClass::Large;
-    if (name == "huge")
-        return cpu::SizeClass::Huge;
-    fatal("unknown size class '%s'", name.c_str());
-}
-
-iq::IqKind
-parseIqKind(const std::string &name)
-{
-    if (name == "random")
-        return iq::IqKind::Random;
-    if (name == "shifting")
-        return iq::IqKind::Shifting;
-    if (name == "circular")
-        return iq::IqKind::Circular;
-    fatal("unknown IQ kind '%s'", name.c_str());
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 /**
- * Run one suite workload with the lockstep checker and structural
- * auditor; on success fills @p line with the PASS report row, on
- * SimError fills the FAIL row plus @p error. Shared by the thread- and
- * process-backed verifiers so both report identically.
+ * The one of @p values whose @p name is @p text, so the flags take
+ * exactly the names describe() and the stats print. Unknown names are
+ * fatal; @p what names the kind of value in the error.
  */
-void
-lockstepOne(const std::string &name, const cpu::CoreParams &params,
-            uint64_t warmup, uint64_t insts, uint64_t seed,
-            std::string &line, std::string &error)
+template <typename Enum, size_t N>
+Enum
+parseName(const std::string &text, const Enum (&values)[N],
+          const char *(*name)(Enum), const char *what)
 {
-    char buf[96];
-    try {
-        wl::Workload w = wl::makeWorkload(name, seed);
-        sim::Simulator simulator(
-            params, std::make_unique<emu::Emulator>(w.program));
-        simulator.run(warmup, insts);
-        const cpu::PipelineStats &s = simulator.pipeline().stats();
-        std::snprintf(buf, sizeof(buf), "%-18s %-6s %12llu %12llu",
-                      name.c_str(), "PASS",
-                      (unsigned long long)s.checkerCommits,
-                      (unsigned long long)s.auditsRun);
-        error.clear();
-    } catch (const SimError &e) {
-        std::snprintf(buf, sizeof(buf), "%-18s %-6s", name.c_str(),
-                      "FAIL");
-        error = std::string(SimError::kindName(e.kind())) +
-                " error in " + name + ":\n" + e.what();
-    }
-    line = buf;
-}
-
-/** Print the per-workload report rows and verdict; @return failures. */
-int
-reportLockstep(const std::vector<std::string> &lines,
-               const std::vector<std::string> &errors, unsigned workers,
-               const char *workerNoun)
-{
-    std::printf("%-18s %-6s %12s %12s\n", "workload", "result",
-                "checked", "audits");
-    int failures = 0;
-    for (size_t i = 0; i < lines.size(); ++i) {
-        std::printf("%s\n", lines[i].c_str());
-        if (!errors[i].empty()) {
-            ++failures;
-            std::fprintf(stderr, "%s\n", errors[i].c_str());
-        }
-    }
-    std::printf("lockstep verification: %s (%d failing workload%s, "
-                "%u %s)\n",
-                failures ? "FAIL" : "PASS", failures,
-                failures == 1 ? "" : "s", workers, workerNoun);
-    return failures;
+    for (Enum value : values)
+        if (text == name(value))
+            return value;
+    fatal("unknown %s '%s'", what, text.c_str());
 }
 
 /**
  * Run every suite workload with the lockstep checker and the structural
- * auditor set to throw, spread across @p jobs worker threads. Each run
- * is independent (own emulator, pipeline, and RNG), so the report lines
- * are collected per workload and printed in suite order afterwards.
- * @return the number of failing workloads.
+ * auditor set to throw, as one sweep over options.jobs threads or
+ * options.procs worker processes, and print one PASS/FAIL row per
+ * workload in suite order. @return the number of failing workloads.
  */
-int
-runLockstep(cpu::CoreParams params, uint64_t warmup, uint64_t insts,
-            uint64_t seed, unsigned jobs, progress::Meter *meter)
+size_t
+verifyLockstep(cpu::CoreParams params, const char *machine, uint64_t seed,
+               const bench::RunOptions &options)
 {
     params.checkPolicy = CheckPolicy::Throw;
     params.auditPolicy = CheckPolicy::Throw;
+    bench::SweepSpec spec(options);
+    spec.verbose = false;
+    for (wl::Workload &workload : wl::makeSuite(seed))
+        spec.add(std::move(workload), params, machine);
+    bench::SweepResult sweep = bench::runSweep(spec);
 
-    const std::vector<std::string> names = wl::suiteNames();
-    std::vector<std::string> lines(names.size());
-    std::vector<std::string> errors(names.size());
-
-    if (meter) {
-        progress::setCallbackSink(
-            [meter](const progress::Sample &s) { meter->update(s); },
-            250);
-    }
-    sim::RunPool pool(jobs);
-    sim::parallelFor(pool, names.size(), [&](size_t i) {
-        if (meter)
-            progress::beginTask(i, names[i], warmup + insts);
-        lockstepOne(names[i], params, warmup, insts, seed, lines[i],
-                    errors[i]);
-        if (meter) {
-            progress::endTask();
-            meter->runFinished(i, errors[i].empty());
-        }
-    });
-    pool.wait();
-    if (meter)
-        progress::clearSink();
-    return reportLockstep(lines, errors, pool.threads(), "jobs");
-}
-
-/**
- * Process-isolated variant of runLockstep: every workload verifies in a
- * forked worker, so a segfault or hang in one workload is retried and
- * at worst reported FAIL instead of killing the verifier. The worker
- * ships "P<row>" or "F<row>\n<error>" over the CRC-checked pipe; rows
- * print in suite order either way.
- */
-int
-runLockstepProcs(cpu::CoreParams params, uint64_t warmup, uint64_t insts,
-                 uint64_t seed, unsigned procs, progress::Meter *meter)
-{
-    params.checkPolicy = CheckPolicy::Throw;
-    params.auditPolicy = CheckPolicy::Throw;
-
-    const std::vector<std::string> names = wl::suiteNames();
-    std::vector<std::string> lines(names.size());
-    std::vector<std::string> errors(names.size());
-
-    sim::ProcPool::Config config =
-        sim::ProcPool::configFromEnv(sim::ProcPool::Config());
-    config.procs = procs;
-    if (meter) {
-        config.progressFrames = true;
-        if (config.staleSeconds == 0.0)
-            config.staleSeconds = 30.0;
-        config.onProgress = [meter](const progress::Sample &s) {
-            meter->update(s);
-        };
-    }
-    sim::ProcPool pool(config);
-    std::vector<sim::ProcResult> results = pool.run(
-        names.size(),
-        [&](size_t i, unsigned) {
-            if (meter)
-                progress::beginTask(i, names[i], warmup + insts);
-            std::string line, error;
-            lockstepOne(names[i], params, warmup, insts, seed, line,
-                        error);
-            if (meter)
-                progress::endTask();
-            return (error.empty() ? "P" : "F") + line +
-                   (error.empty() ? "" : "\n" + error);
-        },
-        [&](size_t i, const sim::ProcResult &r) {
-            if (!meter)
-                return;
-            meter->setFarmTotals(pool.stats().retries,
-                                 pool.stats().timeouts,
-                                 pool.stats().staleKills);
-            meter->runFinished(i, r.ok);
-        });
-
-    for (size_t i = 0; i < names.size(); ++i) {
-        const sim::ProcResult &r = results[i];
-        if (!r.ok || r.payload.empty()) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf), "%-18s %-6s",
-                          names[i].c_str(), "FAIL");
-            lines[i] = buf;
-            errors[i] = "proc error in " + names[i] + ":\n" +
-                        (r.ok ? "empty result payload" : r.error);
+    std::printf("%-18s %-6s %12s %12s\n", "workload", "result", "checked",
+                "audits");
+    for (size_t i = 0; i < sweep.rows.size(); ++i) {
+        const bench::SweepRow &row = sweep.rows[i];
+        const char *name = spec.items[i].workload.name.c_str();
+        if (!row.ok()) {
+            std::printf("%-18s %-6s\n", name, "FAIL");
+            std::fprintf(stderr, "%s error in %s:\n%s\n",
+                         row.errorKind.c_str(), name, row.error.c_str());
             continue;
         }
-        size_t newline = r.payload.find('\n');
-        lines[i] = r.payload.substr(1, newline == std::string::npos
-                                           ? std::string::npos
-                                           : newline - 1);
-        if (r.payload[0] == 'F') {
-            errors[i] = newline == std::string::npos
-                            ? "worker reported failure without detail"
-                            : r.payload.substr(newline + 1);
-        }
+        const cpu::PipelineStats &s = row.result.pipeline;
+        std::printf("%-18s %-6s %12llu %12llu\n", name, "PASS",
+                    (unsigned long long)s.checkerCommits,
+                    (unsigned long long)s.auditsRun);
     }
-    return reportLockstep(lines, errors, pool.procs(), "procs");
+    size_t failures = sweep.failed();
+    std::printf("lockstep verification: %s (%zu failing workload%s, "
+                "%u %s)\n",
+                failures ? "FAIL" : "PASS", failures,
+                failures == 1 ? "" : "s", sweep.jobs,
+                options.procs ? "procs" : "jobs");
+    return failures;
 }
 
 } // namespace
@@ -343,163 +106,127 @@ runLockstepProcs(cpu::CoreParams params, uint64_t warmup, uint64_t insts,
 int
 run(int argc, char **argv)
 {
+    const cpu::CoreParams defaults;
     std::string workload = "sjeng_like";
-    sim::Machine machine = sim::Machine::Pubs;
-    cpu::SizeClass size = cpu::SizeClass::Medium;
-    uint64_t insts = 1000000;
-    uint64_t warmup = 200000;
-
-    cpu::CoreParams overrides; // collected then applied
-    bool setPriorityEntries = false;
-    unsigned priorityEntries = 0;
-    bool setConfBits = false;
-    unsigned confBits = 0;
+    std::string machineArg = "pubs";
+    std::string sizeArg = "medium";
+    uint64_t seed = 1;
+    unsigned priorityEntries = defaults.pubs.priorityEntries;
+    unsigned confBits = defaults.pubs.confCounterBits;
     bool noModeSwitch = false;
     bool nonStall = false;
     bool distributed = false;
-    bool setIqKind = false;
-    iq::IqKind iqKind = iq::IqKind::Random;
-    uint64_t seed = 1;
+    std::string iqArg;
     std::string checkArg;
-    bool setAuditInterval = false;
-    unsigned auditInterval = 0;
+    unsigned auditInterval = defaults.auditInterval;
     std::string statsJsonPath;
     std::string pipeviewPath;
     bool telemetry = false;
-    bool cpiStack = false;
-    bool branchProfile = false;
-    bool setHeartbeat = false;
-    unsigned heartbeat = 0;
-    unsigned jobs = 0;  // 0 = hardware concurrency
-    unsigned procs = 0; // 0 = in-process threads
-    const char *progressEnv = std::getenv("PUBS_PROGRESS");
-    bool progressOn = progressEnv && *progressEnv && *progressEnv != '0';
-    std::string tracePath;
-    std::string reportPath;
+    unsigned heartbeat = defaults.heartbeatInterval;
     uint64_t skip = 0;
     std::string saveCkptPath;
     std::string restoreCkptPath;
-    std::string checkpointDir;
-    unsigned sampleWindows = 0;
-    uint64_t samplePeriodArg = 0;
+    bool list = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (++i >= argc)
-                usage(argv[0]);
-            return argv[i];
-        };
-        if (arg == "--workload") {
-            workload = next();
-        } else if (arg == "--machine") {
-            machine = parseMachine(next());
-        } else if (arg == "--size") {
-            size = parseSize(next());
-        } else if (arg == "--insts") {
-            insts = std::stoull(next());
-        } else if (arg == "--warmup") {
-            warmup = std::stoull(next());
-        } else if (arg == "--seed") {
-            seed = std::stoull(next());
-        } else if (arg == "--priority-entries") {
-            setPriorityEntries = true;
-            priorityEntries = (unsigned)std::stoul(next());
-        } else if (arg == "--conf-bits") {
-            setConfBits = true;
-            confBits = (unsigned)std::stoul(next());
-        } else if (arg == "--no-mode-switch") {
-            noModeSwitch = true;
-        } else if (arg == "--non-stall") {
-            nonStall = true;
-        } else if (arg == "--distributed-iq") {
-            distributed = true;
-        } else if (arg == "--iq") {
-            setIqKind = true;
-            iqKind = parseIqKind(next());
-        } else if (arg == "--check") {
-            checkArg = next();
-        } else if (arg == "--audit-interval") {
-            setAuditInterval = true;
-            auditInterval = (unsigned)std::stoul(next());
-        } else if (arg == "--stats-json") {
-            statsJsonPath = next();
-            telemetry = true;
-        } else if (arg == "--pipeview") {
-            pipeviewPath = next();
-        } else if (arg == "--telemetry") {
-            telemetry = true;
-        } else if (arg == "--cpi-stack") {
-            cpiStack = true;
-        } else if (arg == "--branch-profile") {
-            branchProfile = true;
-            telemetry = true;
-        } else if (arg == "--heartbeat") {
-            setHeartbeat = true;
-            heartbeat = (unsigned)std::stoul(next());
-        } else if (arg == "--jobs") {
-            jobs = (unsigned)std::stoul(next());
-            if (jobs == 0)
-                fatal("--jobs must be at least 1");
-        } else if (arg == "--procs") {
-            procs = (unsigned)std::stoul(next());
-            if (procs == 0)
-                fatal("--procs must be at least 1");
-        } else if (arg == "--progress") {
-            progressOn = true;
-        } else if (arg == "--trace-events") {
-            tracePath = next();
-        } else if (arg == "--report") {
-            reportPath = next();
-            telemetry = true;
-        } else if (arg == "--skip") {
-            skip = std::stoull(next());
-        } else if (arg == "--save-checkpoint") {
-            saveCkptPath = next();
-        } else if (arg == "--restore-checkpoint") {
-            restoreCkptPath = next();
-        } else if (arg == "--checkpoint-dir") {
-            checkpointDir = next();
-        } else if (arg == "--sample") {
-            sampleWindows = (unsigned)std::stoul(next());
-            if (sampleWindows == 0)
-                fatal("--sample must be at least 1 window");
-        } else if (arg == "--sample-period") {
-            samplePeriodArg = std::stoull(next());
-            if (samplePeriodArg == 0)
-                fatal("--sample-period must be positive");
-        } else if (arg == "--list") {
-            for (const auto &name : wl::suiteNames())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        } else {
-            usage(argv[0]);
-        }
+    bench::RunOptions options;
+    using T = bench::OptionType;
+    bench::parseRunOptions(argc, argv, options, {
+        {"--workload", nullptr, T::Text,
+         "suite workload or trace file path.trc (default sjeng_like)",
+         &workload},
+        {"--machine", nullptr, T::Text,
+         "base, pubs, age or pubs+age (default pubs)", &machineArg},
+        {"--size", nullptr, T::Text,
+         "small, medium, large or huge (default medium)", &sizeArg},
+        {"--insts", nullptr, T::Count,
+         "measured instructions (default 1000000)", &options.insts},
+        {"--warmup", nullptr, T::Number,
+         "warmup instructions (default 200000)", &options.warmup},
+        {"--seed", nullptr, T::Number,
+         "workload and machine seed (default 1)", &seed},
+        {"--priority-entries", nullptr, T::Number, "PUBS partition size",
+         &priorityEntries},
+        {"--conf-bits", nullptr, T::Number, "confidence counter width",
+         &confBits},
+        {"--no-mode-switch", nullptr, T::Switch,
+         "disable the LLC-MPKI mode switch", &noModeSwitch},
+        {"--non-stall", nullptr, T::Switch, "non-stall dispatch policy",
+         &nonStall},
+        {"--distributed-iq", nullptr, T::Switch,
+         "Section III-C2 distributed IQ", &distributed},
+        {"--iq", nullptr, T::Text, "random, shifting or circular",
+         &iqArg},
+        {"--check", nullptr, T::Text,
+         "checker + audit policy: off, warn, throw or abort; lockstep "
+         "verifies every suite workload (PASS/FAIL per workload)",
+         &checkArg},
+        {"--audit-interval", nullptr, T::Number,
+         "cycles between structural audits", &auditInterval},
+        {"--stats-json", nullptr, T::Text,
+         "write the full stat registry as JSON (implies --telemetry)",
+         &statsJsonPath},
+        {"--pipeview", nullptr, T::Text,
+         "write a gem5-O3PipeView pipeline trace (view with Konata)",
+         &pipeviewPath},
+        {"--telemetry", nullptr, T::Switch,
+         "collect PUBS slice telemetry and the branch-site profile",
+         &telemetry},
+        {"--heartbeat", nullptr, T::Number,
+         "heartbeat interval in cycles (0 disables)", &heartbeat},
+        {"--skip", nullptr, T::Number,
+         "functionally fast-forward N instructions before the run",
+         &skip},
+        {"--save-checkpoint", nullptr, T::Text,
+         "fast-forward (--skip), write a checkpoint, and exit",
+         &saveCkptPath},
+        {"--restore-checkpoint", nullptr, T::Text,
+         "start from a checkpoint instead of from reset",
+         &restoreCkptPath},
+        {"--list", nullptr, T::Switch, "list suite workloads and exit",
+         &list},
+    });
+    if (list) {
+        for (const auto &name : wl::suiteNames())
+            std::printf("%s\n", name.c_str());
+        return 0;
     }
+    // The dashboard and the stats/branch profile dumps read telemetry.
+    telemetry = telemetry || !statsJsonPath.empty() ||
+                !options.report.empty() || options.branchProfile;
 
+    sim::Machine machine = parseName(
+        machineArg,
+        {sim::Machine::Base, sim::Machine::Pubs, sim::Machine::Age,
+         sim::Machine::PubsAge},
+        sim::machineName, "machine");
+    cpu::SizeClass size = parseName(
+        sizeArg,
+        {cpu::SizeClass::Small, cpu::SizeClass::Medium,
+         cpu::SizeClass::Large, cpu::SizeClass::Huge},
+        cpu::sizeClassName, "size class");
+    const uint64_t insts = options.insts;
+    const uint64_t warmup = options.warmup;
     cpu::CoreParams params = sim::makeConfig(machine, size);
     params.seed = seed;
-    if (setPriorityEntries)
-        params.pubs.priorityEntries = priorityEntries;
-    if (setConfBits)
-        params.pubs.confCounterBits = confBits;
+    params.pubs.priorityEntries = priorityEntries;
+    params.pubs.confCounterBits = confBits;
     if (noModeSwitch)
         params.pubs.modeSwitch = false;
     if (nonStall)
         params.pubs.stallPolicy = false;
     if (distributed)
         params.distributedIq = true;
-    if (setIqKind)
-        params.iqKind = iqKind;
-    if (setAuditInterval)
-        params.auditInterval = auditInterval;
-    if (telemetry)
-        params.telemetry = true;
-    if (setHeartbeat)
-        params.heartbeatInterval = heartbeat;
+    if (!iqArg.empty()) {
+        params.iqKind = parseName(iqArg,
+                                  {iq::IqKind::Random, iq::IqKind::Shifting,
+                                   iq::IqKind::Circular},
+                                  iq::iqKindName, "IQ kind");
+    }
+    params.auditInterval = auditInterval;
+    params.telemetry = telemetry;
+    params.heartbeatInterval = heartbeat;
 
-    if (!tracePath.empty())
-        prof::enable();
+    const std::string &tracePath = options.traceEvents;
     auto writeTraceIfAsked = [&]() {
         if (tracePath.empty())
             return;
@@ -507,27 +234,10 @@ run(int argc, char **argv)
         std::printf("trace events written to %s (open in Perfetto)\n",
                     tracePath.c_str());
     };
-    auto makeMeter = [&](size_t totalRuns) {
-        std::unique_ptr<progress::Meter> meter;
-        if (!progressOn)
-            return meter;
-        progress::Meter::Config mc;
-        mc.totalRuns = totalRuns;
-        const char *jsonEnv = std::getenv("PUBS_PROGRESS_JSON");
-        mc.jsonPath = jsonEnv && *jsonEnv ? jsonEnv : "progress.json";
-        meter = std::make_unique<progress::Meter>(mc);
-        return meter;
-    };
 
     if (checkArg == "lockstep") {
-        auto meter = makeMeter(wl::suiteNames().size());
-        int failures =
-            procs ? runLockstepProcs(params, warmup, insts, seed, procs,
-                                     meter.get())
-                  : runLockstep(params, warmup, insts, seed, jobs,
-                                meter.get());
-        if (meter)
-            meter->finish();
+        size_t failures = verifyLockstep(
+            params, sim::machineName(machine), seed, options);
         writeTraceIfAsked();
         return failures ? 1 : 0;
     }
@@ -544,19 +254,14 @@ run(int argc, char **argv)
     std::printf("machine: %s (%s)\n%s\n", sim::machineName(machine),
                 cpu::sizeClassName(size), params.describe().c_str());
 
-    if (sampleWindows) {
-        if (endsWith(workload, ".trc")) {
+    if (options.sampleWindows) {
+        if (workload.ends_with(".trc")) {
             fatal("--sample needs a suite workload; trace replay cannot "
                   "be checkpointed");
         }
         wl::Workload w = wl::makeWorkload(workload, seed);
-        sim::SamplePlan plan;
-        plan.windows = sampleWindows;
-        plan.measureInsts = std::max<uint64_t>(1, insts / sampleWindows);
-        plan.warmupInsts = warmup / sampleWindows;
-        plan.periodInsts = samplePeriodArg
-                               ? samplePeriodArg
-                               : plan.warmupInsts + plan.measureInsts;
+        sim::SamplePlan plan = options.samplePlan();
+        const std::string &checkpointDir = options.checkpointDir;
         sim::CheckpointStore store(checkpointDir);
         sim::RunResult result = sim::simulateSampled(
             params, w.program, plan,
@@ -574,7 +279,7 @@ run(int argc, char **argv)
                     result.llcMpkiCi95);
         std::printf("host speed: %.2f s, %.1f KIPS\n", result.simSeconds,
                     result.kips());
-        if (cpiStack) {
+        if (options.cpiStack) {
             std::printf("%s",
                         result.pipeline.cpi.format(result.instructions)
                             .c_str());
@@ -611,7 +316,7 @@ run(int argc, char **argv)
 
     std::unique_ptr<trace::InstSource> source;
     isa::Program program;
-    if (endsWith(workload, ".trc")) {
+    if (workload.ends_with(".trc")) {
         source = std::make_unique<trace::TraceReader>(workload);
     } else {
         wl::Workload w = wl::makeWorkload(workload, seed);
@@ -646,8 +351,12 @@ run(int argc, char **argv)
         simulator.pipeline().attachPipeView(
             std::make_unique<trace::PipeViewWriter>(pipeviewPath));
     }
-    auto meter = makeMeter(1);
-    if (meter) {
+    std::unique_ptr<progress::Meter> meter;
+    if (options.progress) {
+        progress::Meter::Config mc;
+        mc.totalRuns = 1;
+        mc.jsonPath = options.progressJson;
+        meter = std::make_unique<progress::Meter>(mc);
         progress::setCallbackSink(
             [&meter](const progress::Sample &s) { meter->update(s); },
             250);
@@ -667,7 +376,7 @@ run(int argc, char **argv)
     std::printf("host speed: %.2f s, %.1f KIPS\n", result.simSeconds,
                 result.kips());
 
-    if (cpiStack) {
+    if (options.cpiStack) {
         std::printf("%s",
                     result.pipeline.cpi.format(result.instructions)
                         .c_str());
@@ -675,7 +384,7 @@ run(int argc, char **argv)
     if (const cpu::CoreTelemetry *t = simulator.pipeline().telemetry())
         std::printf("%s", t->formatBranchProfile().c_str());
 
-    if (!statsJsonPath.empty() || !reportPath.empty()) {
+    if (!statsJsonPath.empty() || !options.report.empty()) {
         StatRegistry registry;
         StatGroup &run = registry.group("run");
         run.addString("workload", workload);
@@ -693,49 +402,24 @@ run(int argc, char **argv)
             registry.writeJson(statsJsonPath);
             std::printf("stats written to %s\n", statsJsonPath.c_str());
         }
-        if (!reportPath.empty()) {
+        if (!options.report.empty()) {
             bench::ReportBuilder report;
             report.setTitle("pubs_sim_cli: " + workload + " on " +
                             sim::machineName(machine));
-            bench::ReportBuilder::Run row;
-            row.workload = workload;
-            row.machine = sim::machineName(machine);
-            row.ok = true;
-            row.instructions = result.instructions;
-            row.cycles = result.cycles;
-            row.ipc = result.ipc;
-            row.kips = result.kips();
-            row.branchMpki = result.branchMpki;
-            row.llcMpki = result.llcMpki;
-            row.unconfidentRate = result.unconfidentBranchRate;
-            if (cpiStack) {
-                row.hasCpi = true;
-                row.cpi = result.pipeline.cpi.cycles;
-            }
-            if (branchProfile) {
-                for (const sim::BranchProfileRow &b :
-                     result.branchProfile) {
-                    bench::ReportBuilder::Run::Branch branch;
-                    branch.pc = b.pc;
-                    branch.commits = b.commits;
-                    branch.mispredicts = b.mispredicts;
-                    branch.penaltyCycles = b.penaltyCycles;
-                    branch.unconfCorrect = b.unconfCorrect;
-                    branch.unconfWrong = b.unconfWrong;
-                    branch.sliceInsts = b.sliceInsts;
-                    branch.sliceCovered = b.sliceCovered;
-                    row.branches.push_back(branch);
-                }
-            }
-            report.addRun(row);
+            bench::SweepRow row;
+            row.result = result;
+            row.result.workload = workload;
+            row.result.machine = sim::machineName(machine);
+            report.addRun(bench::ReportBuilder::runRow(row, options));
             report.setStatsJson(registry.renderJson());
-            std::string error = report.writeHtml(reportPath);
-            if (!error.empty())
-                warn("cannot write dashboard %s: %s", reportPath.c_str(),
-                     error.c_str());
-            else
+            std::string error = report.writeHtml(options.report);
+            if (!error.empty()) {
+                warn("cannot write dashboard %s: %s",
+                     options.report.c_str(), error.c_str());
+            } else {
                 std::printf("dashboard written to %s\n",
-                            reportPath.c_str());
+                            options.report.c_str());
+            }
         }
     }
     if (const trace::PipeViewWriter *pv = simulator.pipeline().pipeView()) {

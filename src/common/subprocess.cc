@@ -58,36 +58,12 @@ encodeFrame(const std::string &payload)
 }
 
 FrameStatus
-decodeFrame(const std::string &buffer, std::string &payload)
+nextFrame(std::string &buffer, std::string &payload)
 {
     payload.clear();
     if (buffer.size() < frameHeaderBytes) {
         // A prefix of the header could still become valid — unless the
         // magic already disagrees.
-        for (size_t i = 0; i < buffer.size() && i < 4; ++i)
-            if ((uint8_t)buffer[i] != ((frameMagic >> (8 * i)) & 0xff))
-                return FrameStatus::Corrupt;
-        return FrameStatus::Truncated;
-    }
-    if (unpack32(buffer.data()) != frameMagic)
-        return FrameStatus::Corrupt;
-    uint32_t length = unpack32(buffer.data() + 4);
-    uint32_t crc = unpack32(buffer.data() + 8);
-    if (buffer.size() < frameHeaderBytes + (size_t)length)
-        return FrameStatus::Truncated;
-    if (buffer.size() > frameHeaderBytes + (size_t)length)
-        return FrameStatus::Corrupt; // trailing garbage after the frame
-    if (crc32(buffer.data() + frameHeaderBytes, (size_t)length) != crc)
-        return FrameStatus::Corrupt;
-    payload.assign(buffer, frameHeaderBytes, length);
-    return FrameStatus::Ok;
-}
-
-FrameStatus
-nextFrame(std::string &buffer, std::string &payload)
-{
-    payload.clear();
-    if (buffer.size() < frameHeaderBytes) {
         for (size_t i = 0; i < buffer.size() && i < 4; ++i)
             if ((uint8_t)buffer[i] != ((frameMagic >> (8 * i)) & 0xff))
                 return FrameStatus::Corrupt;

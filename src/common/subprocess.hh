@@ -53,20 +53,12 @@ enum class FrameStatus
 };
 
 /**
- * Decode the frame at the start of @p buffer into @p payload.
- * Truncated means @p buffer could still grow into a valid frame;
- * Corrupt means no completion of these bytes can be trusted.
- */
-FrameStatus decodeFrame(const std::string &buffer, std::string &payload);
-
-/**
- * Incremental variant for streams carrying several frames (a worker
- * interleaving progress frames with its final result): decode the frame
- * at the start of @p buffer and, on Ok, consume it from @p buffer so the
- * next call sees the following frame. Unlike decodeFrame(), bytes after
- * a complete frame are the next frame, not corruption. Truncated leaves
- * @p buffer untouched (more bytes may arrive); Corrupt leaves it
- * untouched too — nothing downstream of a bad header can be trusted, so
+ * Decode the frame at the start of @p buffer (a worker's stream of
+ * progress frames and its final result) into @p payload and, on Ok,
+ * consume it from @p buffer so the next call sees the following frame.
+ * Truncated means @p buffer could still grow into a valid frame and
+ * leaves it untouched (more bytes may arrive); Corrupt leaves it
+ * untouched too — no completion of these bytes can be trusted, so
  * callers should discard the stream and retry the worker.
  */
 FrameStatus nextFrame(std::string &buffer, std::string &payload);

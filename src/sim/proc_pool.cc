@@ -16,7 +16,7 @@
 
 #include "common/logging.hh"
 #include "common/profiler.hh"
-#include "sim/run_pool.hh"
+#include "sim/parallel_for.hh"
 
 namespace pubs::sim
 {
@@ -75,7 +75,6 @@ struct Running
     Clock::time_point deadline;
     bool hasDeadline;
     std::string buffer; ///< frame bytes read so far
-    // Typed-frame (progressFrames) stream state:
     Clock::time_point lastByte;  ///< heartbeat for staleness
     bool sawBytes = false;       ///< heartbeat only arms after 1st byte
     std::string result;          ///< decoded 'R' payload, if any
@@ -100,11 +99,9 @@ ProcPool::configFromEnv(Config base)
     return base;
 }
 
-ProcPool::ProcPool() : ProcPool(Config()) {}
-
 ProcPool::ProcPool(Config config) : config_(std::move(config))
 {
-    procs_ = config_.procs ? config_.procs : RunPool::hardwareThreads();
+    procs_ = config_.procs ? config_.procs : hardwareThreads();
     if (config_.faultsFromEnv)
         config_.faults = proc::faultPlanFromEnv();
 }
@@ -126,7 +123,6 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
     std::vector<Running> running;
     size_t outstanding = n; ///< tasks without a final outcome yet
 
-    const bool typed = config_.progressFrames;
     auto launch = [&](const Ready &task) {
         prof::Scope span("sweep/launch");
         proc::Child child = proc::spawnChild([&, task](int wfd) {
@@ -142,17 +138,13 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                 for (;;)
                     ::pause();
             }
-            if (typed) {
-                progress::setFrameSink(wfd,
-                                       config_.progressIntervalMs);
-            }
+            if (config_.onProgress)
+                progress::setFrameSink(wfd, config_.progressIntervalMs);
             std::string payload = fn(task.index, task.attempt);
-            if (typed) {
-                // Stop heartbeats before the result frame so nothing
-                // interleaves after it.
-                progress::clearSink();
-                payload.insert(payload.begin(), 'R');
-            }
+            // Stop heartbeats before the result frame so nothing
+            // interleaves after it.
+            progress::clearSink();
+            payload.insert(payload.begin(), 'R');
             std::string frame = proc::encodeFrame(payload);
             if (faults.injectCorrupt(task.index, task.attempt) &&
                 frame.size() > proc::frameHeaderBytes) {
@@ -217,10 +209,10 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
     };
 
     /**
-     * Typed mode: drain complete frames out of r.buffer, dispatching
-     * progress samples and capturing the result. A bad frame or an
-     * unknown type byte poisons the whole stream (r.corrupt) — retry is
-     * the only safe answer once framing is lost.
+     * Drain complete frames out of r.buffer, dispatching progress
+     * samples and capturing the result. A bad frame or an unknown type
+     * byte poisons the whole stream (r.corrupt) — retry is the only
+     * safe answer once framing is lost.
      */
     auto drainFrames = [&](Running &r) {
         std::string payload;
@@ -256,9 +248,11 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
         }
     };
 
-    /** Reap a finished worker and judge its frame(s). */
-    auto reap = [&](Running &r) {
-        prof::Scope span("sweep/reap");
+    /**
+     * Wait for a worker that exited or was killed and close its pipe.
+     * @return its wait status, or -1 if it could not be collected.
+     */
+    auto collect = [&](Running &r) {
         int status = 0;
         pid_t waited;
         do {
@@ -267,45 +261,22 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
         ::close(r.child.fd);
         stats_.busySeconds +=
             std::chrono::duration<double>(Clock::now() - r.start).count();
+        return waited == r.child.pid ? status : -1;
+    };
 
-        bool cleanExit = waited == r.child.pid && WIFEXITED(status) &&
-                         WEXITSTATUS(status) == 0;
-        if (typed) {
-            drainFrames(r);
-            // Leftover bytes after EOF are a partial frame the worker
-            // never finished: treat like a truncated legacy frame.
-            if (cleanExit && !r.corrupt && r.haveResult &&
-                r.buffer.empty()) {
-                ProcResult outcome;
-                outcome.ok = true;
-                outcome.attempts = r.attempt;
-                outcome.payload = std::move(r.result);
-                finish(r.index, std::move(outcome));
-                return;
-            }
-            if (!cleanExit) {
-                ++stats_.crashes;
-                fail(r, proc::describeStatus(status));
-            } else {
-                ++stats_.corruptFrames;
-                fail(r, r.corrupt
-                            ? "corrupt frame in worker stream "
-                              "(CRC/framing mismatch)"
-                            : !r.haveResult
-                                  ? "worker stream ended without a "
-                                    "result frame"
-                                  : "trailing partial frame after the "
-                                    "result");
-            }
-            return;
-        }
-        std::string payload;
-        proc::FrameStatus frame = proc::decodeFrame(r.buffer, payload);
-        if (cleanExit && frame == proc::FrameStatus::Ok) {
+    /** Reap a finished worker and judge its frame(s). */
+    auto reap = [&](Running &r) {
+        prof::Scope span("sweep/reap");
+        int status = collect(r);
+        bool cleanExit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
+        drainFrames(r);
+        // Leftover bytes after EOF are a partial frame the worker never
+        // finished.
+        if (cleanExit && !r.corrupt && r.haveResult && r.buffer.empty()) {
             ProcResult outcome;
             outcome.ok = true;
             outcome.attempts = r.attempt;
-            outcome.payload = std::move(payload);
+            outcome.payload = std::move(r.result);
             finish(r.index, std::move(outcome));
             return;
         }
@@ -314,11 +285,19 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
             fail(r, proc::describeStatus(status));
         } else {
             ++stats_.corruptFrames;
-            fail(r, frame == proc::FrameStatus::Corrupt
-                        ? "corrupt result frame (CRC/framing mismatch)"
-                        : "truncated result frame (" +
-                              std::to_string(r.buffer.size()) + " bytes)");
+            fail(r, r.corrupt ? "corrupt frame in worker stream "
+                                "(CRC/framing mismatch)"
+                    : !r.haveResult
+                        ? "worker stream ended without a result frame"
+                        : "trailing partial frame after the result");
         }
+    };
+
+    /** SIGKILL a live worker and send its task down the retry path. */
+    auto killWorker = [&](Running &r, const char *why) {
+        ::kill(r.child.pid, SIGKILL);
+        collect(r);
+        fail(r, why);
     };
 
     while (outstanding > 0) {
@@ -381,64 +360,37 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                     r.buffer.append(chunk, (size_t)got);
                     r.lastByte = now;
                     r.sawBytes = true;
-                    if (typed)
-                        drainFrames(r); // deliver progress as it lands
+                    drainFrames(r); // deliver progress as it lands
                 } else if (got == 0 ||
                            (got < 0 && errno != EINTR &&
                             errno != EAGAIN)) {
                     done = true; // EOF: worker closed its pipe end
                 }
             }
-            if (!done && typed && config_.staleSeconds > 0.0 &&
-                r.sawBytes &&
+            char why[80];
+            if (!done && config_.staleSeconds > 0.0 && r.sawBytes &&
                 std::chrono::duration<double>(now - r.lastByte).count() >
                     config_.staleSeconds) {
                 // The heartbeat stream went quiet: presume the worker is
                 // wedged and recycle it through the retry machinery.
-                ::kill(r.child.pid, SIGKILL);
                 ++stats_.staleKills;
-                int status = 0;
-                pid_t waited;
-                do {
-                    waited = ::waitpid(r.child.pid, &status, 0);
-                } while (waited < 0 && errno == EINTR);
-                (void)waited;
-                ::close(r.child.fd);
-                stats_.busySeconds +=
-                    std::chrono::duration<double>(now - r.start).count();
-                char why[80];
                 std::snprintf(why, sizeof(why),
                               "stale heartbeat: no pipe bytes for %.1f s "
                               "(SIGKILL)",
                               config_.staleSeconds);
-                fail(r, why);
-                running.erase(running.begin() + (long)i);
-                continue;
-            }
-            if (!done && r.hasDeadline && now >= r.deadline) {
-                ::kill(r.child.pid, SIGKILL);
+                killWorker(r, why);
+            } else if (!done && r.hasDeadline && now >= r.deadline) {
                 ++stats_.timeouts;
-                int status = 0;
-                pid_t waited;
-                do {
-                    waited = ::waitpid(r.child.pid, &status, 0);
-                } while (waited < 0 && errno == EINTR);
-                (void)waited;
-                ::close(r.child.fd);
-                stats_.busySeconds +=
-                    std::chrono::duration<double>(now - r.start).count();
-                char why[64];
                 std::snprintf(why, sizeof(why),
                               "timed out after %.1f s (SIGKILL)",
                               config_.timeoutSeconds);
-                fail(r, why);
-                running.erase(running.begin() + (long)i);
+                killWorker(r, why);
+            } else if (done) {
+                reap(r);
+            } else {
                 continue;
             }
-            if (done) {
-                reap(r);
-                running.erase(running.begin() + (long)i);
-            }
+            running.erase(running.begin() + (long)i);
         }
     }
 

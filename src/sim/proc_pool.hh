@@ -2,14 +2,16 @@
  * @file
  * Fault-isolated process pool for batch simulation.
  *
- * RunPool (run_pool.hh) parallelises a sweep across threads, which is
+ * parallelFor (parallel_for.hh) spreads a sweep across threads, which is
  * fast but shares one address space: a segfault, a runaway allocation,
  * or a hang in any single run takes down the whole batch. ProcPool
- * keeps RunPool's contract — tasks are independent, results land in
+ * keeps the same contract — tasks are independent, results land in
  * pre-assigned slots, nothing about scheduling leaks into the output —
- * but runs every task in a forked worker process that returns its
- * result over a length-prefixed, CRC-checked pipe frame
- * (common/subprocess.hh).
+ * but runs every task in a forked worker process that streams typed,
+ * length-prefixed, CRC-checked pipe frames (common/subprocess.hh):
+ * 'P' progress heartbeats (common/progress.hh), then one 'R' result.
+ * Parent and worker are the same forked binary, so there is no other
+ * protocol to negotiate.
  *
  * Recovery policy, per task:
  *  - a worker that exits nonzero, dies on a signal, or returns a
@@ -77,30 +79,22 @@ class ProcPool
         bool faultsFromEnv = true;  ///< overwrite `faults` from PUBS_FAULT
 
         /**
-         * Typed-frame protocol v2: workers get a progress frame sink on
-         * their result pipe (common/progress.hh) and prefix every frame
-         * payload with a type byte — 'P' carries a progress sample, 'R'
-         * the final result. Off by default: legacy workers write one
-         * untyped result frame, and both sides must agree.
+         * Parent-side callback for each decoded 'P' progress sample,
+         * called from the run() poll loop (single-threaded). Feed a
+         * progress::Meter here. Workers send heartbeats only when it is
+         * set.
          */
-        bool progressFrames = false;
+        std::function<void(const progress::Sample &)> onProgress;
         unsigned progressIntervalMs = 250; ///< per-worker sample period
 
         /**
-         * With progressFrames: a worker whose pipe stays silent this
-         * long (after its first byte, so slow starts don't count) is
-         * presumed wedged — SIGKILLed and retried like a timeout. The
-         * heartbeat stream makes "alive" observable, so this can be far
-         * tighter than timeoutSeconds. <=0 disables.
+         * A worker whose pipe stays silent this long (after its first
+         * byte, so slow starts don't count) is presumed wedged —
+         * SIGKILLed and retried like a timeout. The heartbeat stream
+         * makes "alive" observable, so this can be far tighter than
+         * timeoutSeconds. <=0 disables.
          */
         double staleSeconds = 0.0;
-
-        /**
-         * Parent-side callback for each decoded progress sample, called
-         * from the run() poll loop (single-threaded). Feed a
-         * progress::Meter here.
-         */
-        std::function<void(const progress::Sample &)> onProgress;
     };
 
     /**
@@ -110,7 +104,6 @@ class ProcPool
      */
     static Config configFromEnv(Config base);
 
-    ProcPool();
     explicit ProcPool(Config config);
 
     unsigned procs() const { return procs_; }

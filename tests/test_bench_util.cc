@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the benchmark-harness utilities (table formatting, CSV
- * emission, percentage formatting, environment-driven budgets).
+ * emission, percentage formatting, environment-driven budgets, suite
+ * sweeps that skip failing runs).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,15 @@ namespace pubs::bench
 {
 namespace
 {
+
+/** Options from the environment alone, as a driver without flags. */
+RunOptions
+optionsFromEnv()
+{
+    char name[] = "bench_util_test";
+    char *argv[] = {name, nullptr};
+    return parseRunOptions(1, argv);
+}
 
 TEST(BenchUtil, PctFormatsRatios)
 {
@@ -58,10 +68,12 @@ TEST(BenchUtil, CsvEmission)
             .string();
     std::filesystem::create_directories(dir);
     setenv("PUBS_BENCH_CSV", dir.c_str(), 1);
+    RunOptions options = optionsFromEnv();
+    unsetenv("PUBS_BENCH_CSV");
 
     TextTable table({"x", "y"});
     table.addRow({"1", "2"});
-    EXPECT_TRUE(maybeWriteCsv("unit_test", table));
+    EXPECT_TRUE(maybeWriteCsv(options, "unit_test", table));
 
     std::ifstream in(dir + "/unit_test.csv");
     ASSERT_TRUE(in.good());
@@ -71,7 +83,6 @@ TEST(BenchUtil, CsvEmission)
     std::getline(in, line);
     EXPECT_EQ(line, "1,2");
 
-    unsetenv("PUBS_BENCH_CSV");
     std::filesystem::remove_all(dir);
 }
 
@@ -79,19 +90,21 @@ TEST(BenchUtil, CsvDisabledWithoutEnv)
 {
     unsetenv("PUBS_BENCH_CSV");
     TextTable table({"x"});
-    EXPECT_FALSE(maybeWriteCsv("unit_test", table));
+    EXPECT_FALSE(maybeWriteCsv(optionsFromEnv(), "unit_test", table));
 }
 
 TEST(BenchUtil, BudgetsReadEnvironment)
 {
     setenv("PUBS_BENCH_INSTS", "12345", 1);
     setenv("PUBS_BENCH_WARMUP", "678", 1);
-    EXPECT_EQ(measureInsts(), 12345u);
-    EXPECT_EQ(warmupInsts(), 678u);
+    RunOptions options = optionsFromEnv();
+    EXPECT_EQ(options.insts, 12345u);
+    EXPECT_EQ(options.warmup, 678u);
     unsetenv("PUBS_BENCH_INSTS");
     unsetenv("PUBS_BENCH_WARMUP");
-    EXPECT_EQ(measureInsts(), 1000000u);
-    EXPECT_EQ(warmupInsts(), 200000u);
+    options = optionsFromEnv();
+    EXPECT_EQ(options.insts, 1000000u);
+    EXPECT_EQ(options.warmup, 200000u);
 }
 
 TEST(BenchUtil, GeoMeanRatio)
@@ -111,13 +124,12 @@ TEST(BenchUtil, RunSuiteSkipsFailingConfigurations)
     cpu::CoreParams bad = sim::makeConfig(sim::Machine::Pubs);
     bad.iqKind = iq::IqKind::Shifting; // PUBS needs the random queue
 
-    SuiteRun run = runSuite(suite, bad, false);
-    ASSERT_EQ(run.results.size(), suite.size());
-    ASSERT_EQ(run.errors.size(), suite.size());
+    SweepResult run = runSuite(suite, bad, RunOptions{}, false);
+    ASSERT_EQ(run.rows.size(), suite.size());
     EXPECT_EQ(run.failed(), suite.size());
     EXPECT_FALSE(run.ok(0));
-    EXPECT_EQ(run.results[0].workload, "hmmer_like");
-    EXPECT_NE(run.errors[1].find("invalid core configuration"),
+    EXPECT_EQ(run.at(0).workload, "hmmer_like");
+    EXPECT_NE(run.rows[1].error.find("invalid core configuration"),
               std::string::npos);
 }
 
@@ -132,12 +144,11 @@ TEST(BenchUtil, SweepRecordsSkippedConfigsInCsv)
             .string();
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
-    setenv("PUBS_BENCH_CSV", dir.c_str(), 1);
-
     SweepSpec spec;
-    spec.jobs = 1;
-    spec.warmup = 500;
-    spec.insts = 4000;
+    spec.options.csvDir = dir;
+    spec.options.jobs = 1;
+    spec.options.warmup = 500;
+    spec.options.insts = 4000;
     spec.verbose = false;
     spec.add(wl::makeWorkload("hmmer_like"),
              sim::makeConfig(sim::Machine::Base), "base");
@@ -146,7 +157,6 @@ TEST(BenchUtil, SweepRecordsSkippedConfigsInCsv)
     spec.add(wl::makeWorkload("sjeng_like"), bad, "bad");
 
     SweepResult run = runSweep(spec);
-    unsetenv("PUBS_BENCH_CSV");
     EXPECT_EQ(run.failed(), 1u);
 
     std::ifstream skipped(dir + "/skipped.csv");
@@ -188,15 +198,14 @@ TEST(BenchUtil, RunSuiteMixedFailurePreservesGoodResults)
     suite.push_back(wl::makeWorkload("hmmer_like"));
 
     cpu::CoreParams good = sim::makeConfig(sim::Machine::Base);
-    ::setenv("PUBS_BENCH_INSTS", "20000", 1);
-    ::setenv("PUBS_BENCH_WARMUP", "1000", 1);
-    SuiteRun run = runSuite(suite, good, false);
-    ::unsetenv("PUBS_BENCH_INSTS");
-    ::unsetenv("PUBS_BENCH_WARMUP");
-    ASSERT_EQ(run.results.size(), 1u);
+    RunOptions options;
+    options.insts = 20000;
+    options.warmup = 1000;
+    SweepResult run = runSuite(suite, good, options, false);
+    ASSERT_EQ(run.rows.size(), 1u);
     EXPECT_EQ(run.failed(), 0u);
     EXPECT_TRUE(run.ok(0));
-    EXPECT_GT(run.results[0].ipc, 0.0);
+    EXPECT_GT(run.at(0).ipc, 0.0);
 }
 
 } // namespace

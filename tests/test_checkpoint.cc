@@ -30,7 +30,7 @@
 #include "emu/emulator.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
-#include "sim/run_pool.hh"
+#include "sim/parallel_for.hh"
 #include "sim/simulator.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
@@ -146,8 +146,7 @@ TEST(Checkpoint, RoundTripMatchesStraightThroughEveryWorkloadEveryMachine)
         }
     }
 
-    sim::RunPool pool;
-    sim::parallelFor(pool, cases.size(), [&](size_t i) {
+    sim::parallelFor(0, cases.size(), [&](size_t i) {
         Case &c = cases[i];
         try {
             wl::Workload w = wl::makeWorkload(c.workload);

@@ -33,7 +33,7 @@
 #include "isa/builder.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
-#include "sim/run_pool.hh"
+#include "sim/parallel_for.hh"
 #include "sim/simulator.hh"
 #include "trace/trace.hh"
 #include "workloads/suite.hh"
@@ -372,11 +372,11 @@ TEST(FuzzDifferential, RandomProgramsMatchEmulatorInLockstep)
     const uint64_t baseSeed = 0xf0220000ull;
     const FuzzParams defaults;
 
-    // Each seed is independent, so fan the batch out over the pool;
-    // failures land in per-seed slots and are reported in seed order.
+    // Each seed is independent, so fan the batch out over the hardware
+    // threads; failures land in per-seed slots and are reported in seed
+    // order.
     std::vector<std::string> failures(count);
-    sim::RunPool pool;
-    sim::parallelFor(pool, count, [&](size_t i) {
+    sim::parallelFor(0, count, [&](size_t i) {
         failures[i] = checkSeed(baseSeed + i, defaults, insts);
     });
 

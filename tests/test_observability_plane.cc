@@ -229,8 +229,7 @@ TEST(ProgressCodec, FrameCrcCatchesCorruptedSample)
     std::string framed = proc::encodeFrame(payload);
     framed[proc::frameHeaderBytes + 4] ^= 0x01;
     std::string decoded;
-    EXPECT_EQ(proc::decodeFrame(framed, decoded),
-              proc::FrameStatus::Corrupt);
+    EXPECT_EQ(proc::nextFrame(framed, decoded), proc::FrameStatus::Corrupt);
 }
 
 TEST(FrameSplitter, ConsumesMultipleFramesFromOneBuffer)
@@ -499,12 +498,12 @@ TEST(KipsGate, LedgerAppendsRowsWithHeaderOnce)
 
 TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
 {
-    ::setenv("PUBS_BENCH_INSTS", "20000", 1);
-    ::setenv("PUBS_BENCH_WARMUP", "2000", 1);
     auto buildSpec = [] {
         bench::SweepSpec spec;
         spec.verbose = false;
-        spec.jobs = 2;
+        spec.options.jobs = 2;
+        spec.options.insts = 20000;
+        spec.options.warmup = 2000;
         wl::Workload w = wl::makeWorkload("hmmer_like");
         spec.add(w, sim::makeConfig(sim::Machine::Base), "base");
         spec.add(w, sim::makeConfig(sim::Machine::Pubs), "pubs");
@@ -526,8 +525,6 @@ TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
     meter.finish();
     prof::disable();
     prof::reset();
-    ::unsetenv("PUBS_BENCH_INSTS");
-    ::unsetenv("PUBS_BENCH_WARMUP");
 
     EXPECT_EQ(plain, observed);
 }

@@ -34,15 +34,16 @@ TEST(FrameProtocol, RoundTrip)
     EXPECT_EQ(frame.size(), proc::frameHeaderBytes + payload.size());
 
     std::string decoded;
-    EXPECT_EQ(proc::decodeFrame(frame, decoded), proc::FrameStatus::Ok);
+    EXPECT_EQ(proc::nextFrame(frame, decoded), proc::FrameStatus::Ok);
     EXPECT_EQ(decoded, payload);
+    EXPECT_TRUE(frame.empty()) << "the frame must be consumed";
 }
 
 TEST(FrameProtocol, EmptyPayloadRoundTrip)
 {
     std::string frame = proc::encodeFrame("");
     std::string decoded;
-    EXPECT_EQ(proc::decodeFrame(frame, decoded), proc::FrameStatus::Ok);
+    EXPECT_EQ(proc::nextFrame(frame, decoded), proc::FrameStatus::Ok);
     EXPECT_TRUE(decoded.empty());
 }
 
@@ -52,8 +53,10 @@ TEST(FrameProtocol, EveryPrefixIsTruncatedNeverOk)
     std::string decoded;
     for (size_t n = 0; n < frame.size(); ++n) {
         SCOPED_TRACE("prefix length " + std::to_string(n));
-        EXPECT_EQ(proc::decodeFrame(frame.substr(0, n), decoded),
+        std::string prefix = frame.substr(0, n);
+        EXPECT_EQ(proc::nextFrame(prefix, decoded),
                   proc::FrameStatus::Truncated);
+        EXPECT_EQ(prefix.size(), n) << "a prefix must not be consumed";
     }
 }
 
@@ -62,11 +65,11 @@ TEST(FrameProtocol, BadMagicIsCorruptImmediately)
     std::string frame = proc::encodeFrame("payload");
     frame[0] = 'X';
     std::string decoded;
-    EXPECT_EQ(proc::decodeFrame(frame, decoded),
-              proc::FrameStatus::Corrupt);
+    EXPECT_EQ(proc::nextFrame(frame, decoded), proc::FrameStatus::Corrupt);
     // Even a one-byte buffer with the wrong magic can never become a
     // valid frame.
-    EXPECT_EQ(proc::decodeFrame("X", decoded), proc::FrameStatus::Corrupt);
+    std::string one = "X";
+    EXPECT_EQ(proc::nextFrame(one, decoded), proc::FrameStatus::Corrupt);
 }
 
 TEST(FrameProtocol, PayloadBitFlipFailsCrc)
@@ -77,17 +80,19 @@ TEST(FrameProtocol, PayloadBitFlipFailsCrc)
         SCOPED_TRACE("flip at " + std::to_string(i));
         std::string bad = frame;
         bad[i] = (char)(bad[i] ^ 0x40);
-        EXPECT_EQ(proc::decodeFrame(bad, decoded),
+        EXPECT_EQ(proc::nextFrame(bad, decoded),
                   proc::FrameStatus::Corrupt);
     }
 }
 
 TEST(FrameProtocol, TrailingGarbageIsCorrupt)
 {
-    std::string frame = proc::encodeFrame("payload") + "junk";
+    // Bytes after a frame are the next frame, and junk is no frame.
+    std::string stream = proc::encodeFrame("payload") + "junk";
     std::string decoded;
-    EXPECT_EQ(proc::decodeFrame(frame, decoded),
-              proc::FrameStatus::Corrupt);
+    EXPECT_EQ(proc::nextFrame(stream, decoded), proc::FrameStatus::Ok);
+    EXPECT_EQ(decoded, "payload");
+    EXPECT_EQ(proc::nextFrame(stream, decoded), proc::FrameStatus::Corrupt);
 }
 
 // --- fault plan ------------------------------------------------------

@@ -85,6 +85,15 @@ struct Geometry
     unsigned rob, iq, lsq, intRegs, fpRegs;
 };
 
+// Without a printer gtest lists each case with a byte dump of the
+// struct, so the name pointer, which moves with every run, would end up
+// in the test's name.
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.name;
+}
+
 class TinyGeometry : public ::testing::TestWithParam<Geometry>
 {
 };

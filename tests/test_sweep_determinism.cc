@@ -8,12 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "common/bench_util.hh"
 #include "sim/config.hh"
-#include "sim/run_pool.hh"
+#include "sim/parallel_for.hh"
 #include "workloads/suite.hh"
 
 namespace pubs::bench
@@ -21,14 +20,19 @@ namespace pubs::bench
 namespace
 {
 
-/** Small mixed batch: 3 workloads x 2 machines plus one bad config. */
+/**
+ * Small mixed batch: 3 workloads x 2 machines plus one bad config;
+ * @p sampleWindows > 0 samples every run (contiguous 7000-inst period).
+ */
 SweepSpec
-makeSpec(unsigned jobs)
+makeSpec(unsigned jobs, unsigned sampleWindows = 0)
 {
     SweepSpec spec;
-    spec.jobs = jobs;
-    spec.warmup = 2000;
-    spec.insts = 15000;
+    spec.options.jobs = jobs;
+    spec.options.warmup = 2000;
+    spec.options.insts = 15000;
+    spec.options.sampleWindows = sampleWindows;
+    spec.options.samplePeriod = sampleWindows ? 7000 : 0;
     spec.verbose = false;
     for (const char *name : {"sjeng_like", "hmmer_like", "mcf_like"}) {
         wl::Workload w = wl::makeWorkload(name);
@@ -73,8 +77,7 @@ expectIdenticalRows(const SweepResult &a, const SweepResult &b)
 
 TEST(SweepDeterminism, IdenticalAcrossJobCounts)
 {
-    ::unsetenv("PUBS_BENCH_CSV");
-    std::vector<unsigned> jobCounts{1, 2, sim::RunPool::hardwareThreads()};
+    std::vector<unsigned> jobCounts{1, 2, sim::hardwareThreads()};
 
     SweepResult reference = runSweep(makeSpec(jobCounts[0]));
     ASSERT_EQ(reference.rows.size(), 7u);
@@ -96,40 +99,15 @@ TEST(SweepDeterminism, IdenticalAcrossJobCounts)
 
 TEST(SweepDeterminism, RepeatedRunIsIdentical)
 {
-    ::unsetenv("PUBS_BENCH_CSV");
     SweepResult first = runSweep(makeSpec(2));
     SweepResult second = runSweep(makeSpec(2));
     expectIdenticalRows(first, second);
     EXPECT_EQ(first.statsJson(), second.statsJson());
 }
 
-/** Pin sampling on for one scope, restore the disabled default after. */
-class SamplingPin
-{
-  public:
-    SamplingPin(unsigned windows, uint64_t period)
-    {
-        setSampleWindows(windows);
-        setSamplePeriod(period);
-        setCheckpointDir("");
-    }
-
-    ~SamplingPin()
-    {
-        setSampleWindows(0);
-        setSamplePeriod(0);
-        setCheckpointDir("");
-    }
-};
-
 TEST(SweepDeterminism, SampledSweepIdenticalAcrossJobCounts)
 {
-    ::unsetenv("PUBS_BENCH_CSV");
-    // The sampling knobs are process-global pins (what --sample does);
-    // scope them so later tests see sampling disabled again.
-    SamplingPin pin(3, 7000);
-
-    SweepResult reference = runSweep(makeSpec(1));
+    SweepResult reference = runSweep(makeSpec(1, 3));
     ASSERT_EQ(reference.rows.size(), 7u);
     EXPECT_EQ(reference.failed(), 1u);
     for (size_t i = 0; i < 6; ++i) {
@@ -142,9 +120,9 @@ TEST(SweepDeterminism, SampledSweepIdenticalAcrossJobCounts)
     EXPECT_NE(referenceJson.find("\"sampled\": true"),
               std::string::npos);
 
-    for (unsigned jobs : {2u, sim::RunPool::hardwareThreads()}) {
+    for (unsigned jobs : {2u, sim::hardwareThreads()}) {
         SCOPED_TRACE("jobs=" + std::to_string(jobs));
-        SweepResult run = runSweep(makeSpec(jobs));
+        SweepResult run = runSweep(makeSpec(jobs, 3));
         expectIdenticalRows(reference, run);
         EXPECT_EQ(run.statsJson(), referenceJson);
     }
@@ -152,7 +130,6 @@ TEST(SweepDeterminism, SampledSweepIdenticalAcrossJobCounts)
 
 TEST(SweepDeterminism, DisabledSamplingKeepsJsonFreeOfSampledFields)
 {
-    ::unsetenv("PUBS_BENCH_CSV");
     SweepResult run = runSweep(makeSpec(1));
     std::string json = run.statsJson();
     // The non-sampled output contract: byte-identical to pre-sampling
@@ -163,11 +140,10 @@ TEST(SweepDeterminism, DisabledSamplingKeepsJsonFreeOfSampledFields)
 
 TEST(SweepDeterminism, JsonExcludesHostClockFields)
 {
-    ::unsetenv("PUBS_BENCH_CSV");
     SweepSpec spec;
-    spec.jobs = 1;
-    spec.warmup = 500;
-    spec.insts = 4000;
+    spec.options.jobs = 1;
+    spec.options.warmup = 500;
+    spec.options.insts = 4000;
     spec.verbose = false;
     spec.add(wl::makeWorkload("hmmer_like"),
              sim::makeConfig(sim::Machine::Base), "base");

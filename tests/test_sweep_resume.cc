@@ -61,9 +61,9 @@ SweepSpec
 makeSpec()
 {
     SweepSpec spec;
-    spec.jobs = 1;
-    spec.warmup = 1000;
-    spec.insts = 8000;
+    spec.options.jobs = 1;
+    spec.options.warmup = 1000;
+    spec.options.insts = 8000;
     spec.verbose = false;
     for (const char *name : {"sjeng_like", "hmmer_like", "mcf_like"}) {
         wl::Workload w = wl::makeWorkload(name);
@@ -84,9 +84,15 @@ void
 cleanSweepConfig()
 {
     ::unsetenv("PUBS_FAULT");
-    ::unsetenv("PUBS_BENCH_CSV");
-    setJournalPath("");
-    setResume(false);
+}
+
+/** @p spec journaling to @p path, resuming from it if @p resume. */
+SweepSpec
+journaled(SweepSpec spec, const std::string &path, bool resume)
+{
+    spec.options.journal = path;
+    spec.options.resume = resume;
+    return spec;
 }
 
 // --- row codec -------------------------------------------------------
@@ -270,9 +276,7 @@ runInterruptedSweep(const SweepSpec &spec, const std::string &path,
 {
     proc::Child child = proc::spawnChild([&](int) {
         ::setenv("PUBS_FAULT", fault, 1);
-        setJournalPath(path);
-        setResume(false);
-        runSweep(spec);
+        runSweep(journaled(spec, path, false));
     });
     ::close(child.fd);
     int status = 0;
@@ -297,10 +301,7 @@ TEST(SweepResume, KilledSweepResumesByteIdentical)
         << "child should have died to the injected SIGKILL, got "
         << proc::describeStatus(status);
 
-    setJournalPath(path);
-    setResume(true);
-    SweepResult resumed = runSweep(spec);
-    cleanSweepConfig();
+    SweepResult resumed = runSweep(journaled(spec, path, true));
 
     EXPECT_EQ(resumed.statsJson(), reference);
     EXPECT_EQ(resumed.failed(), 1u) << "only the bad-config skip row";
@@ -319,7 +320,7 @@ TEST(SweepResume, CrashyProcSweepResumesByteIdentical)
     // SIGKILL: the acceptance scenario. Retries are generous enough
     // that no task exhausts them at rate 0.3.
     SweepSpec procSpec = spec;
-    procSpec.procs = 2;
+    procSpec.options.procs = 2;
     ::setenv("PUBS_PROC_RETRIES", "10", 1);
     ::setenv("PUBS_PROC_BACKOFF_MS", "1", 1);
     int status =
@@ -329,9 +330,7 @@ TEST(SweepResume, CrashyProcSweepResumesByteIdentical)
 
     // Resume under the same crash plan, minus the kill.
     ::setenv("PUBS_FAULT", "crash:0.3:7", 1);
-    setJournalPath(path);
-    setResume(true);
-    SweepResult resumed = runSweep(procSpec);
+    SweepResult resumed = runSweep(journaled(procSpec, path, true));
     cleanSweepConfig();
     ::unsetenv("PUBS_PROC_RETRIES");
     ::unsetenv("PUBS_PROC_BACKOFF_MS");
@@ -344,7 +343,7 @@ TEST(SweepResume, ProcModeMatchesThreadMode)
     cleanSweepConfig();
     SweepSpec threads = makeSpec();
     SweepSpec procs = makeSpec();
-    procs.procs = 3;
+    procs.options.procs = 3;
     EXPECT_EQ(runSweep(procs).statsJson(), runSweep(threads).statsJson());
 }
 

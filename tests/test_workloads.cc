@@ -210,6 +210,15 @@ struct PlacementCase
     bool memIntensive;
 };
 
+// Without a printer gtest lists each case with a byte dump of the
+// struct, so the name pointer, which moves with every run, and the
+// uninitialised padding would end up in the test's name.
+void
+PrintTo(const PlacementCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class SuitePlacement : public ::testing::TestWithParam<PlacementCase>
 {
 };
