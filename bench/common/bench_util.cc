@@ -247,13 +247,13 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
 void
 appendPoolCsv(const SweepSpec &spec, const SweepResult &result)
 {
-    const FarmStats &farm = result.farm;
+    const sim::FarmStats &farm = result.farm;
     char line[288];
     std::snprintf(line, sizeof(line),
                   "%zu,%zu,%u,%.4f,%.4f,%.3f,%llu,%llu,%llu,%llu,%llu,"
                   "%llu,%llu,%llu\n",
                   result.rows.size(), result.failed(), result.jobs,
-                  result.wallSeconds, result.busySeconds,
+                  farm.wallSeconds, farm.busySeconds,
                   result.utilization(),
                   (unsigned long long)farm.launches,
                   (unsigned long long)farm.crashes,
@@ -261,7 +261,7 @@ appendPoolCsv(const SweepSpec &spec, const SweepResult &result)
                   (unsigned long long)farm.staleKills,
                   (unsigned long long)farm.corruptFrames,
                   (unsigned long long)farm.retries,
-                  (unsigned long long)farm.skips,
+                  (unsigned long long)farm.permanentFailures,
                   (unsigned long long)farm.journalServed);
     appendCsvAtomic(spec.options.csvDir, "sweep_pool.csv",
                     "runs,failed,jobs,wall_seconds,busy_seconds,"
@@ -338,10 +338,9 @@ namespace
 
 /**
  * Identity of a sweep for journal matching: a resumed journal must come
- * from the same items (workload, machine, full machine configuration,
- * seed) with the same budgets, in the same order. Hashes the
- * human-readable CoreParams description, which covers every field that
- * shapes a run.
+ * from the same items (workload, label, machine key) with the same
+ * budgets, in the same order. CoreParams::key() covers every field that
+ * can change a journaled row, the seed included.
  */
 uint64_t
 sweepKey(const SweepSpec &spec)
@@ -352,26 +351,17 @@ sweepKey(const SweepSpec &spec)
         lo = crc32(text, lo);
         hi = crc32(text, hi ^ 0x9e3779b9u);
     };
+    // Sampled rows are not interchangeable with straight-through ones,
+    // and branch-profile rows ride in the journaled payload.
     mix(std::to_string(options.warmup) + ":" +
         std::to_string(options.insts) + ":" +
-        std::to_string(spec.items.size()));
-    // A sampled sweep's rows are not interchangeable with a
-    // straight-through sweep's: mixing the plan keeps a --resume from
-    // serving one to the other. Disabled sampling leaves the key
-    // unchanged, so existing journals stay valid.
-    sim::SamplePlan plan = options.samplePlan();
-    if (plan.enabled())
-        mix("sample:" + plan.describe());
-    // Branch-profile rows ride in the journaled payload, so rows taken
-    // with the flag off must not be served to a sweep that wants them
-    // (and vice versa). Off leaves the key — and old journals — intact.
-    if (options.branchProfile)
-        mix("branch_profile:1");
+        std::to_string(spec.items.size()) + ":" +
+        options.samplePlan().describe() + ":" +
+        std::to_string(options.branchProfile));
     for (const SweepItem &item : spec.items) {
         mix(item.workload.name);
         mix(item.machine);
-        mix(std::to_string(item.params.seed));
-        mix(item.params.describe());
+        mix(item.params.key());
     }
     return ((uint64_t)hi << 32) | lo;
 }
@@ -542,15 +532,8 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
         pool->run(todo.size(),
                   [&](size_t index, unsigned) { return runSlot(index); },
                   onResult);
-        const sim::ProcPoolStats &stats = pool->stats();
-        result.busySeconds = stats.busySeconds;
-        result.farm.launches = stats.launches;
-        result.farm.crashes = stats.crashes;
-        result.farm.timeouts = stats.timeouts;
-        result.farm.staleKills = stats.staleKills;
-        result.farm.corruptFrames = stats.corruptFrames;
-        result.farm.retries = stats.retries;
-        result.farm.skips = stats.permanentFailures;
+        const sim::FarmStats &stats = pool->stats();
+        result.farm = stats;
         if (spec.verbose &&
             (stats.retries || stats.timeouts || stats.staleKills ||
              stats.crashes || stats.corruptFrames)) {
@@ -587,9 +570,9 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
         });
         if (meter)
             progress::clearSink();
-        result.busySeconds = busySeconds;
+        result.farm.busySeconds = busySeconds;
     }
-    result.wallSeconds = secondsSince(start);
+    result.farm.wallSeconds = secondsSince(start);
 }
 
 } // namespace
@@ -630,8 +613,6 @@ runSweep(const SweepSpec &spec)
                      journal->path().c_str());
     }
 
-    result.farm.journalServed = served;
-
     // Live progress plane: per-worker heartbeats -> one meter.
     std::unique_ptr<progress::Meter> meter;
     if (options.progress) {
@@ -642,6 +623,7 @@ runSweep(const SweepSpec &spec)
     }
 
     runSlots(spec, todo, result, journal.get(), meter.get());
+    result.farm.journalServed = served;
     if (meter) {
         meter->setFarmTotals(result.farm.retries, result.farm.timeouts,
                              result.farm.staleKills);
@@ -657,7 +639,7 @@ runSweep(const SweepSpec &spec)
                      "  sweep: %zu runs on %u %s in %.2f s "
                      "(utilization %.0f%%)\n",
                      spec.items.size(), result.jobs,
-                     options.procs ? "procs" : "jobs", result.wallSeconds,
+                     options.procs ? "procs" : "jobs", result.farm.wallSeconds,
                      result.utilization() * 100.0);
     }
 

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/run_options.hh"
+#include "sim/proc_pool.hh"
 #include "sim/simulator.hh"
 #include "workloads/suite.hh"
 
@@ -127,41 +128,25 @@ struct SweepRow
     bool ok() const { return error.empty(); }
 };
 
-/**
- * Farm-health counters of one sweep: how hard the recovery machinery
- * had to work. All zero for an in-process (threads) sweep except
- * journalServed. Host-dependent, so they go to sweep_pool.csv and the
- * dashboard, never into statsJson().
- */
-struct FarmStats
-{
-    uint64_t launches = 0;
-    uint64_t crashes = 0;
-    uint64_t timeouts = 0;
-    uint64_t staleKills = 0;
-    uint64_t corruptFrames = 0;
-    uint64_t retries = 0;
-    uint64_t skips = 0;         ///< permanently failed tasks
-    uint64_t journalServed = 0; ///< slots replayed from a --resume journal
-};
-
 /** Deterministically aggregated results of one sweep. */
 struct SweepResult
 {
     /** Index-aligned with SweepSpec::items, independent of schedule. */
     std::vector<SweepRow> rows;
 
-    unsigned jobs = 1;        ///< worker threads actually used
-    double wallSeconds = 0.0; ///< host wall clock of the whole sweep
-    double busySeconds = 0.0; ///< summed per-run simulation time
-    FarmStats farm;           ///< recovery-machinery counters
+    unsigned jobs = 1; ///< worker threads actually used
+    /**
+     * Wall clock of the whole sweep, summed per-run time and, for a
+     * --procs sweep, the recovery counters (zero for threads).
+     */
+    sim::FarmStats farm;
 
     /** Fraction of thread-seconds spent simulating. */
     double
     utilization() const
     {
-        double capacity = wallSeconds * (double)jobs;
-        return capacity > 0.0 ? busySeconds / capacity : 0.0;
+        double capacity = farm.wallSeconds * (double)jobs;
+        return capacity > 0.0 ? farm.busySeconds / capacity : 0.0;
     }
 
     size_t

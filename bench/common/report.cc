@@ -77,18 +77,9 @@ ReportBuilder::addSweep(const SweepSpec &spec, const SweepResult &result)
     std::lock_guard<std::mutex> lock(reportMutex);
     for (const SweepRow &row : result.rows)
         runs_.push_back(runRow(row, spec.options));
-    farm_.launches += result.farm.launches;
-    farm_.crashes += result.farm.crashes;
-    farm_.timeouts += result.farm.timeouts;
-    farm_.staleKills += result.farm.staleKills;
-    farm_.corruptFrames += result.farm.corruptFrames;
-    farm_.retries += result.farm.retries;
-    farm_.skips += result.farm.skips;
-    farm_.journalServed += result.farm.journalServed;
+    farm_ += result.farm;
     ++sweeps_;
     jobs_ = result.jobs;
-    wallSeconds_ += result.wallSeconds;
-    busySeconds_ += result.busySeconds;
 }
 
 void
@@ -124,8 +115,8 @@ ReportBuilder::dataJson() const
         << quoted(title_.empty() ? "PUBS sweep farm" : title_) << ",\n";
     out << "\"sweeps\": " << sweeps_ << ",\n";
     out << "\"jobs\": " << jobs_ << ",\n";
-    out << "\"wall_seconds\": " << jsonNumber(wallSeconds_) << ",\n";
-    out << "\"busy_seconds\": " << jsonNumber(busySeconds_) << ",\n";
+    out << "\"wall_seconds\": " << jsonNumber(farm_.wallSeconds) << ",\n";
+    out << "\"busy_seconds\": " << jsonNumber(farm_.busySeconds) << ",\n";
     out << "\"runs\": [";
     for (size_t i = 0; i < runs_.size(); ++i) {
         const Run &r = runs_[i];
@@ -173,7 +164,7 @@ ReportBuilder::dataJson() const
         << ", \"stale_kills\": " << farm_.staleKills
         << ", \"corrupt_frames\": " << farm_.corruptFrames
         << ", \"retries\": " << farm_.retries
-        << ", \"skips\": " << farm_.skips
+        << ", \"skips\": " << farm_.permanentFailures
         << ", \"journal_served\": " << farm_.journalServed << "}";
     if (!statsJson_.empty()) {
         // Already validated by setStatsJson(); spliced in verbatim.
@@ -205,11 +196,9 @@ ReportBuilder::clear()
     std::lock_guard<std::mutex> lock(reportMutex);
     title_.clear();
     runs_.clear();
-    farm_ = FarmStats{};
+    farm_ = sim::FarmStats{};
     sweeps_ = 0;
     jobs_ = 0;
-    wallSeconds_ = 0.0;
-    busySeconds_ = 0.0;
     statsJson_.clear();
 }
 

@@ -100,11 +100,9 @@ class ReportBuilder
   private:
     std::string title_;
     std::vector<Run> runs_;
-    FarmStats farm_;
+    sim::FarmStats farm_;
     size_t sweeps_ = 0;
     unsigned jobs_ = 0;
-    double wallSeconds_ = 0.0;
-    double busySeconds_ = 0.0;
     std::string statsJson_;
 };
 

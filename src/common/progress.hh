@@ -171,7 +171,7 @@ class Meter
 
     /**
      * Mirror the pool's farm-health counters (absolute values, read from
-     * ProcPoolStats mid-run) into the readout and progress.json.
+     * FarmStats mid-run) into the readout and progress.json.
      */
     void setFarmTotals(uint64_t retries, uint64_t timeouts,
                        uint64_t staleKills);

@@ -1,7 +1,10 @@
 #include "cpu/params.hh"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -68,6 +71,177 @@ CoreParams::scaled(SizeClass size)
     return p;
 }
 
+namespace
+{
+
+constexpr ParamRange atLeast(uint64_t min) { return {min}; }
+constexpr ParamRange between(uint64_t lo, uint64_t hi) { return {lo, hi}; }
+constexpr ParamRange powerOfTwo{1, UINT64_MAX, true};
+/** Up to @p last, an enum's last enumerator. */
+constexpr ParamRange upTo(auto last) { return {0, (uint64_t)last}; }
+
+constexpr auto Functional = ParamClass::Functional;
+constexpr auto Timing = ParamClass::Timing;
+
+const bool *ifPubs(const CoreParams &p) { return &p.usePubs; }
+const bool *ifPrefetch(const CoreParams &p) { return &p.memory.prefetch; }
+
+// One row per field, named by the path that reaches it. The ranges are
+// what validate() and the components' constructors accept; rules that
+// relate several fields are in validationErrors().
+#define PARAM(path, ...)                                                     \
+    ParamRow{#path,                                                          \
+             [](const CoreParams &p) -> ParamField { return &p.path; },      \
+             __VA_ARGS__}
+#define CACHE_PARAMS(cache)                                                  \
+    PARAM(memory.cache.name, Functional),                                    \
+        PARAM(memory.cache.sizeBytes, Functional),                           \
+        PARAM(memory.cache.ways, Functional, between(1, 32)),                \
+        PARAM(memory.cache.lineBytes, Functional, powerOfTwo),               \
+        PARAM(memory.cache.hitLatency, Timing),                              \
+        PARAM(memory.cache.mshrs, Timing, atLeast(1))
+
+constexpr ParamRow paramRows[] = {
+    PARAM(fetchWidth, Timing, atLeast(1)),
+    PARAM(decodeWidth, Timing, atLeast(1)),
+    PARAM(issueWidth, Timing, atLeast(1)),
+    PARAM(commitWidth, Timing, atLeast(1)),
+    PARAM(robEntries, Timing, atLeast(1)),
+    PARAM(iqEntries, Timing, atLeast(1)),
+    PARAM(lsqEntries, Timing, atLeast(1)),
+    // Rename needs a free register beyond the architectural ones.
+    PARAM(intPhysRegs, Timing, atLeast(numIntRegs + 1)),
+    PARAM(fpPhysRegs, Timing, atLeast(numFpRegs + 1)),
+    PARAM(frontendDepth, Timing, atLeast(1)),
+    PARAM(recoveryPenalty, Timing),
+    PARAM(btbMissPenalty, Timing),
+    PARAM(numIntAlu, Timing, atLeast(1)),
+    PARAM(numIntMulDiv, Timing, atLeast(1)),
+    PARAM(numLdSt, Timing, atLeast(1)),
+    PARAM(numFpu, Timing, atLeast(1)),
+    PARAM(predictor, Functional, upTo(branch::PredictorKind::AlwaysTaken)),
+    PARAM(btbSets, Functional, powerOfTwo),
+    PARAM(btbWays, Functional, atLeast(1)),
+    PARAM(rasDepth, Functional, atLeast(1)),
+    PARAM(iqKind, Timing, upTo(iq::IqKind::Circular)),
+    PARAM(ageMatrix, Timing),
+    PARAM(distributedIq, Timing),
+    PARAM(idealPrioritySelect, Timing),
+    PARAM(usePubs, Functional),
+    PARAM(pubs.priorityEntries, Timing),
+    PARAM(pubs.stallPolicy, Timing),
+    PARAM(pubs.confCounterBits, Functional, between(1, 16), ifPubs),
+    PARAM(pubs.counterShape, Functional, upTo(pubs::CounterShape::UpDown),
+          ifPubs),
+    PARAM(pubs.confSets, Functional, powerOfTwo, ifPubs),
+    PARAM(pubs.confWays, Functional, atLeast(1), ifPubs),
+    PARAM(pubs.brsliceSets, Functional, powerOfTwo, ifPubs),
+    PARAM(pubs.brsliceWays, Functional, atLeast(1), ifPubs),
+    PARAM(pubs.brsliceHashBits, Functional),
+    PARAM(pubs.confHashBits, Functional),
+    PARAM(pubs.useConfTab, Functional),
+    PARAM(pubs.modeSwitch, Functional),
+    PARAM(pubs.modeInterval, Functional, atLeast(1), ifPubs),
+    PARAM(pubs.modeMpkiThreshold, Functional),
+    PARAM(pubs.tagless, Functional),
+    PARAM(pubs.fullTags, Functional),
+    CACHE_PARAMS(l1i),
+    CACHE_PARAMS(l1d),
+    CACHE_PARAMS(l2),
+    PARAM(memory.memLatency, Timing),
+    PARAM(memory.memBytesPerCycle, Timing, atLeast(1)),
+    PARAM(memory.prefetch, Functional),
+    PARAM(memory.prefetcher.streams, Functional, atLeast(1), ifPrefetch),
+    PARAM(memory.prefetcher.distanceLines, Functional),
+    PARAM(memory.prefetcher.degree, Functional),
+    PARAM(memory.nextLineIPrefetch, Functional),
+    PARAM(seed, Timing),
+    PARAM(telemetry, Timing),
+    PARAM(heartbeatInterval, ParamClass::Observational),
+    PARAM(heartbeatToStderr, ParamClass::Observational),
+    PARAM(checkPolicy, Timing, upTo(CheckPolicy::Abort)),
+    PARAM(auditPolicy, Timing, upTo(CheckPolicy::Abort)),
+    PARAM(auditInterval, Timing),
+};
+
+#undef CACHE_PARAMS
+#undef PARAM
+
+/** Converts to anything, so T{AnyField{}...} counts T's fields. */
+struct AnyField
+{
+    template <typename T> operator T() const;
+};
+
+template <typename T, typename... Fields>
+constexpr size_t
+fieldCount()
+{
+    if constexpr (requires { T{Fields{}..., AnyField{}}; })
+        return fieldCount<T, Fields..., AnyField>();
+    else
+        return sizeof...(Fields);
+}
+
+// A field added without a row fails the build. Every field has a row
+// but the six that hold a struct (CoreParams::pubs and ::memory,
+// MemoryParams's caches and prefetcher); their fields have rows.
+static_assert(std::size(paramRows) ==
+              fieldCount<CoreParams>() + fieldCount<pubs::PubsParams>() +
+                  fieldCount<mem::MemoryParams>() +
+                  3 * fieldCount<mem::CacheParams>() +
+                  fieldCount<mem::StreamPrefetcherParams>() - 2 - 4);
+
+/** The value of an integer-valued (bool, enum, integer) row. */
+uint64_t
+valueOf(const ParamRow &row, const CoreParams &params)
+{
+    return std::visit(
+        [](auto *field) -> uint64_t {
+            using T = std::remove_cvref_t<decltype(*field)>;
+            if constexpr (std::is_integral_v<T> || std::is_enum_v<T>)
+                return (uint64_t)*field;
+            panic("parameter has no integer value");
+        },
+        row.field(params));
+}
+
+/** "name=value\n" for each row of @p params whose class @p wanted. */
+std::string
+renderRows(const CoreParams &params, bool (*wanted)(ParamClass))
+{
+    std::string out;
+    for (const ParamRow &row : paramRows) {
+        if (!wanted(row.cls))
+            continue;
+        out += std::string(row.name) + "=";
+        std::visit(
+            [&out](auto *field) {
+                using T = std::remove_cvref_t<decltype(*field)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    out += *field;
+                } else if constexpr (std::is_same_v<T, double>) {
+                    // The shortest text that reads back as this double.
+                    char buf[32] = {};
+                    out.append(buf, std::to_chars(buf, buf + 32, *field).ptr);
+                } else {
+                    out += std::to_string((uint64_t)*field);
+                }
+            },
+            row.field(params));
+        out += "\n";
+    }
+    return out;
+}
+
+} // namespace
+
+std::span<const ParamRow>
+paramTable()
+{
+    return paramRows;
+}
+
 std::vector<std::string>
 CoreParams::validationErrors() const
 {
@@ -76,36 +250,19 @@ CoreParams::validationErrors() const
         errors.push_back(message);
     };
 
-    if (fetchWidth == 0 || decodeWidth == 0 || issueWidth == 0 ||
-        commitWidth == 0) {
-        bad("pipeline widths must all be non-zero (fetch=" +
-            std::to_string(fetchWidth) + " decode=" +
-            std::to_string(decodeWidth) + " issue=" +
-            std::to_string(issueWidth) + " commit=" +
-            std::to_string(commitWidth) + ")");
-    }
-    if (robEntries == 0)
-        bad("robEntries must be non-zero");
-    if (iqEntries == 0)
-        bad("iqEntries must be non-zero");
-    if (lsqEntries == 0)
-        bad("lsqEntries must be non-zero");
-    if (frontendDepth == 0)
-        bad("frontendDepth must be at least 1 (fetch-to-dispatch takes "
-            "a cycle)");
-    if (intPhysRegs <= (unsigned)numIntRegs) {
-        bad("intPhysRegs=" + std::to_string(intPhysRegs) +
-            " leaves no rename headroom; need more than " +
-            std::to_string(numIntRegs) + " (the architectural registers)");
-    }
-    if (fpPhysRegs <= (unsigned)numFpRegs) {
-        bad("fpPhysRegs=" + std::to_string(fpPhysRegs) +
-            " leaves no rename headroom; need more than " +
-            std::to_string(numFpRegs) + " (the architectural registers)");
-    }
-    if (numIntAlu == 0 || numLdSt == 0) {
-        bad("at least one integer ALU and one Ld/St unit are required "
-            "(every workload uses both)");
+    for (const ParamRow &row : paramRows) {
+        const ParamRange &range = row.range;
+        if (!range.constrained() || (row.when && !*row.when(*this)))
+            continue;
+        uint64_t value = valueOf(row, *this);
+        std::string field = std::string(row.name) + "=" +
+                            std::to_string(value);
+        if (range.powerOfTwo && !isPowerOf2(value))
+            bad(field + " must be a power of two");
+        else if (value < range.min)
+            bad(field + " must be at least " + std::to_string(range.min));
+        else if (value > range.max)
+            bad(field + " must be at most " + std::to_string(range.max));
     }
 
     if (ageMatrix && iqKind != iq::IqKind::Random) {
@@ -126,22 +283,6 @@ CoreParams::validationErrors() const
     if (idealPrioritySelect && !usePubs) {
         bad("idealPrioritySelect=true needs usePubs=true: the ideal "
             "select still classifies via the PUBS slice unit");
-    }
-    if (usePubs) {
-        if (pubs.confCounterBits == 0 || pubs.confCounterBits > 16) {
-            bad("pubs.confCounterBits=" +
-                std::to_string(pubs.confCounterBits) +
-                " is outside the sensible 1..16 range");
-        }
-        if (pubs.confSets == 0 || pubs.confWays == 0 ||
-            pubs.brsliceSets == 0 || pubs.brsliceWays == 0) {
-            bad("PUBS table geometry must be non-zero "
-                "(confSets/confWays/brsliceSets/brsliceWays)");
-        }
-        if (pubs.modeSwitch && pubs.modeInterval == 0) {
-            bad("pubs.modeInterval must be non-zero when the mode "
-                "switch is enabled");
-        }
     }
 
     if (distributedIq) {
@@ -168,34 +309,26 @@ CoreParams::validationErrors() const
         }
     }
 
-    if (btbSets == 0 || btbWays == 0)
-        bad("BTB geometry must be non-zero (btbSets, btbWays)");
-    if (!isPowerOf2(btbSets)) {
-        bad("btbSets=" + std::to_string(btbSets) +
-            " must be a power of two (indexed by PC bits)");
-    }
-
-    auto checkCache = [&bad](const mem::CacheParams &c) {
-        if (c.sizeBytes == 0 || c.ways == 0 || c.lineBytes == 0) {
-            bad(c.name + " cache geometry must be non-zero "
-                "(sizeBytes, ways, lineBytes)");
+    // The ways and the line size have their own rows; here only how the
+    // size divides into sets.
+    auto checkCache = [&bad](const std::string &name,
+                             const mem::CacheParams &c) {
+        uint64_t setBytes = (uint64_t)c.ways * c.lineBytes;
+        if (setBytes == 0)
             return;
-        }
-        if (!isPowerOf2(c.lineBytes))
-            bad(c.name + " lineBytes=" + std::to_string(c.lineBytes) +
-                " must be a power of two");
-        if (c.sizeBytes % ((uint64_t)c.ways * c.lineBytes) != 0) {
-            bad(c.name + " sizeBytes=" + std::to_string(c.sizeBytes) +
-                " must be a multiple of ways*lineBytes (" +
-                std::to_string(c.ways) + "*" +
-                std::to_string(c.lineBytes) + ")");
+        std::string size = name + ".sizeBytes=" + std::to_string(c.sizeBytes);
+        if (c.sizeBytes % setBytes != 0) {
+            bad(size + " must be a multiple of ways*lineBytes (" +
+                std::to_string(c.ways) + "*" + std::to_string(c.lineBytes) +
+                ")");
+        } else if (!isPowerOf2(c.sizeBytes / setBytes)) {
+            bad(size + " gives " + std::to_string(c.sizeBytes / setBytes) +
+                " sets; the set count must be a power of two");
         }
     };
-    checkCache(memory.l1i);
-    checkCache(memory.l1d);
-    checkCache(memory.l2);
-    if (memory.memBytesPerCycle == 0)
-        bad("memory.memBytesPerCycle must be non-zero");
+    checkCache("memory.l1i", memory.l1i);
+    checkCache("memory.l1d", memory.l1d);
+    checkCache("memory.l2", memory.l2);
 
     if (auditPolicy != CheckPolicy::Off && auditInterval == 0) {
         bad("auditInterval must be non-zero when the structural audit "
@@ -274,46 +407,19 @@ CoreParams::describe() const
 }
 
 std::string
+CoreParams::key() const
+{
+    return renderRows(*this, [](ParamClass cls) {
+        return cls != ParamClass::Observational;
+    });
+}
+
+std::string
 CoreParams::describeFunctional() const
 {
-    // One line per functionally-warmed unit, every field explicit, so
-    // adding a functional knob later forces a deliberate edit here (and
-    // thereby a fingerprint change).
-    std::ostringstream out;
-    out << "predictor " << branch::predictorKindName(predictor) << "\n"
-        << "btb " << btbSets << "x" << btbWays << "\n"
-        << "ras " << rasDepth << "\n";
-    auto cache = [&](const char *name, const mem::CacheParams &c) {
-        out << name << " " << c.sizeBytes << "/" << c.ways << "/"
-            << c.lineBytes << "\n";
-    };
-    cache("l1i", memory.l1i);
-    cache("l1d", memory.l1d);
-    cache("l2", memory.l2);
-    out << "prefetch " << (memory.prefetch ? 1 : 0);
-    if (memory.prefetch) {
-        out << " " << memory.prefetcher.streams << "/"
-            << memory.prefetcher.distanceLines << "/"
-            << memory.prefetcher.degree;
-    }
-    out << "\n";
-    out << "pubs " << (usePubs ? 1 : 0) << "\n";
-    if (usePubs) {
-        out << "conf_tab " << pubs.confSets << "x" << pubs.confWays
-            << " q" << pubs.confHashBits << " bits"
-            << pubs.confCounterBits << " shape"
-            << (pubs.counterShape == pubs::CounterShape::Resetting ? "r"
-                                                                   : "d")
-            << " use" << (pubs.useConfTab ? 1 : 0) << "\n"
-            << "brslice_tab " << pubs.brsliceSets << "x"
-            << pubs.brsliceWays << " q" << pubs.brsliceHashBits << "\n"
-            << "tags " << (pubs.tagless ? "none"
-                                        : pubs.fullTags ? "full" : "hashed")
-            << "\n"
-            << "mode_switch " << (pubs.modeSwitch ? 1 : 0) << " "
-            << pubs.modeInterval << " " << pubs.modeMpkiThreshold << "\n";
-    }
-    return out.str();
+    return renderRows(*this, [](ParamClass cls) {
+        return cls == ParamClass::Functional;
+    });
 }
 
 } // namespace pubs::cpu

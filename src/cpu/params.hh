@@ -8,7 +8,10 @@
 #ifndef PUBS_CPU_PARAMS_HH
 #define PUBS_CPU_PARAMS_HH
 
+#include <cstdint>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "branch/predictor.hh"
@@ -147,18 +150,68 @@ struct CoreParams
     std::string describe() const;
 
     /**
-     * Stable rendering of the *functional* parameter subset: the fields
-     * that shape the warm microarchitectural state a checkpoint
-     * serializes (cache/prefetcher geometry, predictor/BTB/RAS
-     * configuration, PUBS table geometry and mode-switch training).
-     * Timing-only fields — pipeline widths, window sizes, FU counts,
-     * latencies, IQ organisation, PUBS dispatch policy, the seed — are
-     * deliberately excluded: changing them cannot change checkpoint
-     * content, so checkpoints stay shareable across timing sweeps.
-     * sim::paramsFingerprint() hashes this text.
+     * The machine's identity, for the sweep journal: a "name=value" line
+     * per functional and timing row of paramTable().
+     */
+    std::string key() const;
+
+    /**
+     * The same over the functional rows: the fields that shape the warm
+     * state a checkpoint serializes. sim::paramsFingerprint() hashes it,
+     * so timing sweeps share checkpoints.
      */
     std::string describeFunctional() const;
 };
+
+/** What a field can change, which decides where it counts. */
+enum class ParamClass
+{
+    Functional,    ///< checkpointed warm state: fingerprint and key
+    Timing,        ///< a simulated counter or a journaled row: key
+    Observational, ///< neither
+};
+
+/** A pointer to one field; its type is the row's kind. */
+using ParamField =
+    std::variant<const bool *, const unsigned *, const uint64_t *,
+                 const double *, const std::string *,
+                 const branch::PredictorKind *, const iq::IqKind *,
+                 const pubs::CounterShape *, const CheckPolicy *>;
+
+/** The legal values of an integer-valued row. */
+struct ParamRange
+{
+    uint64_t min = 0;
+    uint64_t max = UINT64_MAX; ///< UINT64_MAX: no upper bound
+    bool powerOfTwo = false;
+
+    /** Does the range rule out any value of the field's type? */
+    bool
+    constrained() const
+    {
+        return min > 0 || max != UINT64_MAX || powerOfTwo;
+    }
+};
+
+/** One field of CoreParams or of a struct it holds. */
+struct ParamRow
+{
+    const char *name; ///< its path: "memory.l1d.mshrs"
+    ParamField (*field)(const CoreParams &); ///< the field in a machine
+    ParamClass cls;
+    ParamRange range{};
+    /** The switch that builds the unit this row sizes; the range only
+     *  applies when it is on. nullptr = always. */
+    const bool *(*when)(const CoreParams &) = nullptr;
+};
+
+/**
+ * The machine-parameter table (params.cc): every field of CoreParams,
+ * PubsParams, MemoryParams, CacheParams and StreamPrefetcherParams.
+ * Adding a field means adding its row; a static_assert fails until it
+ * is there.
+ */
+std::span<const ParamRow> paramTable();
 
 } // namespace pubs::cpu
 

@@ -24,8 +24,11 @@ namespace pubs::cpu
 using isa::OpClass;
 using isa::Opcode;
 
+// Every structural constraint lives in CoreParams::validate(), which
+// throws a ConfigError listing all problems at once, before any
+// component below is built from the configuration.
 Pipeline::Pipeline(const CoreParams &params, trace::InstSource &source)
-    : params_(params),
+    : params_((params.validate(), params)),
       source_(source),
       rename_(params.intPhysRegs, params.fpPhysRegs),
       rob_(params.robEntries),
@@ -34,10 +37,6 @@ Pipeline::Pipeline(const CoreParams &params, trace::InstSource &source)
               params.numFpu),
       rng_(params.seed)
 {
-    // Every structural constraint lives in CoreParams::validate(), which
-    // throws a ConfigError listing all problems at once.
-    params.validate();
-
     mem_ = std::make_unique<mem::MemorySystem>(params.memory);
     predictor_ = branch::makePredictor(params.predictor);
     btb_ = std::make_unique<branch::Btb>(params.btbSets, params.btbWays);

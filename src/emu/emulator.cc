@@ -256,12 +256,16 @@ Emulator::step(trace::DynInst &out)
     Pc nextPc = pc_ + instBytes;
 
     auto r = [this](RegId reg) { return intReg(reg); };
+    // Guest integer arithmetic wraps; signed C++ arithmetic does not.
+    auto u = [this](RegId reg) { return (uint64_t)intReg(reg); };
     auto f = [this](RegId reg) { return fpReg(reg); };
 
     switch (inst.op) {
-      case Opcode::Add:  setIntReg(inst.dst, r(inst.src1) + r(inst.src2));
+      case Opcode::Add:
+        setIntReg(inst.dst, (int64_t)(u(inst.src1) + u(inst.src2)));
         break;
-      case Opcode::Sub:  setIntReg(inst.dst, r(inst.src1) - r(inst.src2));
+      case Opcode::Sub:
+        setIntReg(inst.dst, (int64_t)(u(inst.src1) - u(inst.src2)));
         break;
       case Opcode::And:  setIntReg(inst.dst, r(inst.src1) & r(inst.src2));
         break;
@@ -289,7 +293,8 @@ Emulator::step(trace::DynInst &out)
         setIntReg(inst.dst,
                   (uint64_t)r(inst.src1) < (uint64_t)r(inst.src2) ? 1 : 0);
         break;
-      case Opcode::Addi: setIntReg(inst.dst, r(inst.src1) + inst.imm);
+      case Opcode::Addi:
+        setIntReg(inst.dst, (int64_t)(u(inst.src1) + (uint64_t)inst.imm));
         break;
       case Opcode::Andi: setIntReg(inst.dst, r(inst.src1) & inst.imm);
         break;
@@ -313,55 +318,61 @@ Emulator::step(trace::DynInst &out)
         break;
       case Opcode::Li:   setIntReg(inst.dst, inst.imm);
         break;
-      case Opcode::Mul:  setIntReg(inst.dst, r(inst.src1) * r(inst.src2));
+      case Opcode::Mul:
+        setIntReg(inst.dst, (int64_t)(u(inst.src1) * u(inst.src2)));
         break;
+      // RISC-V results where C++ division is undefined: x / 0 = -1,
+      // x % 0 = x, INT64_MIN / -1 = INT64_MIN and INT64_MIN % -1 = 0.
       case Opcode::Div: {
         int64_t d = r(inst.src2);
-        setIntReg(inst.dst, d == 0 ? -1 : r(inst.src1) / d);
+        setIntReg(inst.dst, d == 0    ? -1
+                            : d == -1 ? (int64_t)(0 - u(inst.src1))
+                                      : r(inst.src1) / d);
         break;
       }
       case Opcode::Rem: {
         int64_t d = r(inst.src2);
-        setIntReg(inst.dst, d == 0 ? r(inst.src1) : r(inst.src1) % d);
+        setIntReg(inst.dst,
+                  d == 0 ? r(inst.src1) : d == -1 ? 0 : r(inst.src1) % d);
         break;
       }
       case Opcode::Ld: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 8;
         setIntReg(inst.dst, (int64_t)mem_.read(addr, 8));
         break;
       }
       case Opcode::Lw: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 4;
         setIntReg(inst.dst, (int64_t)(int32_t)mem_.read(addr, 4));
         break;
       }
       case Opcode::St: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 8;
         mem_.write(addr, (uint64_t)r(inst.src2), 8);
         break;
       }
       case Opcode::Sw: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 4;
         mem_.write(addr, (uint64_t)r(inst.src2), 4);
         break;
       }
       case Opcode::Fld: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 8;
         setFpReg(inst.dst, mem_.readF64(addr));
         break;
       }
       case Opcode::Fst: {
-        Addr addr = (Addr)(r(inst.src1) + inst.imm);
+        Addr addr = u(inst.src1) + (uint64_t)inst.imm;
         out.effAddr = addr;
         out.memSize = 8;
         mem_.writeF64(addr, f(inst.src2));
@@ -380,8 +391,13 @@ Emulator::step(trace::DynInst &out)
       }
       case Opcode::Fcvt: setFpReg(inst.dst, (double)r(inst.src1));
         break;
-      case Opcode::Ficvt: setIntReg(inst.dst, (int64_t)f(inst.src1));
+      case Opcode::Ficvt: {
+        // NaN and out-of-range values give INT64_MIN, as x86 does.
+        double v = f(inst.src1);
+        setIntReg(inst.dst,
+                  v >= -0x1p63 && v < 0x1p63 ? (int64_t)v : INT64_MIN);
         break;
+      }
       case Opcode::Fmov: setFpReg(inst.dst, f(inst.src1));
         break;
       case Opcode::Fclt:

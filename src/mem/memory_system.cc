@@ -14,9 +14,8 @@ MemorySystem::MemorySystem(const MemoryParams &params) : params_(params)
     l1i_ = std::make_unique<Cache>(params.l1i, l2_.get());
     l1d_ = std::make_unique<Cache>(params.l1d, l2_.get());
     if (params.prefetch) {
-        StreamPrefetcherParams pf = params.prefetcher;
-        pf.lineBytes = params.l2.lineBytes;
-        prefetcher_ = std::make_unique<StreamPrefetcher>(pf, l2_.get());
+        prefetcher_ = std::make_unique<StreamPrefetcher>(params.prefetcher,
+                                                         l2_.get());
     }
 }
 

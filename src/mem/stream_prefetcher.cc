@@ -67,7 +67,8 @@ StreamPrefetcher::warmObserveMiss(Addr addr)
 void
 StreamPrefetcher::observe(Addr addr, Cycle now, bool warm)
 {
-    uint64_t line = addr / params_.lineBytes;
+    const unsigned lineBytes = target_->params().lineBytes;
+    uint64_t line = addr / lineBytes;
     Stream *stream = findStream(line);
     if (!stream) {
         allocateStream(line);
@@ -97,7 +98,7 @@ StreamPrefetcher::observe(Addr addr, Cycle now, bool warm)
             stream->direction * (int64_t)(params_.distanceLines + d);
         if (targetLine < 0)
             continue;
-        Addr prefetchAddr = (Addr)targetLine * params_.lineBytes;
+        Addr prefetchAddr = (Addr)targetLine * lineBytes;
         if (warm)
             target_->warmInstallPrefetch(prefetchAddr);
         else

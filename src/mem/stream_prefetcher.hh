@@ -4,7 +4,7 @@
  * distance, degree 2, prefetching into the L2 cache). Streams are
  * detected from L1D demand-miss line addresses; once a stream has two
  * hits in the same direction it issues `degree` line prefetches `distance`
- * lines ahead of the demand address.
+ * lines ahead of the demand address. A line is the target cache's line.
  */
 
 #ifndef PUBS_MEM_STREAM_PREFETCHER_HH
@@ -26,7 +26,6 @@ struct StreamPrefetcherParams
     unsigned streams = 32;
     unsigned distanceLines = 16;
     unsigned degree = 2;
-    unsigned lineBytes = 64;
 };
 
 class StreamPrefetcher

@@ -99,6 +99,22 @@ ProcPool::configFromEnv(Config base)
     return base;
 }
 
+FarmStats &
+FarmStats::operator+=(const FarmStats &other)
+{
+    launches += other.launches;
+    crashes += other.crashes;
+    timeouts += other.timeouts;
+    corruptFrames += other.corruptFrames;
+    retries += other.retries;
+    permanentFailures += other.permanentFailures;
+    staleKills += other.staleKills;
+    journalServed += other.journalServed;
+    busySeconds += other.busySeconds;
+    wallSeconds += other.wallSeconds;
+    return *this;
+}
+
 ProcPool::ProcPool(Config config) : config_(std::move(config))
 {
     procs_ = config_.procs ? config_.procs : hardwareThreads();
@@ -109,7 +125,7 @@ ProcPool::ProcPool(Config config) : config_(std::move(config))
 std::vector<ProcResult>
 ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
 {
-    stats_ = ProcPoolStats{};
+    stats_ = FarmStats{};
     std::vector<ProcResult> results(n);
     if (n == 0)
         return results;

@@ -50,8 +50,11 @@ struct ProcResult
     unsigned attempts = 0;
 };
 
-/** Aggregate counters of one ProcPool::run() call. */
-struct ProcPoolStats
+/**
+ * Host-side counters of one batch: wall and busy time, and how hard the
+ * recovery machinery worked. Never part of deterministic output.
+ */
+struct FarmStats
 {
     uint64_t launches = 0;
     uint64_t crashes = 0;       ///< workers that exited abnormally
@@ -60,8 +63,12 @@ struct ProcPoolStats
     uint64_t retries = 0;
     uint64_t permanentFailures = 0; ///< tasks skipped after maxAttempts
     uint64_t staleKills = 0;    ///< workers SIGKILLed for a silent pipe
-    double busySeconds = 0.0;   ///< summed worker wall time
+    uint64_t journalServed = 0; ///< slots replayed from a --resume journal
+    double busySeconds = 0.0;   ///< summed per-task wall time
     double wallSeconds = 0.0;
+
+    /** Add @p other's counters and times to these. */
+    FarmStats &operator+=(const FarmStats &other);
 };
 
 class ProcPool
@@ -135,12 +142,12 @@ class ProcPool
                                 const ResultHook &onResult = {});
 
     /** Counters of the most recent run(). */
-    const ProcPoolStats &stats() const { return stats_; }
+    const FarmStats &stats() const { return stats_; }
 
   private:
     Config config_;
     unsigned procs_;
-    ProcPoolStats stats_;
+    FarmStats stats_;
 };
 
 } // namespace pubs::sim

@@ -12,14 +12,12 @@ namespace pubs::trace
 namespace
 {
 
-// On-disk record layouts (little-endian, packed by hand for portability).
-// v1 extends v0's 40 bytes with the 8-byte architectural destination
-// value; byte 33 holds a flags byte (bit 0 = dstValue present), bytes
-// 34..39 stay reserved and must be zero in both formats.
-constexpr size_t recordBytesV0 = 40;
-constexpr size_t recordBytesV1 = 48;
-constexpr size_t headerBytesV0 = 16;
-constexpr size_t headerBytesV1 = 32;
+// On-disk record layout (little-endian, packed by hand for portability):
+// byte 33 holds a flags byte (bit 0 = dstValue present), bytes 34..39
+// are reserved and must be zero, and bytes 40..47 carry the
+// architectural destination value.
+constexpr size_t recordBytes = 48;
+constexpr size_t headerBytes = 32;
 constexpr uint8_t flagHasDstValue = 0x01;
 
 void
@@ -96,10 +94,10 @@ TraceWriter::TraceWriter(const std::string &path) : path_(path)
                              std::strerror(errno));
     // v1 header: magic + version + record size + count placeholder +
     // reserved. The count is patched in close().
-    uint8_t header[headerBytesV1] = {};
+    uint8_t header[headerBytes] = {};
     std::memcpy(header, traceMagic, sizeof(traceMagic));
     pack32(header + 8, traceFormatVersion);
-    pack32(header + 12, (uint32_t)recordBytesV1);
+    pack32(header + 12, (uint32_t)recordBytes);
     if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
         std::fclose(file_);
         file_ = nullptr;
@@ -124,7 +122,7 @@ void
 TraceWriter::write(const DynInst &inst)
 {
     panic_if(!file_, "write after close");
-    uint8_t rec[recordBytesV1] = {};
+    uint8_t rec[recordBytes] = {};
     pack64(rec + 0, inst.pc);
     pack64(rec + 8, inst.nextPc);
     pack64(rec + 16, inst.effAddr);
@@ -137,8 +135,8 @@ TraceWriter::write(const DynInst &inst)
     rec[33] = inst.hasDstValue ? flagHasDstValue : 0;
     // Bytes 34..39 reserved (zero).
     pack64(rec + 40, inst.dstValue);
-    size_t n = std::fwrite(rec, 1, recordBytesV1, file_);
-    if (n != recordBytesV1)
+    size_t n = std::fwrite(rec, 1, recordBytes, file_);
+    if (n != recordBytes)
         traceFail(path_, "short write of trace record (disk full?)");
     ++count_;
 }
@@ -182,45 +180,33 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
     if (std::fread(magic, 1, sizeof(magic), file_) != sizeof(magic))
         traceFail(path_, "too short to hold a trace header");
 
-    size_t headerBytes;
-    if (std::memcmp(magic, traceMagic, sizeof(magic)) == 0) {
-        // Current format: version, record size, count, reserved.
-        uint8_t rest[headerBytesV1 - sizeof(traceMagic)];
-        if (std::fread(rest, 1, sizeof(rest), file_) != sizeof(rest))
-            traceFail(path_, "truncated v1 trace header");
-        version_ = unpack32(rest + 0);
-        if (version_ != traceFormatVersion)
-            traceFail(path_, "unsupported trace format version " +
-                                 std::to_string(version_) +
-                                 " (this build reads versions 0 and " +
-                                 std::to_string(traceFormatVersion) + ")");
-        recordBytes_ = unpack32(rest + 4);
-        if (recordBytes_ != recordBytesV1)
-            traceFail(path_, "v1 header declares " +
-                                 std::to_string(recordBytes_) +
-                                 "-byte records, expected " +
-                                 std::to_string(recordBytesV1));
-        total_ = unpack64(rest + 8);
-        if (unpack64(rest + 16) != 0)
-            traceFail(path_, "nonzero reserved bytes in header "
-                             "(corrupt or written by a newer tool)");
-        headerBytes = headerBytesV1;
-    } else if (std::memcmp(magic, traceMagicV0, sizeof(magic)) == 0) {
-        // Legacy format: just the record count.
-        uint8_t countBytes[8];
-        if (std::fread(countBytes, 1, 8, file_) != 8)
-            traceFail(path_, "truncated v0 trace header");
-        version_ = 0;
-        recordBytes_ = recordBytesV0;
-        total_ = unpack64(countBytes);
-        headerBytes = headerBytesV0;
-    } else {
+    if (std::memcmp(magic, traceMagic, sizeof(magic)) != 0)
         traceFail(path_, "not a PUBS trace file (bad magic)");
-    }
 
-    // A bit-flipped count could make total_ * recordBytes_ wrap and
+    // Version, record size, count, reserved.
+    uint8_t rest[headerBytes - sizeof(traceMagic)];
+    if (std::fread(rest, 1, sizeof(rest), file_) != sizeof(rest))
+        traceFail(path_, "truncated trace header");
+    uint32_t version = unpack32(rest + 0);
+    if (version != traceFormatVersion)
+        traceFail(path_, "unsupported trace format version " +
+                             std::to_string(version) +
+                             " (this build reads version " +
+                             std::to_string(traceFormatVersion) + ")");
+    uint32_t declaredRecordBytes = unpack32(rest + 4);
+    if (declaredRecordBytes != recordBytes)
+        traceFail(path_, "header declares " +
+                             std::to_string(declaredRecordBytes) +
+                             "-byte records, expected " +
+                             std::to_string(recordBytes));
+    total_ = unpack64(rest + 8);
+    if (unpack64(rest + 16) != 0)
+        traceFail(path_, "nonzero reserved bytes in header "
+                         "(corrupt or written by a newer tool)");
+
+    // A bit-flipped count could make total_ * recordBytes wrap and
     // collide with the real file size; reject it before the multiply.
-    if (total_ > (UINT64_MAX - headerBytes) / recordBytes_)
+    if (total_ > (UINT64_MAX - headerBytes) / recordBytes)
         traceFail(path_, "implausible record count " +
                              std::to_string(total_) + " (corrupt header)");
 
@@ -228,7 +214,7 @@ TraceReader::TraceReader(const std::string &path) : path_(path)
     // disk; a mismatch means a truncated copy or an unfinalised writer.
     long size = fileSize(file_);
     if (size >= 0) {
-        uint64_t expected = headerBytes + total_ * recordBytes_;
+        uint64_t expected = headerBytes + total_ * recordBytes;
         if ((uint64_t)size != expected)
             traceFail(path_, "header promises " + std::to_string(total_) +
                                  " records (" + std::to_string(expected) +
@@ -248,16 +234,14 @@ TraceReader::next(DynInst &out)
 {
     if (read_ >= total_)
         return false;
-    uint8_t rec[recordBytesV1] = {};
-    size_t n = std::fread(rec, 1, recordBytes_, file_);
-    if (n != recordBytes_)
+    uint8_t rec[recordBytes] = {};
+    if (std::fread(rec, 1, recordBytes, file_) != recordBytes)
         traceFail(path_, "truncated record " + std::to_string(read_) +
                              " of " + std::to_string(total_));
     if (rec[24] >= (uint8_t)isa::Opcode::NumOpcodes)
         traceFail(path_, "corrupt opcode " + std::to_string(rec[24]) +
                              " in record " + std::to_string(read_));
-    // Byte 33 is the v1 flags byte; in v0 it is reserved like 34..39.
-    for (size_t i = version_ >= 1 ? 34 : 33; i < 40; ++i) {
+    for (size_t i = 34; i < 40; ++i) {
         if (rec[i] != 0)
             traceFail(path_, "nonzero reserved byte " + std::to_string(i) +
                                  " in record " + std::to_string(read_) +
@@ -274,14 +258,11 @@ TraceReader::next(DynInst &out)
     out.src2 = (RegId)unpack16(rec + 29);
     out.memSize = rec[31];
     out.taken = rec[32] != 0;
-    if (version_ >= 1) {
-        out.hasDstValue = (rec[33] & flagHasDstValue) != 0;
-        out.dstValue = unpack64(rec + 40);
-        if ((rec[33] & ~flagHasDstValue) != 0)
-            traceFail(path_, "unknown flag bits 0x" +
-                                 std::to_string(rec[33]) + " in record " +
-                                 std::to_string(read_));
-    }
+    out.hasDstValue = (rec[33] & flagHasDstValue) != 0;
+    out.dstValue = unpack64(rec + 40);
+    if ((rec[33] & ~flagHasDstValue) != 0)
+        traceFail(path_, "unknown flag bits 0x" + std::to_string(rec[33]) +
+                             " in record " + std::to_string(read_));
     ++read_;
     return true;
 }

@@ -4,14 +4,10 @@
  * replayed through the timing model, substituting for the paper's SPEC2006
  * runs.
  *
- * v1 (current): 32-byte header — 8-byte magic "PUBSTRC2", u32 format
- * version, u32 record size, u64 record count, 8 reserved (zero) bytes —
- * then one packed 48-byte little-endian record per dynamic instruction,
- * carrying the architectural destination value for the lockstep commit
- * checker.
- *
- * v0 (legacy, still read): 16-byte header — magic "PUBSTRC1" + u64
- * record count — and 40-byte records without the destination value.
+ * v1: 32-byte header — 8-byte magic "PUBSTRC2", u32 format version,
+ * u32 record size, u64 record count, 8 reserved (zero) bytes — then one
+ * packed 48-byte little-endian record per dynamic instruction, carrying
+ * the architectural destination value for the lockstep commit checker.
  *
  * The reader validates everything it can at open: magic, version,
  * record size, header record count against the actual file size, and
@@ -33,13 +29,10 @@
 namespace pubs::trace
 {
 
-/** Magic bytes at the start of every v1 (current) trace file. */
+/** Magic bytes at the start of every trace file. */
 constexpr char traceMagic[8] = {'P', 'U', 'B', 'S', 'T', 'R', 'C', '2'};
 
-/** Magic bytes of legacy v0 traces (accepted by TraceReader). */
-constexpr char traceMagicV0[8] = {'P', 'U', 'B', 'S', 'T', 'R', 'C', '1'};
-
-/** On-disk format version written by TraceWriter. */
+/** On-disk format version written and read. */
 constexpr uint32_t traceFormatVersion = 1;
 
 /** Streams DynInst records to a file. */
@@ -83,16 +76,11 @@ class TraceReader : public InstSource
 
     uint64_t recordCount() const { return total_; }
 
-    /** Format version of the open file (0 = legacy). */
-    uint32_t formatVersion() const { return version_; }
-
   private:
     std::string path_;
     std::FILE *file_ = nullptr;
     uint64_t total_ = 0;
     uint64_t read_ = 0;
-    uint32_t version_ = traceFormatVersion;
-    size_t recordBytes_ = 0;
 };
 
 /** Buffers an in-memory sequence of records as an InstSource (tests). */

@@ -28,6 +28,7 @@
 #include "common/error.hh"
 #include "common/rng.hh"
 #include "emu/emulator.hh"
+#include "param_rows.hh"
 #include "sim/checkpoint.hh"
 #include "sim/config.hh"
 #include "sim/parallel_for.hh"
@@ -447,37 +448,34 @@ TEST(CheckpointStore, KeyCoversSkipDistanceAndMachine)
 TEST(CheckpointStore, TimingOnlyParamChangeSharesArtifacts)
 {
     cpu::CoreParams base = checkedParams(sim::Machine::Pubs);
+    const uint32_t baseFp = sim::paramsFingerprint(base);
 
-    // Timing-only knobs (window sizes, widths, latencies, PUBS dispatch
-    // policy, the seed) must not move the fingerprint: a checkpoint
-    // holds functionally-warmed state only, so a timing sweep over one
-    // workload should hit the same cached fast-forward artifact.
+    // Every functional row of the parameter table moves the fingerprint
+    // and no other row does: a checkpoint holds functionally-warmed
+    // state only, so a timing sweep over one workload should hit the
+    // same cached fast-forward artifact. `timing` gathers every
+    // non-functional change that leaves the machine valid.
     cpu::CoreParams timing = base;
-    timing.robEntries *= 2;
-    timing.iqEntries *= 2;
-    timing.issueWidth = 2;
-    timing.numIntAlu += 1;
-    timing.memory.l1d.hitLatency += 1;
-    timing.pubs.priorityEntries += 2;
-    timing.pubs.stallPolicy = !timing.pubs.stallPolicy;
-    timing.seed += 99;
-    timing.validate();
-    EXPECT_EQ(sim::paramsFingerprint(base),
-              sim::paramsFingerprint(timing));
+    for (const cpu::ParamRow &row : cpu::paramTable()) {
+        SCOPED_TRACE(row.name);
+        cpu::CoreParams changed = base;
+        test::perturb(row, changed);
+        bool functional = row.cls == cpu::ParamClass::Functional;
+        EXPECT_EQ(sim::paramsFingerprint(changed) != baseFp, functional);
+        if (!functional) {
+            changed = timing;
+            test::perturb(row, changed);
+            if (changed.validationErrors().empty())
+                timing = changed;
+        }
+    }
+    EXPECT_NE(timing.key(), base.key());
+    EXPECT_EQ(sim::paramsFingerprint(timing), baseFp);
 
-    // Any functional knob (cache geometry, predictor tables, PUBS
-    // training configuration) must move it.
+    // Store behaviour: hit across the timing change, miss across a
+    // functional one.
     cpu::CoreParams biggerL1 = base;
     biggerL1.memory.l1d.sizeBytes *= 2;
-    EXPECT_NE(sim::paramsFingerprint(base),
-              sim::paramsFingerprint(biggerL1));
-    cpu::CoreParams widerCounters = base;
-    widerCounters.pubs.confCounterBits += 1;
-    EXPECT_NE(sim::paramsFingerprint(base),
-              sim::paramsFingerprint(widerCounters));
-
-    // Store behaviour: hit across the timing change, miss across the
-    // functional one.
     std::string dir = tempPath("pubs_test_ckpt_store_functional");
     std::filesystem::remove_all(dir);
     sim::CheckpointStore store(dir);

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
@@ -79,6 +82,13 @@ TEST(Emulator, ArithmeticSemantics)
         or  r9, r1, r2
         xor r10, r1, r2
         slt r11, r2, r1
+        li r12, 1
+        slli r12, r12, 63
+        addi r13, r12, -1
+        add r14, r13, r13
+        sub r15, r12, r2
+        mul r16, r13, r13
+        addi r17, r13, 1
         halt
     )");
     EXPECT_EQ(emu->intReg(3), 17);
@@ -90,6 +100,12 @@ TEST(Emulator, ArithmeticSemantics)
     EXPECT_EQ(emu->intReg(9), 13);
     EXPECT_EQ(emu->intReg(10), 9);
     EXPECT_EQ(emu->intReg(11), 1);
+    // Overflow wraps in two's complement.
+    EXPECT_EQ(emu->intReg(13), INT64_MAX);
+    EXPECT_EQ(emu->intReg(14), -2);
+    EXPECT_EQ(emu->intReg(15), INT64_MAX - 4);
+    EXPECT_EQ(emu->intReg(16), 1);
+    EXPECT_EQ(emu->intReg(17), INT64_MIN);
 }
 
 TEST(Emulator, ImmediateAndShiftSemantics)
@@ -118,10 +134,18 @@ TEST(Emulator, DivideByZeroIsDefined)
         li r2, 0
         div r3, r1, r2
         rem r4, r1, r2
+        li r5, 1
+        slli r5, r5, 63
+        li r6, -1
+        div r7, r5, r6
+        rem r8, r5, r6
         halt
     )");
     EXPECT_EQ(emu->intReg(3), -1); // RISC-V-style semantics
     EXPECT_EQ(emu->intReg(4), 42);
+    // The one overflowing quotient, INT64_MIN / -1, as RISC-V defines it.
+    EXPECT_EQ(emu->intReg(7), INT64_MIN);
+    EXPECT_EQ(emu->intReg(8), 0);
 }
 
 TEST(Emulator, RegisterZeroIsHardwired)
@@ -162,6 +186,17 @@ TEST(Emulator, FpSemantics)
         fdiv f5, f2, f1
         fclt r3, f1, f2
         ficvt r4, f4
+        li r5, 1
+        slli r5, r5, 62
+        fcvt f6, r5
+        fmul f6, f6, f6
+        ficvt r6, f6
+        fmul f7, f6, f6
+        fmul f7, f7, f7
+        fmul f7, f7, f7
+        fmul f7, f7, f7
+        fsub f8, f7, f7
+        ficvt r8, f8
         halt
     )");
     EXPECT_DOUBLE_EQ(emu->fpReg(3), 7.0);
@@ -169,6 +204,10 @@ TEST(Emulator, FpSemantics)
     EXPECT_NEAR(emu->fpReg(5), 4.0 / 3.0, 1e-12);
     EXPECT_EQ(emu->intReg(3), 1);
     EXPECT_EQ(emu->intReg(4), 12);
+    // Out of range (2^124) and NaN (inf - inf) convert to INT64_MIN.
+    EXPECT_EQ(emu->intReg(6), INT64_MIN);
+    EXPECT_TRUE(std::isnan(emu->fpReg(8)));
+    EXPECT_EQ(emu->intReg(8), INT64_MIN);
 }
 
 TEST(Emulator, BranchDirections)

@@ -157,7 +157,6 @@ TEST(StreamPrefetcherTest, DetectsAscendingStream)
     params.streams = 4;
     params.distanceLines = 4;
     params.degree = 2;
-    params.lineBytes = 64;
     StreamPrefetcher pf(params, &l2);
 
     pf.observeMiss(0x10000, 0);         // allocate

@@ -174,6 +174,26 @@ struct MachineCase
     const char *workload;
 };
 
+/** "pubs_age_sjeng_like": the case's test-name suffix. */
+std::string
+caseName(const MachineCase &c)
+{
+    std::string name = sim::machineName(c.machine);
+    for (char &ch : name)
+        if (ch == '+')
+            ch = '_';
+    return name + "_" + c.workload;
+}
+
+// Without a printer gtest lists each case with a byte dump of the
+// struct: the workload pointer and padding bytes, which move from run
+// to run, would end up in the test's name.
+void
+PrintTo(const MachineCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
 class MachineSweep : public ::testing::TestWithParam<MachineCase>
 {
 };
@@ -202,13 +222,7 @@ INSTANTIATE_TEST_SUITE_P(
         MachineCase{sim::Machine::Base, "libquantum_like"},
         MachineCase{sim::Machine::Pubs, "libquantum_like"},
         MachineCase{sim::Machine::PubsAge, "soplex_like"}),
-    [](const auto &info) {
-        std::string name = sim::machineName(info.param.machine);
-        for (char &c : name)
-            if (c == '+')
-                c = '_';
-        return name + "_" + info.param.workload;
-    });
+    [](const auto &info) { return caseName(info.param); });
 
 // ---------- size-class properties ----------
 

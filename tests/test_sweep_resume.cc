@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 
 #include <signal.h>
@@ -267,6 +268,22 @@ TEST(SweepResume, JournalRejectsMismatchedSweep)
 // --- end-to-end resume -----------------------------------------------
 
 /**
+ * Run @p fn in a forked child and wait for it. @return the child's wait
+ * status. A process numbers its journaled sweeps, so a sweep the child
+ * journals and a sweep this process resumes next open the same file.
+ */
+int
+inChild(const std::function<void()> &fn)
+{
+    proc::Child child = proc::spawnChild([&](int) { fn(); });
+    ::close(child.fd);
+    int status = 0;
+    while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    return status;
+}
+
+/**
  * Fork a child that starts @p spec with journaling at @p path and a
  * PUBS_FAULT plan, and wait for it. @return the child's wait status.
  */
@@ -274,15 +291,10 @@ int
 runInterruptedSweep(const SweepSpec &spec, const std::string &path,
                     const char *fault)
 {
-    proc::Child child = proc::spawnChild([&](int) {
+    return inChild([&] {
         ::setenv("PUBS_FAULT", fault, 1);
         runSweep(journaled(spec, path, false));
     });
-    ::close(child.fd);
-    int status = 0;
-    while (::waitpid(child.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    return status;
 }
 
 TEST(SweepResume, KilledSweepResumesByteIdentical)
@@ -336,6 +348,45 @@ TEST(SweepResume, CrashyProcSweepResumesByteIdentical)
     ::unsetenv("PUBS_PROC_BACKOFF_MS");
 
     EXPECT_EQ(resumed.statsJson(), reference);
+}
+
+TEST(SweepResume, AnotherMachineUnderTheSameLabelIsNotServed)
+{
+    cleanSweepConfig();
+    // A small PUBS sweep, and the blind model of Fig. 11 (no conf_tab)
+    // under the same "pubs" label. describe() prints the same text for
+    // both; only the machine key tells them apart.
+    auto pubsSweep = [](bool useConfTab) {
+        SweepSpec spec;
+        spec.options.jobs = 1;
+        spec.options.warmup = 1000;
+        spec.options.insts = 8000;
+        spec.verbose = false;
+        cpu::CoreParams params = sim::makeConfig(sim::Machine::Pubs);
+        params.pubs.useConfTab = useConfTab;
+        for (const char *name : {"sjeng_like", "hmmer_like"})
+            spec.add(wl::makeWorkload(name), params, "pubs");
+        return spec;
+    };
+    std::string path = tempPath("pubs_journal_relabel.jnl");
+    std::remove(path.c_str());
+
+    ASSERT_EQ(inChild([&] {
+                  runSweep(journaled(pubsSweep(true), path, false));
+              }),
+              0);
+    // The same sweep resumes from the journal...
+    ASSERT_EQ(inChild([&] {
+                  SweepResult same =
+                      runSweep(journaled(pubsSweep(true), path, true));
+                  ::_exit(same.farm.journalServed == 2 ? 0 : 1);
+              }),
+              0);
+    // ...the blind one simulates every run.
+    SweepResult blind = runSweep(journaled(pubsSweep(false), path, true));
+    EXPECT_EQ(blind.farm.journalServed, 0u);
+    EXPECT_EQ(blind.failed(), 0u);
+    std::remove(path.c_str());
 }
 
 TEST(SweepResume, ProcModeMatchesThreadMode)

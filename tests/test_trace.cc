@@ -156,7 +156,6 @@ TEST(Trace, DstValueSurvivesRoundTrip)
         writer.close();
     }
     TraceReader reader(path);
-    EXPECT_EQ(reader.formatVersion(), traceFormatVersion);
     DynInst di;
     ASSERT_TRUE(reader.next(di));
     EXPECT_TRUE(di.hasDstValue);
@@ -197,6 +196,14 @@ TEST(TraceErrors, WrongMagic)
 {
     std::string path = tempPath("pubs_trace_badmagic.trc");
     writeBytes(path, std::vector<uint8_t>(32, 'x'));
+    EXPECT_THROW(TraceReader reader(path), TraceError);
+
+    // The retired v0 format (magic "PUBSTRC1", u64 count, one 40-byte
+    // record) is no longer read either.
+    std::vector<uint8_t> v0(16 + 40, 0);
+    std::memcpy(v0.data(), "PUBSTRC1", 8);
+    v0[8] = 1;
+    writeBytes(path, v0);
     EXPECT_THROW(TraceReader reader(path), TraceError);
     std::remove(path.c_str());
 }
@@ -271,42 +278,6 @@ TEST(TraceErrors, UnsupportedVersionRejected)
     bytes[8] = 99; // version field
     writeBytes(path, bytes);
     EXPECT_THROW(TraceReader reader(path), TraceError);
-    std::remove(path.c_str());
-}
-
-TEST(TraceErrors, LegacyV0TracesStillLoad)
-{
-    // Hand-build a v0 file: 16-byte header (magic + count) followed by
-    // one 40-byte record.
-    std::string path = tempPath("pubs_trace_v0.trc");
-    std::vector<uint8_t> bytes(16 + 40, 0);
-    std::memcpy(bytes.data(), traceMagicV0, 8);
-    bytes[8] = 1; // count = 1, little-endian
-    uint8_t *rec = bytes.data() + 16;
-    rec[0] = 0x34; // pc = 0x1234
-    rec[1] = 0x12;
-    rec[8] = 0x38; // nextPc
-    rec[9] = 0x12;
-    rec[24] = (uint8_t)isa::Opcode::Addi;
-    rec[25] = 7; // dst = r7
-    rec[27] = 0xff; // src1 = invalidReg (-1 as u16)
-    rec[28] = 0xff;
-    rec[29] = 0xff; // src2 = invalidReg
-    rec[30] = 0xff;
-    writeBytes(path, bytes);
-
-    TraceReader reader(path);
-    EXPECT_EQ(reader.formatVersion(), 0u);
-    EXPECT_EQ(reader.recordCount(), 1u);
-    DynInst di;
-    ASSERT_TRUE(reader.next(di));
-    EXPECT_EQ(di.pc, 0x1234u);
-    EXPECT_EQ(di.nextPc, 0x1238u);
-    EXPECT_EQ(di.op, isa::Opcode::Addi);
-    EXPECT_EQ(di.dst, 7);
-    EXPECT_EQ(di.src1, invalidReg);
-    EXPECT_FALSE(di.hasDstValue); // v0 carries no destination values
-    EXPECT_FALSE(reader.next(di));
     std::remove(path.c_str());
 }
 
