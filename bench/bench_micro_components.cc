@@ -473,7 +473,7 @@ writeHostspeed(const char *path, const bench::RunOptions &options)
                       "    {\"workload\": \"%s\", \"machine\": \"%s\", "
                       "\"instructions\": %llu, \"cycles\": %llu, "
                       "\"sim_seconds\": %.6f, \"kips\": %.2f}",
-                      spec.items[i].workload.name.c_str(),
+                      spec.items[i].workload->name.c_str(),
                       spec.items[i].machine.c_str(),
                       (unsigned long long)r.instructions,
                       (unsigned long long)r.cycles, r.simSeconds,
@@ -484,7 +484,7 @@ writeHostspeed(const char *path, const bench::RunOptions &options)
     }
     out << "\n  ],\n";
     char geo[64];
-    std::snprintf(geo, sizeof(geo), "%.2f", geoMeanRatio(allKips));
+    std::snprintf(geo, sizeof(geo), "%.2f", geometricMean(allKips));
     out << "  \"geomean_kips\": " << geo << ",\n";
     out << "  \"failed_runs\": " << sweep.failed() << "\n";
     out << "}\n";

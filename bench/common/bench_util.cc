@@ -81,6 +81,16 @@ num(double value, int digits)
     return buffer;
 }
 
+std::string
+meanCell(const std::vector<double> &values, Mean mean, int digits)
+{
+    if (values.empty())
+        return "n/a";
+    double value = mean == Mean::Geometric ? geometricMean(values)
+                                           : arithmeticMean(values);
+    return digits < 0 ? pct(value) : num(value, digits);
+}
+
 bool
 maybeWriteCsv(const RunOptions &options, const std::string &benchName,
               const TextTable &table)
@@ -170,7 +180,7 @@ appendSkipCsv(const SweepSpec &spec, const SweepResult &result)
         for (char &c : message)
             if (c == '\n' || c == '\r' || c == '"')
                 c = ' ';
-        out << spec.items[i].workload.name << ','
+        out << spec.items[i].workload->name << ','
             << spec.items[i].machine << ',' << row.errorKind << ','
             << row.phase << ",\"" << message << "\"\n";
     }
@@ -199,7 +209,7 @@ appendCpiStackCsv(const SweepSpec &spec, const SweepResult &result)
         if (!row.ok())
             continue;
         const cpu::CpiStack &cpi = row.result.pipeline.cpi;
-        out << spec.items[i].workload.name << ','
+        out << spec.items[i].workload->name << ','
             << spec.items[i].machine << ',' << cpi.total();
         for (size_t c = 0; c < cpu::numCpiComponents; ++c)
             out << ',' << cpi.cycles[c];
@@ -226,7 +236,7 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
             char pc[24];
             std::snprintf(pc, sizeof(pc), "0x%llx",
                           (unsigned long long)b.pc);
-            out << spec.items[i].workload.name << ','
+            out << spec.items[i].workload->name << ','
                 << spec.items[i].machine << ',' << pc << ','
                 << b.commits << ',' << b.mispredicts << ','
                 << b.penaltyCycles << ',' << b.confCorrect << ','
@@ -276,8 +286,8 @@ size_t
 SweepSpec::add(wl::Workload workload, cpu::CoreParams params,
                std::string machine)
 {
-    items.push_back(
-        {std::move(workload), std::move(params), std::move(machine)});
+    items.push_back({std::make_shared<const wl::Workload>(std::move(workload)),
+                     std::move(params), std::move(machine)});
     return items.size() - 1;
 }
 
@@ -359,9 +369,14 @@ sweepKey(const SweepSpec &spec)
         options.samplePlan().describe() + ":" +
         std::to_string(options.branchProfile));
     for (const SweepItem &item : spec.items) {
-        mix(item.workload.name);
+        // The Pipeline lets PUBS_CHECK replace both check policies, so
+        // key the machine that will run, not the one that was asked for.
+        cpu::CoreParams params = item.params;
+        params.checkPolicy = checkPolicyFromEnv(params.checkPolicy);
+        params.auditPolicy = checkPolicyFromEnv(params.auditPolicy);
+        mix(item.workload->name);
         mix(item.machine);
-        mix(item.params.key());
+        mix(params.key());
     }
     return ((uint64_t)hi << 32) | lo;
 }
@@ -389,14 +404,14 @@ runSweepItem(const SweepItem &item, const RunOptions &options)
         if (plan.enabled()) {
             sim::CheckpointStore store(options.checkpointDir);
             r = sim::simulateSampled(
-                params, item.workload.program, plan,
+                params, item.workload->program, plan,
                 options.checkpointDir.empty() ? nullptr : &store,
                 item.machine);
         } else {
-            r = sim::simulate(params, item.workload.program,
+            r = sim::simulate(params, item.workload->program,
                               options.warmup, options.insts);
         }
-        r.workload = item.workload.name;
+        r.workload = item.workload->name;
         r.machine = item.machine;
         row.result = std::move(r);
     } catch (const SimError &error) {
@@ -404,7 +419,7 @@ runSweepItem(const SweepItem &item, const RunOptions &options)
         row.error = error.what();
         row.errorKind = SimError::kindName(error.kind());
         row.phase = sim::simPhaseName(sim::lastFailedPhase());
-        row.result.workload = item.workload.name;
+        row.result.workload = item.workload->name;
         row.result.machine = item.machine;
     }
     return row;
@@ -418,14 +433,14 @@ logSweepRow(const SweepRow &row, const SweepItem &item, size_t done,
         std::fprintf(stderr,
                      "  [%3zu/%zu] %-18s %-14s ipc=%.3f "
                      "brMPKI=%.1f llcMPKI=%.1f kips=%.0f\n",
-                     done, total, item.workload.name.c_str(),
+                     done, total, item.workload->name.c_str(),
                      item.machine.c_str(), row.result.ipc,
                      row.result.branchMpki, row.result.llcMpki,
                      row.result.kips());
     } else {
         std::fprintf(stderr,
                      "  [%3zu/%zu] %-18s %-14s FAILED (%s: %s)\n", done,
-                     total, item.workload.name.c_str(),
+                     total, item.workload->name.c_str(),
                      item.machine.c_str(), row.errorKind.c_str(),
                      row.error.c_str());
     }
@@ -482,7 +497,7 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
     auto runSlot = [&](size_t index) {
         size_t slot = todo[index];
         const SweepItem &item = spec.items[slot];
-        progress::beginTask(slot, item.workload.name,
+        progress::beginTask(slot, item.workload->name,
                             options.warmup + options.insts);
         std::string payload = encodeSweepRow(runSweepItem(item, options));
         progress::endTask();
@@ -510,7 +525,7 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
                                      "result payload"
                                    : outcome.error;
             row.errorKind = SimError::kindName(SimError::Kind::Proc);
-            row.result.workload = item.workload.name;
+            row.result.workload = item.workload->name;
             row.result.machine = item.machine;
             // Deliberately not journaled: a --resume rerun retries the
             // slot instead of resurrecting the failure.
@@ -584,19 +599,13 @@ runSweep(const SweepSpec &spec)
     SweepResult result;
     result.rows.resize(spec.items.size());
 
-    // Journal setup: a driver running several sweeps numbers the files
-    // in call order, which is deterministic, so a resumed process finds
-    // each sweep's journal under the same name.
     std::unique_ptr<SweepJournal> journal;
     std::vector<size_t> todo;
     size_t served = 0;
     if (!options.journal.empty()) {
-        static std::atomic<unsigned> sweepCounter{0};
-        unsigned nth = sweepCounter.fetch_add(1);
-        std::string path = nth ? options.journal + "." + std::to_string(nth)
-                               : options.journal;
         journal = std::make_unique<SweepJournal>(
-            path, sweepKey(spec), spec.items.size(), options.resume);
+            options.journal, sweepKey(spec), spec.items.size(),
+            options.resume);
     }
     for (size_t i = 0; i < spec.items.size(); ++i) {
         if (journal && journal->has(i) &&
@@ -680,22 +689,60 @@ runSweep(const SweepSpec &spec)
     return result;
 }
 
-SweepResult
-runSuite(const std::vector<wl::Workload> &suite,
-         const cpu::CoreParams &params, const RunOptions &options,
-         bool verbose, const std::string &machine)
+RunHandle
+RunSet::add(const wl::Workload &workload, const cpu::CoreParams &params,
+            const std::string &label)
 {
-    SweepSpec spec(options);
-    spec.verbose = verbose;
-    for (const auto &workload : suite)
-        spec.add(workload, params, machine);
-    return runSweep(spec);
+    auto [it, added] =
+        handles_.try_emplace({workload.name, params.key()}, rows_.size());
+    if (added) {
+        auto &shared = workloads_[workload.name];
+        if (!shared)
+            shared = std::make_shared<const wl::Workload>(workload);
+        pending_.push_back({shared, params, label});
+        rows_.emplace_back();
+    }
+    return it->second;
 }
 
-double
-geoMeanRatio(const std::vector<double> &ratios)
+std::vector<RunHandle>
+RunSet::addEach(const std::vector<wl::Workload> &workloads,
+                const cpu::CoreParams &params, const std::string &label)
 {
-    return geometricMean(ratios);
+    std::vector<RunHandle> handles;
+    for (const wl::Workload &workload : workloads)
+        handles.push_back(add(workload, params, label));
+    return handles;
+}
+
+size_t
+RunSet::run(const std::string &journal)
+{
+    size_t count = pending_.size();
+    if (!count)
+        return 0;
+    SweepSpec spec(options_);
+    spec.options.journal = journal;
+    spec.items = std::move(pending_);
+    pending_.clear();
+    SweepResult sweep = runSweep(spec);
+    std::move(sweep.rows.begin(), sweep.rows.end(), rows_.begin() + done_);
+    done_ += count;
+    return count;
+}
+
+bool
+RunSet::ok(RunHandle handle) const
+{
+    panic_if(handle >= done_, "run %zu has not been simulated", handle);
+    return rows_[handle].ok();
+}
+
+const sim::RunResult &
+RunSet::at(RunHandle handle) const
+{
+    panic_if(handle >= done_, "run %zu has not been simulated", handle);
+    return rows_[handle].result;
 }
 
 } // namespace pubs::bench

@@ -2,9 +2,9 @@
  * @file
  * Shared benchmark-harness utilities: aligned text tables in the style
  * of the paper's figures, optional CSV emission (PUBS_BENCH_CSV=<dir>),
- * and the parallel sweep engine every figure driver batches its runs
- * through. Budgets, worker counts and outputs come from one RunOptions
- * value (run_options.hh) carried by each SweepSpec.
+ * the parallel sweep engine, and the deduplicated run set the figure
+ * driver plans into. Budgets, worker counts and outputs come from one
+ * RunOptions value (run_options.hh) carried by each SweepSpec.
  *
  * Determinism contract of the sweep engine: each run is an independent
  * Simulator seeded entirely from its SweepItem (params.seed + the
@@ -31,6 +31,8 @@
 #ifndef PUBS_BENCH_COMMON_BENCH_UTIL_HH
 #define PUBS_BENCH_COMMON_BENCH_UTIL_HH
 
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +77,20 @@ std::string pct(double ratio);
 /** Format a double with @p digits decimals. */
 std::string num(double value, int digits = 3);
 
+enum class Mean
+{
+    Geometric,
+    Arithmetic,
+};
+
+/**
+ * A table cell holding the @p mean of @p values: pct() of it, or num()
+ * with @p digits when digits >= 0. An empty set prints "n/a", so a
+ * figure whose runs all failed still prints every row.
+ */
+std::string meanCell(const std::vector<double> &values,
+                     Mean mean = Mean::Geometric, int digits = -1);
+
 /**
  * Write the table as CSV into <options.csvDir>/<benchName>.csv if a CSV
  * directory is set. Returns true if written.
@@ -87,7 +103,8 @@ bool maybeWriteCsv(const RunOptions &options, const std::string &benchName,
 /** One independent run: a workload on a machine configuration. */
 struct SweepItem
 {
-    wl::Workload workload;
+    /** Shared, so the many runs of one program hold one copy. */
+    std::shared_ptr<const wl::Workload> workload;
     cpu::CoreParams params;
     /** Label recorded as RunResult::machine and in CSV/JSON output. */
     std::string machine;
@@ -186,20 +203,53 @@ struct SweepResult
  */
 SweepResult runSweep(const SweepSpec &spec);
 
-/**
- * Run every workload in @p suite on @p params as one runSweep(). A
- * workload that throws SimError (bad configuration, trace corruption,
- * checker divergence) becomes a skipped row at its suite index; the
- * sweep continues with the remaining workloads. @p machine labels the
- * runs in CSV/JSON output.
- */
-SweepResult runSuite(const std::vector<wl::Workload> &suite,
-                     const cpu::CoreParams &params,
-                     const RunOptions &options, bool verbose = true,
-                     const std::string &machine = "");
+/** One distinct run of a RunSet. */
+using RunHandle = size_t;
 
-/** Geometric mean of per-workload ratios over a subset selector. */
-double geoMeanRatio(const std::vector<double> &ratios);
+/**
+ * Runs deduplicated across the figures that plan them, simulated in
+ * steps. A run is its workload name and machine key (CoreParams::key(),
+ * as the journal keys rows), so a name must stand for one program;
+ * adding a run again returns the same handle, and the run keeps its
+ * first label. run() sweeps the runs added since
+ * the previous step as one runSweep, so a planner that needs earlier
+ * results plans after a step, and its adds of runs that already ran are
+ * not simulated again.
+ */
+class RunSet
+{
+  public:
+    explicit RunSet(RunOptions options) : options_(std::move(options)) {}
+
+    RunHandle add(const wl::Workload &workload, const cpu::CoreParams &params,
+                  const std::string &label);
+
+    /** add() each of @p workloads; @return their handles, in order. */
+    std::vector<RunHandle> addEach(const std::vector<wl::Workload> &workloads,
+                                   const cpu::CoreParams &params,
+                                   const std::string &label);
+
+    /**
+     * Sweep the runs added since the last step, journaled at @p journal
+     * (empty: none); no new runs, no sweep. @return the runs simulated.
+     */
+    size_t run(const std::string &journal);
+
+    /** A run's outcome; its step must have run. */
+    bool ok(RunHandle handle) const;
+    const sim::RunResult &at(RunHandle handle) const;
+
+    const RunOptions &options() const { return options_; }
+
+  private:
+    RunOptions options_;
+    std::map<std::pair<std::string, std::string>, RunHandle> handles_;
+    /** One copy of each program, by workload name. */
+    std::map<std::string, std::shared_ptr<const wl::Workload>> workloads_;
+    std::vector<SweepItem> pending_; ///< handle = done_ + index
+    std::vector<SweepRow> rows_;     ///< by handle; set below done_
+    size_t done_ = 0;
+};
 
 } // namespace pubs::bench
 

@@ -32,8 +32,8 @@ struct RunOptions
     unsigned jobs = 0;        ///< worker threads; 0 = hardware threads
     unsigned procs = 0;       ///< worker processes; 0 = use threads
     /**
-     * Write-ahead journal; empty disables. A driver running several
-     * sweeps numbers them path, path.1, path.2, ... in call order.
+     * Write-ahead journal; empty disables. bench_figures journals its
+     * second sweep (the D-BP figures) at path.1.
      */
     std::string journal;
     bool resume = false;     ///< serve journaled runs of a killed sweep

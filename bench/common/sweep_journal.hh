@@ -69,7 +69,7 @@ class SweepJournal
      * loses resumability from this point.
      *
      * Honours the PUBS_FAULT killafter:N directive: after the Nth
-     * commit of this process the parent SIGKILLs itself, giving tests
+     * commit to this journal the parent SIGKILLs itself, giving tests
      * and CI a deterministic mid-sweep kill -9.
      */
     void record(size_t slot, const std::string &payload);

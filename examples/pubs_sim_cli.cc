@@ -80,7 +80,7 @@ verifyLockstep(cpu::CoreParams params, const char *machine, uint64_t seed,
                 "audits");
     for (size_t i = 0; i < sweep.rows.size(); ++i) {
         const bench::SweepRow &row = sweep.rows[i];
-        const char *name = spec.items[i].workload.name.c_str();
+        const char *name = spec.items[i].workload->name.c_str();
         if (!row.ok()) {
             std::printf("%-18s %-6s\n", name, "FAIL");
             std::fprintf(stderr, "%s error in %s:\n%s\n",

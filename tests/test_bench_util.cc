@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the benchmark-harness utilities (table formatting, CSV
- * emission, percentage formatting, environment-driven budgets, suite
- * sweeps that skip failing runs).
+ * emission, percentage and mean formatting, environment-driven budgets,
+ * suite sweeps that skip failing runs).
  */
 
 #include <gtest/gtest.h>
@@ -109,7 +109,28 @@ TEST(BenchUtil, BudgetsReadEnvironment)
 
 TEST(BenchUtil, GeoMeanRatio)
 {
-    EXPECT_NEAR(geoMeanRatio({1.1, 1.1, 1.1}), 1.1, 1e-12);
+    EXPECT_NEAR(geometricMean({1.1, 1.1, 1.1}), 1.1, 1e-12);
+}
+
+TEST(BenchUtil, MeanCellPrintsNaForAnEmptySet)
+{
+    EXPECT_EQ(meanCell({1.1, 1.1}), "+10.0%");
+    EXPECT_EQ(meanCell({1.0, 1.2}, Mean::Arithmetic), "+10.0%");
+    EXPECT_EQ(meanCell({0.5, 0.7}, Mean::Arithmetic, 2), "0.60");
+    EXPECT_EQ(meanCell({}), "n/a");
+    EXPECT_EQ(meanCell({}, Mean::Arithmetic, 2), "n/a");
+}
+
+/** One sweep of every workload in @p suite on @p params. */
+SweepResult
+sweepSuite(const std::vector<wl::Workload> &suite,
+           const cpu::CoreParams &params, const RunOptions &options)
+{
+    SweepSpec spec(options);
+    spec.verbose = false;
+    for (const auto &workload : suite)
+        spec.add(workload, params, "");
+    return runSweep(spec);
 }
 
 TEST(BenchUtil, RunSuiteSkipsFailingConfigurations)
@@ -124,7 +145,7 @@ TEST(BenchUtil, RunSuiteSkipsFailingConfigurations)
     cpu::CoreParams bad = sim::makeConfig(sim::Machine::Pubs);
     bad.iqKind = iq::IqKind::Shifting; // PUBS needs the random queue
 
-    SweepResult run = runSuite(suite, bad, RunOptions{}, false);
+    SweepResult run = sweepSuite(suite, bad, RunOptions{});
     ASSERT_EQ(run.rows.size(), suite.size());
     EXPECT_EQ(run.failed(), suite.size());
     EXPECT_FALSE(run.ok(0));
@@ -201,7 +222,7 @@ TEST(BenchUtil, RunSuiteMixedFailurePreservesGoodResults)
     RunOptions options;
     options.insts = 20000;
     options.warmup = 1000;
-    SweepResult run = runSuite(suite, good, options, false);
+    SweepResult run = sweepSuite(suite, good, options);
     ASSERT_EQ(run.rows.size(), 1u);
     EXPECT_EQ(run.failed(), 0u);
     EXPECT_TRUE(run.ok(0));

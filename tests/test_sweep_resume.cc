@@ -269,8 +269,7 @@ TEST(SweepResume, JournalRejectsMismatchedSweep)
 
 /**
  * Run @p fn in a forked child and wait for it. @return the child's wait
- * status. A process numbers its journaled sweeps, so a sweep the child
- * journals and a sweep this process resumes next open the same file.
+ * status.
  */
 int
 inChild(const std::function<void()> &fn)
@@ -386,6 +385,42 @@ TEST(SweepResume, AnotherMachineUnderTheSameLabelIsNotServed)
     SweepResult blind = runSweep(journaled(pubsSweep(false), path, true));
     EXPECT_EQ(blind.farm.journalServed, 0u);
     EXPECT_EQ(blind.failed(), 0u);
+    std::remove(path.c_str());
+}
+
+TEST(SweepResume, CheckOverrideFromTheEnvironmentIsKeyed)
+{
+    cleanSweepConfig();
+    // PUBS_CHECK turns the checker on inside the Pipeline, so its rows
+    // carry checker commits a run without it would not produce.
+    SweepSpec spec;
+    spec.options.jobs = 1;
+    spec.options.warmup = 1000;
+    spec.options.insts = 8000;
+    spec.verbose = false;
+    for (const char *name : {"sjeng_like", "hmmer_like"})
+        spec.add(wl::makeWorkload(name), sim::makeConfig(sim::Machine::Pubs),
+                 "pubs");
+    std::string path = tempPath("pubs_journal_check.jnl");
+    std::remove(path.c_str());
+
+    ASSERT_EQ(inChild([&] {
+                  ::setenv("PUBS_CHECK", "throw", 1);
+                  runSweep(journaled(spec, path, false));
+              }),
+              0);
+    // Under the same override the journal serves every run...
+    ASSERT_EQ(inChild([&] {
+                  ::setenv("PUBS_CHECK", "throw", 1);
+                  SweepResult same = runSweep(journaled(spec, path, true));
+                  ::_exit(same.farm.journalServed == 2 ? 0 : 1);
+              }),
+              0);
+    // ...without it, none.
+    SweepResult unchecked = runSweep(journaled(spec, path, true));
+    EXPECT_EQ(unchecked.farm.journalServed, 0u);
+    EXPECT_EQ(unchecked.failed(), 0u);
+    EXPECT_EQ(unchecked.at(0).pipeline.checkerCommits, 0u);
     std::remove(path.c_str());
 }
 
