@@ -7,12 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstring>
-#include <sstream>
-
 #include "branch/perceptron.hh"
-#include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/bits.hh"
 #include "common/rng.hh"
@@ -79,40 +74,6 @@ BM_PerceptronDotSimd(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PerceptronDotSimd);
-#endif
-
-void
-BM_CacheTagProbeScalar(benchmark::State &state)
-{
-    // An 8-way set with unique tags; alternate hits and misses like a
-    // warm L1 probe stream.
-    uint64_t tags[8];
-    for (unsigned wy = 0; wy < 8; ++wy)
-        tags[wy] = 0x100 + wy;
-    uint64_t probe = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            simd::tagProbeScalar(tags, 0xffu, 8, 0x100 + (probe & 0xf)));
-        ++probe;
-    }
-}
-BENCHMARK(BM_CacheTagProbeScalar);
-
-#if PUBS_SIMD_COMPILED
-void
-BM_CacheTagProbeSimd(benchmark::State &state)
-{
-    uint64_t tags[8];
-    for (unsigned wy = 0; wy < 8; ++wy)
-        tags[wy] = 0x100 + wy;
-    uint64_t probe = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            simd::tagProbeSimd(tags, 0xffu, 8, 0x100 + (probe & 0xf)));
-        ++probe;
-    }
-}
-BENCHMARK(BM_CacheTagProbeSimd);
 #endif
 
 void
@@ -342,198 +303,6 @@ BM_ParallelSweep(benchmark::State &state)
 }
 BENCHMARK(BM_ParallelSweep)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-/** Nanoseconds per call of @p fn over a fixed iteration budget. */
-template <typename F>
-double
-kernelNsPerOp(F &&fn)
-{
-    constexpr int warmup = 100000;
-    constexpr int iters = 2000000;
-    for (int i = 0; i < warmup; ++i)
-        fn(i);
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i)
-        fn(i);
-    auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           iters;
-}
-
-/**
- * Scalar-vs-SIMD timing columns for the two vectorised kernels
- * (common/simd.hh), timed through the production dispatchers with the
- * runtime kill switch toggled — so the numbers reflect what the
- * simulator actually executes, dispatch overhead included. In a build
- * without compiled vector paths both columns time the scalar fallback
- * and the speedup hovers at 1.0.
- */
-std::string
-kernelTimingsJson()
-{
-    Rng rng(11);
-    int16_t weights[64];
-    for (int i = 0; i < 64; ++i)
-        weights[i] = (int16_t)((int)rng.below(256) - 128);
-    uint64_t histories[256];
-    for (int i = 0; i < 256; ++i)
-        histories[i] = rng.next();
-    uint64_t tags[8];
-    for (unsigned wy = 0; wy < 8; ++wy)
-        tags[wy] = 0x100 + wy;
-
-    auto timeBoth = [&](auto &&fn, double &scalarNs, double &simdNs) {
-        bool saved = simd::scalarForced();
-        simd::scalarForced() = true;
-        scalarNs = kernelNsPerOp(fn);
-        simd::scalarForced() = false;
-        simdNs = kernelNsPerOp(fn);
-        simd::scalarForced() = saved;
-    };
-    double dotScalar, dotSimd, probeScalar, probeSimd;
-    timeBoth(
-        [&](int i) {
-            benchmark::DoNotOptimize(
-                simd::perceptronDot(weights, 34, histories[i & 255]));
-        },
-        dotScalar, dotSimd);
-    timeBoth(
-        [&](int i) {
-            benchmark::DoNotOptimize(simd::tagProbe(
-                tags, 0xffu, 8, 0x100 + ((uint64_t)i & 0xf)));
-        },
-        probeScalar, probeSimd);
-
-    std::ostringstream out;
-    char buf[256];
-    out << "  \"simd_compiled\": " << (simd::compiled() ? "true" : "false")
-        << ",\n";
-    out << "  \"kernels\": [\n";
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"perceptron_dot\", \"scalar_ns\": %.3f, "
-                  "\"simd_ns\": %.3f, \"speedup\": %.2f},\n",
-                  dotScalar, dotSimd, dotScalar / dotSimd);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"name\": \"cache_tag_probe\", \"scalar_ns\": %.3f, "
-                  "\"simd_ns\": %.3f, \"speedup\": %.2f}\n",
-                  probeScalar, probeSimd, probeScalar / probeSimd);
-    out << buf;
-    out << "  ],\n";
-    std::fprintf(stderr,
-                 "hostspeed: perceptron_dot %.2f -> %.2f ns (%.2fx), "
-                 "cache_tag_probe %.2f -> %.2f ns (%.2fx)\n",
-                 dotScalar, dotSimd, dotScalar / dotSimd, probeScalar,
-                 probeSimd, probeScalar / probeSimd);
-    return out.str();
-}
-
-/**
- * Run the fig8-style sweep (whole suite x base+PUBS machines) and write
- * a host-speed record: per-run KIPS plus the geometric mean, with the
- * instruction budgets that produced them. Wall-clock fields are
- * inherently host-dependent, so this file is a measurement artifact,
- * not part of the determinism contract.
- */
-int
-writeHostspeed(const char *path, const bench::RunOptions &options)
-{
-    using namespace ::pubs::bench;
-    namespace sim = ::pubs::sim;
-    namespace wl = ::pubs::wl;
-
-    auto suite = wl::makeSuite();
-    SweepSpec spec(options);
-    for (const auto &workload : suite)
-        spec.add(workload, sim::makeConfig(sim::Machine::Base), "base");
-    for (const auto &workload : suite)
-        spec.add(workload, sim::makeConfig(sim::Machine::Pubs), "pubs");
-    std::fprintf(stderr, "hostspeed: %zu runs (base + PUBS)\n",
-                 spec.items.size());
-    SweepResult sweep = runSweep(spec);
-
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"bench\": \"fig8_hostspeed\",\n";
-    out << "  \"measure_insts\": " << options.insts << ",\n";
-    out << "  \"warmup_insts\": " << options.warmup << ",\n";
-    out << "  \"jobs\": " << sweep.jobs << ",\n";
-    out << kernelTimingsJson();
-    out << "  \"runs\": [\n";
-    std::vector<double> allKips;
-    bool first = true;
-    for (size_t i = 0; i < spec.items.size(); ++i) {
-        if (!sweep.ok(i))
-            continue;
-        const sim::RunResult &r = sweep.at(i);
-        if (!first)
-            out << ",\n";
-        first = false;
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "    {\"workload\": \"%s\", \"machine\": \"%s\", "
-                      "\"instructions\": %llu, \"cycles\": %llu, "
-                      "\"sim_seconds\": %.6f, \"kips\": %.2f}",
-                      spec.items[i].workload->name.c_str(),
-                      spec.items[i].machine.c_str(),
-                      (unsigned long long)r.instructions,
-                      (unsigned long long)r.cycles, r.simSeconds,
-                      r.kips());
-        out << buf;
-        if (r.kips() > 0.0)
-            allKips.push_back(r.kips());
-    }
-    out << "\n  ],\n";
-    char geo[64];
-    std::snprintf(geo, sizeof(geo), "%.2f", geometricMean(allKips));
-    out << "  \"geomean_kips\": " << geo << ",\n";
-    out << "  \"failed_runs\": " << sweep.failed() << "\n";
-    out << "}\n";
-    // Atomic publish: the file either has the old contents or the whole
-    // new report, never a truncated mix.
-    std::string error = ::pubs::atomicWriteFile(path, out.str());
-    if (!error.empty()) {
-        std::fprintf(stderr, "hostspeed: cannot write %s: %s\n", path,
-                     error.c_str());
-        return 1;
-    }
-    std::fprintf(stderr, "hostspeed: geomean %s KIPS over %zu runs -> %s\n",
-                 geo, allKips.size(), path);
-    return 0;
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    // `--hostspeed <file.json>` switches from the google-benchmark
-    // microbenchmarks to the whole-simulator host-speed sweep. The
-    // remaining flags go to the respective harness (--jobs N through
-    // the run-option table, --benchmark_* to google-benchmark).
-    const char *hostspeedPath = nullptr;
-    std::vector<char *> harness{argv[0]};
-    std::vector<char *> rest;
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--hostspeed") == 0 && i + 1 < argc) {
-            hostspeedPath = argv[++i];
-        } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            harness.push_back(argv[i]);
-            harness.push_back(argv[++i]);
-        } else {
-            rest.push_back(argv[i]);
-        }
-    }
-    if (hostspeedPath) {
-        return writeHostspeed(hostspeedPath,
-                              ::pubs::bench::parseRunOptions(
-                                  (int)harness.size(), harness.data()));
-    }
-
-    int restArgc = (int)rest.size();
-    benchmark::Initialize(&restArgc, rest.data());
-    if (benchmark::ReportUnrecognizedArguments(restArgc, rest.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -15,7 +15,8 @@ namespace
 // v2: + failure phase, + sampled-simulation fields (windows, skipped
 //     instructions, CI half-widths).
 // v3: + CPI-stack component cycles, + per-branch profile rows.
-constexpr uint8_t codecVersion = 3;
+// v4: misspecPenalty and iqWait histograms moved to log2 buckets.
+constexpr uint8_t codecVersion = 4;
 
 class Encoder
 {

@@ -3,8 +3,7 @@
  * Compiler branch hints for branches the PR-9 CPI stack and host
  * profiler showed to be heavily biased (null telemetry/pipeview/checker
  * pointers, valid in-flight slots, cache hits). Pure host-speed hints:
- * they cannot change simulated behaviour, only code layout. PGO builds
- * (PUBS_PGO=use) override them with measured probabilities.
+ * they cannot change simulated behaviour, only code layout.
  */
 
 #ifndef PUBS_COMMON_HINTS_HH

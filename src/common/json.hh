@@ -3,11 +3,11 @@
  * A strict RFC 8259 JSON parser and validator.
  *
  * Every JSON document this repo emits (stats registry exports, sweep
- * statsJson, progress.json, Chrome trace events, the hostspeed record,
- * the dashboard data block) is consumed by tools that hard-fail on
- * invalid JSON — Perfetto, browsers, python json.load, the KIPS gate.
- * This parser is the in-repo referee: tests strict-parse every emitted
- * document through it, and the gate/dashboard read their inputs with it
+ * statsJson, progress.json, Chrome trace events, the dashboard data
+ * block) is consumed by tools that hard-fail on invalid JSON —
+ * Perfetto, browsers, python json.load, stats_diff. This parser is the
+ * in-repo referee: tests strict-parse every emitted document through
+ * it, and stats_diff and the dashboard read their inputs with it
  * instead of ad-hoc scanning.
  *
  * Strictness: exactly one top-level value, no trailing input, no

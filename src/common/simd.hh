@@ -1,24 +1,19 @@
 /**
  * @file
- * Portable SIMD kernels for the two measured hot loops (DESIGN.md §13):
- * the perceptron dot product and the cache-set tag probe. Both kernels
- * are pure integer arithmetic whose vector forms are bit-identical to
- * the scalar references:
- *
- *  - the dot product accumulates int16 partial sums per lane (bounded
- *    by 64 terms x |w| <= 128 = 8192, far from int16 overflow) and
- *    reduces them in int32 — integer addition is associative, so the
- *    lane-major order cannot change the sum;
- *  - a tag can match at most one way per set (tags are unique within a
- *    set), so the probe's compare order cannot change which way is
- *    found.
+ * SSE2 kernel for the perceptron dot product, the one hot loop whose
+ * vector form measured faster than its scalar loop (DESIGN.md §13). It
+ * is pure integer arithmetic and bit-identical to the scalar reference:
+ * it accumulates int16 partial sums per lane (bounded by 64 terms x
+ * |w| <= 128 = 8192, far from int16 overflow) and reduces them in int32
+ * — integer addition is associative, so the lane-major order cannot
+ * change the sum.
  *
  * Gating is two-level. Compile time: the PUBS_SIMD CMake option defines
  * PUBS_SIMD_ENABLED; without it (or on targets without SSE2) only the
- * scalar paths are compiled. Run time: setting PUBS_FORCE_SCALAR=1 in
- * the environment routes a SIMD-enabled build through the scalar
- * fallbacks, which is how the bit-exactness regression test and the
- * scalar-vs-SIMD microbenchmark columns A/B one binary against itself.
+ * scalar path is compiled. Run time: setting PUBS_FORCE_SCALAR=1 in the
+ * environment routes a SIMD-enabled build through the scalar
+ * reference, which is how the bit-exactness regression test A/Bs one
+ * binary against itself.
  */
 
 #ifndef PUBS_COMMON_SIMD_HH
@@ -91,44 +86,15 @@ perceptronDotScalar(const int16_t *w, unsigned n, uint64_t history)
 #if PUBS_SIMD_COMPILED
 
 /**
- * SSE2 (and optionally AVX2) dot product. Each lane holds the signed
- * contribution of one weight; lanes accumulate in int16 (|sum| <=
- * ceil(64/8) x 128 per lane) and reduce via _mm_madd_epi16 into int32.
+ * SSE2 dot product. Each lane holds the signed contribution of one
+ * weight; lanes accumulate in int16 (|sum| <= ceil(64/8) x 128 per
+ * lane) and reduce via _mm_madd_epi16 into int32.
  */
 inline int
 perceptronDotSimd(const int16_t *w, unsigned n, uint64_t history)
 {
     unsigned i = 0;
     int y = 0;
-#if defined(__AVX2__)
-    if (n >= 16) {
-        const __m256i bitsel = _mm256_set_epi16(
-            (short)0x8000, 0x4000, 0x2000, 0x1000, 0x0800, 0x0400, 0x0200,
-            0x0100, 0x0080, 0x0040, 0x0020, 0x0010, 0x0008, 0x0004, 0x0002,
-            0x0001);
-        __m256i acc = _mm256_setzero_si256();
-        for (; i + 16 <= n; i += 16) {
-            __m256i wv = _mm256_loadu_si256((const __m256i *)(w + i));
-            __m256i h =
-                _mm256_set1_epi16((short)((history >> i) & 0xffff));
-            // Lane mask: all-ones where the lane's history bit is set.
-            __m256i m = _mm256_cmpeq_epi16(_mm256_and_si256(h, bitsel),
-                                           bitsel);
-            // +w where taken, -w where not: (w & m) - (w & ~m).
-            __m256i pos = _mm256_and_si256(wv, m);
-            __m256i neg = _mm256_andnot_si256(m, wv);
-            acc = _mm256_add_epi16(acc, _mm256_sub_epi16(pos, neg));
-        }
-        __m256i ones = _mm256_set1_epi16(1);
-        __m256i sums = _mm256_madd_epi16(acc, ones); // 8 x int32
-        __m128i lo = _mm256_castsi256_si128(sums);
-        __m128i hi = _mm256_extracti128_si256(sums, 1);
-        __m128i s = _mm_add_epi32(lo, hi);
-        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-        s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-        y += _mm_cvtsi128_si32(s);
-    }
-#endif
     if (i + 8 <= n) {
         const __m128i bitsel = _mm_set_epi16((short)0x0080, 0x0040, 0x0020,
                                              0x0010, 0x0008, 0x0004, 0x0002,
@@ -167,79 +133,6 @@ perceptronDot(const int16_t *w, unsigned n, uint64_t history)
         return perceptronDotSimd(w, n, history);
 #endif
     return perceptronDotScalar(w, n, history);
-}
-
-/**
- * Scalar reference for the set probe: index of the first way in
- * [0, ways) whose tag matches and whose valid bit is set, or -1.
- * At most one way can match (tags are unique within a set), so
- * "first" is just "the" match.
- */
-inline int
-tagProbeScalar(const uint64_t *tags, uint32_t validMask, unsigned ways,
-               uint64_t tag)
-{
-    for (unsigned w = 0; w < ways; ++w) {
-        if ((validMask >> w) & 1u) {
-            if (tags[w] == tag)
-                return (int)w;
-        }
-    }
-    return -1;
-}
-
-#if PUBS_SIMD_COMPILED
-
-/** Vector set probe over the dense per-set tag array. */
-inline int
-tagProbeSimd(const uint64_t *tags, uint32_t validMask, unsigned ways,
-             uint64_t tag)
-{
-    unsigned w = 0;
-#if defined(__AVX2__)
-    const __m256i key4 = _mm256_set1_epi64x((long long)tag);
-    for (; w + 4 <= ways; w += 4) {
-        __m256i tv = _mm256_loadu_si256((const __m256i *)(tags + w));
-        __m256i eq = _mm256_cmpeq_epi64(tv, key4);
-        unsigned hits =
-            (unsigned)_mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        hits &= (validMask >> w) & 0xfu;
-        if (hits)
-            return (int)(w + (unsigned)__builtin_ctz(hits));
-    }
-#endif
-    const __m128i key2 = _mm_set1_epi64x((long long)tag);
-    for (; w + 2 <= ways; w += 2) {
-        __m128i tv = _mm_loadu_si128((const __m128i *)(tags + w));
-        // SSE2 has no 64-bit compare: compare 32-bit halves and AND
-        // them pairwise via a half-swapped shuffle.
-        __m128i eq32 = _mm_cmpeq_epi32(tv, key2);
-        __m128i eqsw = _mm_shuffle_epi32(eq32, _MM_SHUFFLE(2, 3, 0, 1));
-        __m128i eq64 = _mm_and_si128(eq32, eqsw);
-        unsigned hits = (unsigned)_mm_movemask_pd(_mm_castsi128_pd(eq64));
-        hits &= (validMask >> w) & 0x3u;
-        if (hits)
-            return (int)(w + (unsigned)__builtin_ctz(hits));
-    }
-    for (; w < ways; ++w) {
-        if (((validMask >> w) & 1u) && tags[w] == tag)
-            return (int)w;
-    }
-    return -1;
-}
-
-#endif // PUBS_SIMD_COMPILED
-
-/** Dispatching set probe (see the scalar reference). */
-inline int
-tagProbe(const uint64_t *tags, uint32_t validMask, unsigned ways,
-         uint64_t tag)
-{
-#if PUBS_SIMD_COMPILED
-    if (enabled())
-        return tagProbeSimd(tags, validMask, ways, tag);
-#endif
-    return tagProbeScalar(tags, validMask, ways, tag);
 }
 
 } // namespace pubs::simd

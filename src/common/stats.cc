@@ -138,6 +138,8 @@ StatGroup::addHistogram(const std::string &key, const Histogram &h,
     std::vector<double> counts(h.numBuckets());
     for (size_t i = 0; i < h.numBuckets(); ++i)
         counts[i] = (double)h.bucket(i);
+    add(key + "_overflow", counts.back(),
+        "samples beyond the last in-range bucket");
     addVector(key + "_buckets", std::move(counts),
               "bucket counts; the last bucket is overflow");
 }

@@ -172,7 +172,8 @@ class StatGroup
     /**
      * Attach @p h under @p key: summary scalars (<key>_samples,
      * <key>_mean, <key>_p50/_p90/_p99), the bucket layout
-     * (<key>_bucket_width) and the raw counts (<key>_buckets).
+     * (<key>_bucket_width), the overflow bucket's count (<key>_overflow)
+     * and the raw counts (<key>_buckets).
      */
     void addHistogram(const std::string &key, const Histogram &h,
                       const std::string &desc = "");

@@ -116,13 +116,15 @@ struct PipelineStats
      */
     CpiStack cpi;
 
-    /** Distribution of misspeculation penalties (4-cycle buckets, so
-     *  long LLC-miss-bound penalties keep resolution). */
-    Histogram misspecPenalty{128, 4};
+    /** Distribution of misspeculation penalties. Log2 buckets: LLC-miss
+     *  bound penalties run to thousands of cycles, which saturated any
+     *  linear range small enough to keep short penalties resolved. */
+    Histogram misspecPenalty{24, 1, BucketScale::Log2};
     /** Per-cycle IQ occupancy distribution (entry buckets). */
     Histogram iqOccupancy{256};
-    /** Dispatch-to-issue wait of issued instructions (2-cycle buckets). */
-    Histogram iqWait{96, 2};
+    /** Dispatch-to-issue wait of issued instructions (log2 buckets, for
+     *  the same long tail as misspecPenalty). */
+    Histogram iqWait{24, 1, BucketScale::Log2};
 
     double ipc() const
     {

@@ -276,9 +276,10 @@ class CoreTelemetry
 
     Histogram priorityOccupancy_{32};
     /** Decode-to-issue latency of issued unconfident-slice instructions,
-     *  split by the IQ partition they issued from (2-cycle buckets). */
-    Histogram prioritySliceLatency_{96, 2};
-    Histogram normalSliceLatency_{96, 2};
+     *  split by the IQ partition they issued from (log2 buckets: slices
+     *  behind an LLC miss wait hundreds of cycles). */
+    Histogram prioritySliceLatency_{24, 1, BucketScale::Log2};
+    Histogram normalSliceLatency_{24, 1, BucketScale::Log2};
     std::unordered_map<Pc, BranchSiteStats> sites_;
 
     // Interval deltas for the heartbeat.

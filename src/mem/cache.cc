@@ -5,7 +5,6 @@
 #include "common/bits.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace pubs::mem
 {
@@ -48,11 +47,15 @@ Cache::findWay(Addr addr) const
     uint64_t tag = tagOf(addr);
     // Most-recently-hit way first: at most one way can match the tag,
     // so the search order cannot change which line is found.
+    uint32_t valid = validBits_[set];
     unsigned hint = mruWay_[set];
-    if (((validBits_[set] >> hint) & 1u) && tags_[base + hint] == tag)
+    if (((valid >> hint) & 1u) && tags_[base + hint] == tag)
         return (int)hint;
-    return simd::tagProbe(&tags_[base], validBits_[set], params_.ways,
-                          tag);
+    for (unsigned w = 0; w < params_.ways; ++w) {
+        if (((valid >> w) & 1u) && tags_[base + w] == tag)
+            return (int)w;
+    }
+    return -1;
 }
 
 Cache::Line *

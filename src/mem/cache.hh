@@ -117,9 +117,8 @@ class Cache : public MemLevel
      * Data-oriented line state (DESIGN.md §13): the fields the probe
      * touches on every access — tags and valid bits — live in dense
      * per-set arrays (tags_, validBits_) so a set's tags share one or
-     * two cache lines and can be compared with one vector op. The
-     * remaining per-line state, touched only on hits and fills, stays
-     * in this parallel record.
+     * two cache lines. The remaining per-line state, touched only on
+     * hits and fills, stays in this parallel record.
      */
     struct Line
     {
@@ -139,7 +138,7 @@ class Cache : public MemLevel
     Addr lineAddrOf(Addr addr) const { return addr & ~(Addr)(params_.lineBytes - 1); }
     size_t setOf(Addr addr) const;
     uint64_t tagOf(Addr addr) const;
-    /** Way holding @p addr, or -1. The SIMD/scalar probe of tags_. */
+    /** Way holding @p addr, or -1: the MRU way, then a scan of tags_. */
     int findWay(Addr addr) const;
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Observability-layer tests: histogram bucket scaling and value-unit
- * percentiles, JSON escaping and the hierarchical StatRegistry renderer,
+ * percentiles, no histogram saturating on a long-latency program, JSON
+ * escaping and the hierarchical StatRegistry renderer,
  * the O3PipeView pipeline trace, and the PUBS slice telemetry measured
  * against a hand-built unpredictable-branch program.
  */
@@ -14,12 +15,14 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "cpu/telemetry.hh"
 #include "isa/builder.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "trace/pipeview.hh"
+#include "workloads/suite.hh"
 
 namespace pubs
 {
@@ -86,6 +89,48 @@ TEST(Histogram, AllOverflowPercentile)
     // the percentile degrades to the overflow bucket's lower bound.
     EXPECT_EQ(h.percentile(0.5), 4u);
     EXPECT_EQ(h.samples(), 2u);
+}
+
+/** Every "<key>_buckets" array under @p v, keyed by its dotted path. */
+void
+collectBuckets(const json::Value &v, const std::string &path,
+               std::vector<std::pair<std::string, const json::Value *>> &out)
+{
+    for (const auto &[key, member] : v.members()) {
+        if (member.isObject())
+            collectBuckets(member, path + key + ".", out);
+        else if (member.isArray() && key.ends_with("_buckets"))
+            out.emplace_back(path + key, &member);
+    }
+}
+
+TEST(Histogram, NoneOverflowsOnMcf)
+{
+    // mcf_like's LLC-miss-bound misspeculation penalties, IQ waits and
+    // slice latencies run to hundreds of cycles: a percentile of a
+    // histogram whose samples land in overflow reports the bound, not
+    // the distribution.
+    wl::Workload w = wl::makeWorkload("mcf_like");
+    for (sim::Machine machine : {sim::Machine::Base, sim::Machine::Pubs}) {
+        cpu::CoreParams params = sim::makeConfig(machine);
+        params.telemetry = true;
+        params.heartbeatInterval = 0;
+        sim::Simulator simulator(params, w.program);
+        (void)simulator.run(20000, 100000);
+        StatRegistry registry;
+        simulator.pipeline().fillRegistry(registry);
+        json::Value doc;
+        std::string error;
+        ASSERT_TRUE(json::parse(registry.renderJson(), doc, error)) << error;
+        std::vector<std::pair<std::string, const json::Value *>> buckets;
+        collectBuckets(doc, "", buckets);
+        ASSERT_FALSE(buckets.empty());
+        for (const auto &[path, counts] : buckets) {
+            ASSERT_FALSE(counts->array().empty()) << path;
+            EXPECT_EQ(counts->array().back().number(), 0.0)
+                << sim::machineName(machine) << ": " << path;
+        }
+    }
 }
 
 // --- JSON rendering ---
@@ -158,8 +203,14 @@ TEST(Json, HistogramStatsInGroup)
     EXPECT_EQ(group.get("wait_samples"), 16.0);
     EXPECT_EQ(group.get("wait_bucket_width"), 2.0);
     EXPECT_EQ(group.get("wait_p50"), 6.0);
+    EXPECT_EQ(group.get("wait_overflow"), 0.0);
     ASSERT_EQ(group.vectorEntries().size(), 1u);
     EXPECT_EQ(group.vectorEntries()[0].values.size(), 9u);
+
+    h.sample(16);
+    h.sample(1000);
+    group.addHistogram("wait", h);
+    EXPECT_EQ(group.get("wait_overflow"), 2.0);
 }
 
 // --- Shared test program: an unpredictable data-dependent branch fed

@@ -4,21 +4,19 @@
  * hierarchical host-phase profiler (nesting, self-time, trace export),
  * the progress sample codec and its frame-CRC protection, the
  * incremental frame splitter, the broker Meter, the dashboard renderer
- * (data block strict-parses back out of the HTML), the KIPS gate, and
- * the plane's byte-exactness contract: enabling profiler + progress
- * must not change a sweep's statsJson by one byte.
+ * (data block strict-parses back out of the HTML), and the plane's
+ * byte-exactness contract: enabling profiler + progress must not change
+ * a sweep's statsJson by one byte.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/json.hh"
-#include "common/kips_gate.hh"
 #include "common/profiler.hh"
 #include "common/progress.hh"
 #include "common/report.hh"
@@ -395,102 +393,6 @@ TEST(Dashboard, WriteHtmlIsAtomicAndComplete)
                      std::istreambuf_iterator<char>());
     EXPECT_NE(html.find("<!DOCTYPE html>"), std::string::npos);
     EXPECT_NE(html.find("</html>"), std::string::npos);
-    std::filesystem::remove_all(dir);
-}
-
-// --- KIPS gate -------------------------------------------------------
-
-std::string
-hostspeedDoc(double scale)
-{
-    char buf[512];
-    std::snprintf(
-        buf, sizeof(buf),
-        "{\"bench\": \"t\", \"runs\": ["
-        "{\"workload\": \"a\", \"machine\": \"base\", \"kips\": %.2f},"
-        "{\"workload\": \"b\", \"machine\": \"base\", \"kips\": %.2f},"
-        "{\"workload\": \"c\", \"machine\": \"pubs\", \"kips\": %.2f}"
-        "], \"geomean_kips\": 0}",
-        2000.0 * scale, 3000.0 * scale, 4000.0 * scale);
-    return buf;
-}
-
-TEST(KipsGate, SelfReplayPasses)
-{
-    const std::string doc = hostspeedDoc(1.0);
-    bench::GateResult r = bench::runKipsGate(doc, doc);
-    EXPECT_EQ(r.error, "");
-    EXPECT_TRUE(r.pass);
-    EXPECT_EQ(r.regressions(), 0u);
-    EXPECT_FALSE(r.geomeanRegressed);
-    EXPECT_NEAR(r.geomeanRatio, 1.0, 1e-9);
-}
-
-TEST(KipsGate, Synthetic20PercentRegressionFails)
-{
-    bench::GateResult r =
-        bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(0.8));
-    EXPECT_EQ(r.error, "");
-    EXPECT_FALSE(r.pass);
-    EXPECT_EQ(r.regressions(), 3u); // 20% > 15% per-workload tolerance
-    EXPECT_TRUE(r.geomeanRegressed); // 20% > 7% geomean tolerance
-    EXPECT_NE(r.report().find("FAIL"), std::string::npos);
-}
-
-TEST(KipsGate, WithinToleranceNoisePasses)
-{
-    // 10% down: within the 15% per-workload band but beyond the 7%
-    // geomean band -> geomean alone must catch it.
-    bench::GateResult r =
-        bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(0.90));
-    EXPECT_EQ(r.regressions(), 0u);
-    EXPECT_TRUE(r.geomeanRegressed);
-    EXPECT_FALSE(r.pass);
-
-    // 5% down: inside both bands.
-    r = bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(0.95));
-    EXPECT_TRUE(r.pass);
-
-    // Faster never fails.
-    r = bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(1.4));
-    EXPECT_TRUE(r.pass);
-}
-
-TEST(KipsGate, MissingRunAndBadInputsAreErrors)
-{
-    bench::GateResult r = bench::runKipsGate(hostspeedDoc(1.0),
-                                             "{\"runs\": ["
-                                             "{\"workload\": \"a\", "
-                                             "\"machine\": \"base\", "
-                                             "\"kips\": 2000}]}");
-    EXPECT_EQ(r.error, "");
-    EXPECT_FALSE(r.pass);
-    EXPECT_EQ(r.missing.size(), 2u);
-
-    r = bench::runKipsGate("{nonsense", hostspeedDoc(1.0));
-    EXPECT_NE(r.error, "");
-    r = bench::runKipsGate(hostspeedDoc(1.0), "{\"runs\": []}");
-    EXPECT_NE(r.error, "");
-}
-
-TEST(KipsGate, LedgerAppendsRowsWithHeaderOnce)
-{
-    const std::string dir = "obs_ledger_test_dir";
-    std::filesystem::create_directory(dir);
-    const std::string path = dir + "/BENCH_LEDGER.md";
-    bench::GateResult pass =
-        bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(1.0));
-    bench::GateResult fail =
-        bench::runKipsGate(hostspeedDoc(1.0), hostspeedDoc(0.8));
-    ASSERT_EQ(bench::appendLedger(path, pass, "run-1"), "");
-    ASSERT_EQ(bench::appendLedger(path, fail, "run-2"), "");
-    std::string text;
-    ASSERT_TRUE(readWholeFile(path, text));
-    EXPECT_EQ(text.find("# Host-speed ledger"), 0u);
-    EXPECT_EQ(text.find("| run |"), text.rfind("| run |")); // one header
-    EXPECT_NE(text.find("| run-1 |"), std::string::npos);
-    EXPECT_NE(text.find("| run-2 |"), std::string::npos);
-    EXPECT_NE(text.find("**FAIL**"), std::string::npos);
     std::filesystem::remove_all(dir);
 }
 
