@@ -11,44 +11,58 @@ namespace pubs::emu
 
 using isa::Opcode;
 
-SparseMemory::Page *
-SparseMemory::findPage(Addr addr) const
+const SparseMemory::Page *
+SparseMemory::imagePage(Addr num) const
 {
-    Addr num = addr / pageBytes;
+    if (!image_)
+        return nullptr;
+    auto it = image_->find(num);
+    return it == image_->end() ? nullptr : &it->second;
+}
+
+const SparseMemory::Page *
+SparseMemory::findPage(Addr num) const
+{
     if (num == memoPageNum_)
         return memoPage_;
-    auto it = pages_.find(num);
-    Page *page = it == pages_.end() ? nullptr : it->second.get();
+    auto it = owned_.find(num);
+    memoOwned_ = it == owned_.end() ? nullptr : it->second.get();
+    memoPage_ = memoOwned_ ? memoOwned_ : imagePage(num);
     memoPageNum_ = num;
-    memoPage_ = page;
-    return page;
+    return memoPage_;
 }
 
 SparseMemory::Page &
-SparseMemory::getPage(Addr addr)
+SparseMemory::getPage(Addr num)
 {
-    Addr num = addr / pageBytes;
-    if (num == memoPageNum_ && memoPage_)
-        return *memoPage_;
-    auto &slot = pages_[num];
-    if (!slot)
-        slot = std::make_unique<Page>();
+    if (num == memoPageNum_ && memoOwned_)
+        return *memoOwned_;
+    auto it = owned_.find(num);
+    if (it == owned_.end()) {
+        // The page's first store: copy it from the image, or start from
+        // zeros.
+        const Page *initial = imagePage(num);
+        it = owned_
+                 .emplace(num, initial ? std::make_unique<Page>(*initial)
+                                       : std::make_unique<Page>())
+                 .first;
+    }
     memoPageNum_ = num;
-    memoPage_ = slot.get();
-    return *slot;
+    memoPage_ = memoOwned_ = it->second.get();
+    return *memoOwned_;
 }
 
 uint8_t
 SparseMemory::readByte(Addr addr) const
 {
-    const Page *page = findPage(addr);
+    const Page *page = findPage(addr / pageBytes);
     return page ? (*page)[addr % pageBytes] : 0;
 }
 
 void
 SparseMemory::writeByte(Addr addr, uint8_t value)
 {
-    getPage(addr)[addr % pageBytes] = value;
+    getPage(addr / pageBytes)[addr % pageBytes] = value;
 }
 
 uint64_t
@@ -58,8 +72,8 @@ SparseMemory::read(Addr addr, unsigned size) const
     Addr off = addr % pageBytes;
     if (off + size <= pageBytes) {
         // Whole access within one page: a single translation instead of
-        // one hash probe per byte.
-        const Page *page = findPage(addr);
+        // one per byte.
+        const Page *page = findPage(addr / pageBytes);
         if (!page)
             return 0;
         uint64_t v = 0;
@@ -79,7 +93,7 @@ SparseMemory::write(Addr addr, uint64_t value, unsigned size)
     panic_if(size == 0 || size > 8, "bad access size %u", size);
     Addr off = addr % pageBytes;
     if (off + size <= pageBytes) {
-        Page &page = getPage(addr);
+        Page &page = getPage(addr / pageBytes);
         for (unsigned i = 0; i < size; ++i)
             page[off + i] = (value >> (8 * i)) & 0xff;
         return;
@@ -110,14 +124,19 @@ SparseMemory::serialize(Serializer &s) const
 {
     s.beginObject("sparse_memory");
     std::vector<Addr> pageNums;
-    pageNums.reserve(pages_.size());
-    for (const auto &entry : pages_)
+    pageNums.reserve(owned_.size() + (image_ ? image_->size() : 0));
+    for (const auto &entry : owned_)
         pageNums.push_back(entry.first);
+    if (image_)
+        for (const auto &entry : *image_)
+            pageNums.push_back(entry.first);
     std::sort(pageNums.begin(), pageNums.end());
+    pageNums.erase(std::unique(pageNums.begin(), pageNums.end()),
+                   pageNums.end());
     s.u64(pageNums.size());
     for (Addr num : pageNums) {
         s.u64(num);
-        s.bytes(pages_.at(num)->data(), pageBytes);
+        s.bytes(findPage(num)->data(), pageBytes);
     }
     s.endObject("sparse_memory");
 }
@@ -126,9 +145,10 @@ void
 SparseMemory::unserialize(Deserializer &d)
 {
     d.beginObject("sparse_memory");
-    pages_.clear();
+    image_.reset();
+    owned_.clear();
     memoPageNum_ = ~(Addr)0;
-    memoPage_ = nullptr;
+    memoPage_ = memoOwned_ = nullptr;
     uint64_t count = d.u64();
     Addr prev = 0;
     for (uint64_t i = 0; i < count; ++i) {
@@ -138,7 +158,7 @@ SparseMemory::unserialize(Deserializer &d)
         prev = num;
         auto page = std::make_unique<Page>();
         d.bytes(page->data(), pageBytes);
-        pages_[num] = std::move(page);
+        owned_[num] = std::move(page);
     }
     d.endObject("sparse_memory");
 }
@@ -146,11 +166,12 @@ SparseMemory::unserialize(Deserializer &d)
 void
 SparseMemory::copyFrom(const SparseMemory &other)
 {
-    pages_.clear();
+    image_ = other.image_;
+    owned_.clear();
     memoPageNum_ = ~(Addr)0;
-    memoPage_ = nullptr;
-    for (const auto &entry : other.pages_)
-        pages_[entry.first] = std::make_unique<Page>(*entry.second);
+    memoPage_ = memoOwned_ = nullptr;
+    for (const auto &entry : other.owned_)
+        owned_[entry.first] = std::make_unique<Page>(*entry.second);
 }
 
 Emulator::Emulator(const isa::Program &program) : prog_(program)
@@ -164,11 +185,7 @@ Emulator::reset()
 {
     intRegs_.fill(0);
     fpRegs_.fill(0.0);
-    mem_ = SparseMemory();
-    for (const auto &init : prog_.dataInits()) {
-        for (size_t i = 0; i < init.bytes.size(); ++i)
-            mem_.writeByte(init.addr + i, init.bytes[i]);
-    }
+    mem_ = SparseMemory(prog_.image());
     pc_ = prog_.basePc();
     seq_ = 0;
     halted_ = false;

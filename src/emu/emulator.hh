@@ -21,11 +21,23 @@
 namespace pubs::emu
 {
 
-/** Sparse byte-addressable memory backed by 4 KB pages. */
+/**
+ * Sparse byte-addressable memory backed by 4 KB pages, over a program's
+ * initial-data image. Reads of a page never written see the image (or
+ * zeros); the first store to a page copies it from the image, or
+ * allocates it zeroed, and this memory owns it from then on. Memories
+ * share an image, which nothing writes, so building one costs nothing
+ * per image byte.
+ */
 class SparseMemory
 {
   public:
-    static constexpr size_t pageBytes = 4096;
+    static constexpr size_t pageBytes = isa::Program::pageBytes;
+    using Image = isa::Program::Image;
+
+    explicit SparseMemory(std::shared_ptr<const Image> image = nullptr)
+        : image_(std::move(image))
+    {}
 
     uint8_t readByte(Addr addr) const;
     void writeByte(Addr addr, uint8_t value);
@@ -40,37 +52,44 @@ class SparseMemory
     double readF64(Addr addr) const;
     void writeF64(Addr addr, double value);
 
-    /** Number of pages currently allocated. */
-    size_t pagesAllocated() const { return pages_.size(); }
+    /** Number of pages this memory owns: those stored to or restored. */
+    size_t pagesOwned() const { return owned_.size(); }
 
     /**
-     * Checkpoint the page set. Pages are emitted sorted by page number,
-     * so the byte stream is independent of hash-map iteration order and
-     * of the access pattern that allocated the pages.
+     * Checkpoint the page set: the image's pages and the owned ones, an
+     * owned page in place of the image's, sorted by page number, so the
+     * byte stream is independent of hash-map iteration order, of the
+     * access pattern that allocated the pages and of which were copied.
      */
     void serialize(Serializer &s) const;
+    /** Restore a checkpoint's pages, all owned; the image is dropped. */
     void unserialize(Deserializer &d);
 
-    /** Deep-copy another memory's page set (checker resync). */
+    /** Share @p other's image and deep-copy its owned pages. */
     void copyFrom(const SparseMemory &other);
 
   private:
-    using Page = std::array<uint8_t, pageBytes>;
+    using Page = isa::Program::Page;
 
-    Page *findPage(Addr addr) const;
-    Page &getPage(Addr addr);
+    const Page *imagePage(Addr num) const;
+    const Page *findPage(Addr num) const;
+    Page &getPage(Addr num);
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    std::shared_ptr<const Image> image_;
+    std::unordered_map<Addr, std::unique_ptr<Page>> owned_;
 
-    // One-entry translation memo: guest accesses cluster on a page for
-    // stretches, and the hash probe per byte dominated the emulator's
-    // host profile on memory-bound workloads. Node-based unordered_map
-    // keeps Page pointers stable across rehash, so the memo only needs
-    // invalidating when the page set is replaced wholesale. A memoised
-    // nullptr (page never written) is refreshed by getPage on the first
-    // allocating write.
+    // One-entry translation memo, so that a hit costs one compare: guest
+    // accesses cluster on a page for stretches, and a hash probe per
+    // access dominated the emulator's host profile on memory-bound
+    // workloads. memoPage_ is what a read of page memoPageNum_ sees: an
+    // owned page, an image page or nullptr (reads zero). memoOwned_ is
+    // memoPage_ if this memory owns it and nullptr otherwise, so a store
+    // through the memo never reaches the image; getPage refreshes both
+    // on a page's first store. Owned pages are node-stable across
+    // rehash, so the memo is reset only when the page set is replaced.
     mutable Addr memoPageNum_ = ~(Addr)0;
-    mutable Page *memoPage_ = nullptr;
+    mutable const Page *memoPage_ = nullptr;
+    mutable Page *memoOwned_ = nullptr;
 };
 
 /**
@@ -82,7 +101,7 @@ class Emulator : public trace::InstSource
   public:
     explicit Emulator(const isa::Program &program);
 
-    /** Reset architectural state and re-install the program's data. */
+    /** Reset architectural state and memory to the program's image. */
     void reset();
 
     /** Execute one instruction. @return false once halted. */

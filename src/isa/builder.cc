@@ -157,13 +157,6 @@ ProgramBuilder::dataF64(Addr addr, double value)
     return *this;
 }
 
-ProgramBuilder &
-ProgramBuilder::dataBytes(Addr addr, std::vector<uint8_t> bytes)
-{
-    prog_.addData(addr, std::move(bytes));
-    return *this;
-}
-
 Program
 ProgramBuilder::build()
 {

@@ -130,7 +130,6 @@ class ProgramBuilder
     /** Install initial data. */
     ProgramBuilder &data64(Addr addr, uint64_t value);
     ProgramBuilder &dataF64(Addr addr, double value);
-    ProgramBuilder &dataBytes(Addr addr, std::vector<uint8_t> bytes);
 
     /** Number of instructions appended so far. */
     size_t size() const { return prog_.size(); }

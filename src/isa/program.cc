@@ -35,19 +35,33 @@ Program::hasLabel(const std::string &label) const
     return labels_.count(label) != 0;
 }
 
-void
-Program::addData(Addr addr, std::vector<uint8_t> bytes)
+Program::Page &
+Program::ownPage(Addr num)
 {
-    data_.push_back({addr, std::move(bytes)});
+    if (num == memoPageNum_ && memoPage_ && image_.use_count() == 1)
+        return *memoPage_;
+    if (!image_)
+        image_ = std::make_shared<Image>();
+    else if (image_.use_count() > 1)
+        image_ = std::make_shared<Image>(*image_); // unshare before writing
+    memoPageNum_ = num;
+    memoPage_ = &(*image_)[num];
+    return *memoPage_;
 }
 
 void
 Program::addData64(Addr addr, uint64_t value)
 {
-    std::vector<uint8_t> bytes(8);
-    for (int i = 0; i < 8; ++i)
-        bytes[i] = (value >> (8 * i)) & 0xff;
-    addData(addr, std::move(bytes));
+    Addr off = addr % pageBytes;
+    if (off + 8 <= pageBytes) {
+        Page &page = ownPage(addr / pageBytes);
+        for (unsigned i = 0; i < 8; ++i)
+            page[off + i] = (value >> (8 * i)) & 0xff;
+        return;
+    }
+    for (unsigned i = 0; i < 8; ++i)
+        ownPage((addr + i) / pageBytes)[(addr + i) % pageBytes] =
+            (value >> (8 * i)) & 0xff;
 }
 
 const Inst &

@@ -1,16 +1,19 @@
 /**
  * @file
  * A Program is an ordered list of static instructions plus optional named
- * labels and initial-data directives. The program is loaded at a fixed
+ * labels and an initial-data image. The program is loaded at a fixed
  * base PC; instruction i lives at basePc() + i * instBytes.
  */
 
 #ifndef PUBS_ISA_PROGRAM_HH
 #define PUBS_ISA_PROGRAM_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -18,13 +21,6 @@
 
 namespace pubs::isa
 {
-
-/** Initial memory contents installed before execution starts. */
-struct DataInit
-{
-    Addr addr;
-    std::vector<uint8_t> bytes;
-};
 
 class Program
 {
@@ -34,6 +30,17 @@ class Program
 
     /** Code is loaded at this PC. */
     static constexpr Pc basePc() { return 0x1000; }
+
+    /** Initial data is held in pages of this many bytes. */
+    static constexpr size_t pageBytes = 4096;
+    using Page = std::array<uint8_t, pageBytes>;
+
+    /**
+     * The memory a run starts from: page number -> bytes, for every page
+     * that data was installed in. Bytes no data covered read zero, as do
+     * pages absent from the image.
+     */
+    using Image = std::unordered_map<Addr, Page>;
 
     /** Append an instruction; returns its index. */
     size_t append(const Inst &inst);
@@ -46,10 +53,10 @@ class Program
 
     bool hasLabel(const std::string &label) const;
 
-    /** Add an initial-data region. */
-    void addData(Addr addr, std::vector<uint8_t> bytes);
-
-    /** Convenience: install a little-endian 64-bit word at @p addr. */
+    /**
+     * Install a little-endian 64-bit word at @p addr in the image, over
+     * whatever was there; the word may straddle two pages.
+     */
     void addData64(Addr addr, uint64_t value);
 
     const Inst &at(size_t index) const;
@@ -71,7 +78,14 @@ class Program
     }
 
     const std::vector<Inst> &insts() const { return insts_; }
-    const std::vector<DataInit> &dataInits() const { return data_; }
+
+    /**
+     * The initial data; nullptr until data is first installed. Copies of
+     * this Program and the emulators built on it share the image; data
+     * installed later goes into a copy, so none of them sees it.
+     */
+    std::shared_ptr<const Image> image() const { return image_; }
+
     const std::string &name() const { return name_; }
     void setName(std::string name) { name_ = std::move(name); }
 
@@ -82,7 +96,15 @@ class Program
     std::string name_;
     std::vector<Inst> insts_;
     std::map<std::string, size_t> labels_;
-    std::vector<DataInit> data_;
+
+    /** Page @p num of an image this Program alone holds; created zeroed. */
+    Page &ownPage(Addr num);
+
+    std::shared_ptr<Image> image_;
+    // Data is mostly installed in ascending words, so ownPage memoises the
+    // last page; it is valid only while this Program alone holds image_.
+    Addr memoPageNum_ = ~(Addr)0;
+    Page *memoPage_ = nullptr;
 };
 
 } // namespace pubs::isa

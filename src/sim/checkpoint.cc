@@ -1,5 +1,6 @@
 #include "sim/checkpoint.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -134,9 +135,17 @@ uint32_t
 programFingerprint(const isa::Program &program)
 {
     uint32_t crc = crc32(program.listing());
-    for (const isa::DataInit &init : program.dataInits()) {
-        crc = crc32(&init.addr, sizeof(init.addr), crc);
-        crc = crc32(init.bytes.data(), init.bytes.size(), crc);
+    auto image = program.image();
+    if (!image)
+        return crc;
+    std::vector<Addr> pageNums;
+    pageNums.reserve(image->size());
+    for (const auto &entry : *image)
+        pageNums.push_back(entry.first);
+    std::sort(pageNums.begin(), pageNums.end());
+    for (Addr num : pageNums) {
+        crc = crc32(&num, sizeof(num), crc);
+        crc = crc32(image->at(num).data(), isa::Program::pageBytes, crc);
     }
     return crc;
 }

@@ -53,7 +53,7 @@ struct CheckpointMeta
     uint32_t paramsFp = 0;   ///< paramsFingerprint() of the machine
 };
 
-/** CRC32 over the program listing + initial-data directives. */
+/** CRC32 over the program listing + its image's pages in page order. */
 uint32_t programFingerprint(const isa::Program &program);
 
 /**

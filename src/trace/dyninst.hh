@@ -54,10 +54,10 @@ struct DynInst
 
     /**
      * Architectural value written to dst (raw bits; FP values are the
-     * IEEE-754 bit pattern). 0 when there is no destination. The
-     * lockstep commit checker (sim/checker.hh) cross-validates it
-     * against an independent reference emulator at every commit; v0
-     * trace files predate it and replay with hasDstValue = false.
+     * IEEE-754 bit pattern). 0 and hasDstValue = false when there is no
+     * destination. The lockstep commit checker (sim/checker.hh)
+     * cross-validates it against an independent reference emulator at
+     * every commit.
      */
     uint64_t dstValue = 0;
     bool hasDstValue = false;

@@ -48,28 +48,20 @@ void
 installRandomWords(isa::Program &prog, Addr base, size_t count,
                    uint64_t limit, Rng &rng)
 {
-    std::vector<uint8_t> bytes(count * 8);
-    for (size_t i = 0; i < count; ++i) {
-        uint64_t v = rng.below(limit);
-        for (int b = 0; b < 8; ++b)
-            bytes[i * 8 + b] = (v >> (8 * b)) & 0xff;
-    }
-    prog.addData(base, std::move(bytes));
+    for (size_t i = 0; i < count; ++i)
+        prog.addData64(base + i * 8, rng.below(limit));
 }
 
 /** Append a random double array (values in [0,2)) as program data. */
 void
 installRandomDoubles(isa::Program &prog, Addr base, size_t count, Rng &rng)
 {
-    std::vector<uint8_t> bytes(count * 8);
     for (size_t i = 0; i < count; ++i) {
         double v = rng.uniform() * 2.0;
         uint64_t bits;
         __builtin_memcpy(&bits, &v, sizeof(bits));
-        for (int b = 0; b < 8; ++b)
-            bytes[i * 8 + b] = (bits >> (8 * b)) & 0xff;
+        prog.addData64(base + i * 8, bits);
     }
-    prog.addData(base, std::move(bytes));
 }
 
 /** Load FP constants: f10 = 1.0, f11 = 0.5. */
@@ -253,20 +245,15 @@ pointerChaseProgram(const std::string &name, const PointerChaseParams &p)
         std::swap(perm[i], perm[j]);
     }
     // perm now encodes a permutation; turn it into a successor ring:
-    // node perm[k] -> perm[k+1].
-    std::vector<uint8_t> bytes((size_t)p.nodes * nodeBytes, 0);
-    auto put64 = [&bytes](size_t offset, uint64_t v) {
-        for (int i = 0; i < 8; ++i)
-            bytes[offset + i] = (v >> (8 * i)) & 0xff;
-    };
+    // node perm[k] -> perm[k+1]. Each node is a next pointer and a
+    // payload; the rest of its bytes read zero.
     for (uint32_t k = 0; k < p.nodes; ++k) {
         uint32_t node = perm[k];
         uint32_t next = perm[(k + 1) % p.nodes];
-        size_t offset = (size_t)node * nodeBytes;
-        put64(offset + 0, chaseBase + (uint64_t)next * nodeBytes);
-        put64(offset + 8, rng.below(valueRange));
+        Addr addr = chaseBase + (Addr)node * nodeBytes;
+        prog.addData64(addr + 0, chaseBase + (uint64_t)next * nodeBytes);
+        prog.addData64(addr + 8, rng.below(valueRange));
     }
-    prog.addData(chaseBase, std::move(bytes));
     return prog;
 }
 

@@ -1,17 +1,23 @@
 /**
  * @file
- * Functional-emulator tests: instruction semantics, sparse memory,
- * control flow, and end-to-end mini programs.
+ * Functional-emulator tests: instruction semantics, sparse memory and
+ * its copy-on-write program image, control flow, and end-to-end mini
+ * programs.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <iterator>
+#include <thread>
 
+#include "common/checksum.hh"
+#include "common/serialize.hh"
 #include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
+#include "workloads/suite.hh"
 
 namespace pubs::emu
 {
@@ -58,7 +64,7 @@ TEST(SparseMemory, PageCrossing)
     Addr addr = SparseMemory::pageBytes - 3;
     mem.write64(addr, 0xdeadbeefcafebabeull);
     EXPECT_EQ(mem.read64(addr), 0xdeadbeefcafebabeull);
-    EXPECT_GE(mem.pagesAllocated(), 2u);
+    EXPECT_GE(mem.pagesOwned(), 2u);
 }
 
 TEST(SparseMemory, Doubles)
@@ -316,6 +322,182 @@ TEST(Emulator, DataInitsInstalledOnReset)
     EXPECT_EQ(emu.instsRetired(), 0u);
     while (emu.step(di)) {}
     EXPECT_EQ(emu.intReg(2), 777);
+}
+
+/**
+ * Adds 1 to each of the 1024 words at 0x4000, which start as their
+ * index: a loop that stores into both pages of its image.
+ */
+isa::Program
+incrementImageProgram()
+{
+    isa::Program prog = isa::assemble(R"(
+        li r1, 0x4000
+        li r2, 0
+        li r3, 1024
+    loop:
+        ld r4, r1, 0
+        addi r4, r4, 1
+        st r4, r1, 0
+        addi r1, r1, 8
+        addi r2, r2, 1
+        blt r2, r3, loop
+        halt
+    )");
+    for (uint64_t i = 0; i < 1024; ++i)
+        prog.addData64(0x4000 + 8 * i, i);
+    return prog;
+}
+
+void
+runToHalt(Emulator &emu)
+{
+    DynInst di;
+    while (emu.step(di)) {}
+}
+
+TEST(EmulatorImage, StoreThroughOneEmulatorLeavesTheOtherAndTheImage)
+{
+    isa::Program prog = incrementImageProgram();
+    Emulator writer(prog), reader(prog);
+    runToHalt(writer);
+    EXPECT_EQ(writer.memory().read64(0x4000 + 8 * 7), 8u);
+    EXPECT_EQ(writer.memory().pagesOwned(), 2u);
+    EXPECT_EQ(reader.memory().read64(0x4000 + 8 * 7), 7u);
+    EXPECT_EQ(reader.memory().pagesOwned(), 0u);
+    auto image = prog.image();
+    const isa::Program::Page &page =
+        image->at(0x4000 / isa::Program::pageBytes);
+    EXPECT_EQ(page[8 * 7], 7u); // word 7's low byte
+}
+
+TEST(EmulatorImage, ResetRestoresTheImageAndDropsWrittenPages)
+{
+    isa::Program prog = incrementImageProgram();
+    Emulator emu(prog);
+    runToHalt(emu);
+    emu.memory().write64(0x100000, 5); // a page the image lacks
+    EXPECT_EQ(emu.memory().pagesOwned(), 3u);
+    emu.reset();
+    EXPECT_EQ(emu.memory().pagesOwned(), 0u);
+    EXPECT_EQ(emu.memory().read64(0x4000 + 8 * 1023), 1023u);
+    EXPECT_EQ(emu.memory().read64(0x100000), 0u);
+    runToHalt(emu);
+    EXPECT_EQ(emu.memory().read64(0x4000 + 8 * 1023), 1024u);
+}
+
+TEST(EmulatorImage, CopyArchStateIsIndependentAndSharesTheImage)
+{
+    isa::Program prog = incrementImageProgram();
+    Emulator source(prog), copy(prog);
+    source.memory().write64(0x4000, 100); // owns page 4 only
+    copy.copyArchState(source);
+    EXPECT_EQ(copy.memory().pagesOwned(), 1u);
+    EXPECT_EQ(copy.memory().read64(0x4000), 100u);
+    EXPECT_EQ(copy.memory().read64(0x5000), 512u); // page 5, the image
+    copy.memory().write64(0x4000, 200);
+    copy.memory().write64(0x5000, 300);
+    EXPECT_EQ(source.memory().read64(0x4000), 100u);
+    EXPECT_EQ(source.memory().read64(0x5000), 512u);
+    EXPECT_EQ(source.memory().pagesOwned(), 1u);
+    EXPECT_EQ(Emulator(prog).memory().read64(0x5000), 512u);
+}
+
+TEST(EmulatorImage, FreshMcfEmulatorCopiesNothing)
+{
+    wl::Workload w = wl::makeWorkload("mcf_like");
+    Emulator emu(w.program);
+    EXPECT_EQ(w.program.image()->size(), 4096u); // 16 MB of nodes
+    EXPECT_EQ(emu.memory().pagesOwned(), 0u);
+}
+
+/**
+ * The oracle for the image and the copy-on-write memory: the CRC32 of
+ * Emulator::serialize for every workload at seed 1, fresh and after
+ * 200,000 steps, and for a program that stores into its own image, as
+ * the byte-at-a-time reset it replaced produced them. Any change to the
+ * page set, the page order or a byte fails it.
+ */
+TEST(EmulatorImage, StateMatchesParentForEveryWorkload)
+{
+    struct Expected
+    {
+        const char *name;
+        uint32_t fresh;
+        uint32_t stepped;
+    };
+    const Expected expected[] = {
+        {"astar_like", 0x32c02b3du, 0xbee8aa4fu},
+        {"bzip2_like", 0x690b4f14u, 0x85b94796u},
+        {"gcc_like", 0xbc88ebc6u, 0xadf0b241u},
+        {"gobmk_like", 0x7a980a73u, 0x0ae9921bu},
+        {"mcf_like", 0xd4161480u, 0x5f0fd64cu},
+        {"omnetpp_like", 0x8df39a27u, 0x9ab5be2au},
+        {"perlbench_like", 0xced3cf86u, 0x4d10c80cu},
+        {"sjeng_like", 0x7a980a73u, 0x71ec753eu},
+        {"soplex_like", 0x26b86f34u, 0x02d0d842u},
+        {"xalancbmk_like", 0xe3268010u, 0xf7463876u},
+        {"bwaves_like", 0xc79cb377u, 0xfefc93f6u},
+        {"gromacs_like", 0x4cfd3ecbu, 0x417c9e47u},
+        {"h264ref_like", 0x32c02b3du, 0x95095af6u},
+        {"hmmer_like", 0x4cfd3ecbu, 0x6ce23bd7u},
+        {"lbm_like", 0xc79cb377u, 0x2c5fc719u},
+        {"libquantum_like", 0x07928d81u, 0xd91fcbacu},
+        {"milc_like", 0x56545c2bu, 0xce2a2628u},
+        {"namd_like", 0x4cfd3ecbu, 0x7dd7f852u},
+    };
+    ASSERT_EQ(std::size(expected), wl::suiteNames().size());
+    auto stateCrc = [](const Emulator &emu) {
+        Serializer s;
+        emu.serialize(s);
+        return crc32(s.data());
+    };
+    for (const Expected &e : expected) {
+        wl::Workload w = wl::makeWorkload(e.name, 1);
+        Emulator emu(w.program);
+        EXPECT_EQ(stateCrc(emu), e.fresh) << e.name;
+        DynInst di;
+        for (int i = 0; i < 200000; ++i)
+            ASSERT_TRUE(emu.step(di)) << e.name;
+        EXPECT_EQ(stateCrc(emu), e.stepped) << e.name;
+    }
+
+    // The workloads store only outside their images, so this program
+    // pins the first-store copy: page 4 half written, then both pages.
+    isa::Program prog = incrementImageProgram();
+    Emulator emu(prog);
+    EXPECT_EQ(stateCrc(emu), 0x3980066bu);
+    DynInst di;
+    for (int i = 0; i < 3000; ++i)
+        ASSERT_TRUE(emu.step(di));
+    EXPECT_EQ(stateCrc(emu), 0x0823d07au);
+    runToHalt(emu);
+    EXPECT_EQ(stateCrc(emu), 0x8a40b1e9u);
+}
+
+TEST(EmulatorImage, SharedProgramAcrossThreads)
+{
+    const isa::Program prog = incrementImageProgram();
+    auto run = [&prog](uint64_t &sum) {
+        Emulator emu(prog);
+        for (int round = 0; round < 20; ++round) {
+            emu.reset();
+            runToHalt(emu);
+        }
+        sum = 0;
+        for (uint64_t i = 0; i < 1024; ++i)
+            sum += emu.memory().read64(0x4000 + 8 * i);
+    };
+    uint64_t sumA = 0, sumB = 0;
+    std::thread a(run, std::ref(sumA));
+    std::thread b(run, std::ref(sumB));
+    a.join();
+    b.join();
+    const uint64_t expected = 1023 * 1024 / 2 + 1024;
+    EXPECT_EQ(sumA, expected);
+    EXPECT_EQ(sumB, expected);
+    Emulator fresh(prog);
+    EXPECT_EQ(fresh.memory().read64(0x4000 + 8 * 1023), 1023u);
 }
 
 TEST(Emulator, DeterministicAcrossRuns)

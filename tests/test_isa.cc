@@ -16,6 +16,27 @@ namespace pubs::isa
 namespace
 {
 
+/** The byte at @p addr of @p prog's image (0 where no data was put). */
+uint8_t
+imageByte(const Program &prog, Addr addr)
+{
+    auto image = prog.image();
+    if (!image)
+        return 0;
+    auto it = image->find(addr / Program::pageBytes);
+    return it == image->end() ? 0 : it->second[addr % Program::pageBytes];
+}
+
+/** The little-endian word at @p addr of @p prog's image. */
+uint64_t
+imageWord(const Program &prog, Addr addr)
+{
+    uint64_t v = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        v |= (uint64_t)imageByte(prog, addr + i) << (8 * i);
+    return v;
+}
+
 TEST(Isa, OpInfoTableIsComplete)
 {
     for (size_t i = 0; i < (size_t)Opcode::NumOpcodes; ++i) {
@@ -119,11 +140,46 @@ TEST(Program, Labels)
 TEST(Program, DataInits)
 {
     Program prog("t");
+    EXPECT_EQ(prog.image(), nullptr);
     prog.addData64(0x2000, 0x1122334455667788ull);
-    ASSERT_EQ(prog.dataInits().size(), 1u);
-    EXPECT_EQ(prog.dataInits()[0].addr, 0x2000u);
-    EXPECT_EQ(prog.dataInits()[0].bytes[0], 0x88); // little endian
-    EXPECT_EQ(prog.dataInits()[0].bytes[7], 0x11);
+    ASSERT_EQ(prog.image()->size(), 1u);
+    EXPECT_EQ(prog.image()->count(0x2000 / Program::pageBytes), 1u);
+    EXPECT_EQ(imageByte(prog, 0x2000), 0x88); // little endian
+    EXPECT_EQ(imageByte(prog, 0x2007), 0x11);
+    EXPECT_EQ(imageByte(prog, 0x2008), 0x00); // the rest of the page
+}
+
+TEST(Program, OverlappingDataKeepsTheLaterBytes)
+{
+    Program prog("t");
+    // Straddles pages 2 and 3; the second word overwrites its top half.
+    prog.addData64(0x2ffc, 0x1111111122222222ull);
+    prog.addData64(0x3000, 0x3333333344444444ull);
+    ASSERT_EQ(prog.image()->size(), 2u);
+    EXPECT_EQ(imageWord(prog, 0x2ffc), 0x4444444422222222ull);
+    EXPECT_EQ(imageWord(prog, 0x3000), 0x3333333344444444ull);
+    prog.addData64(0x2ff8, 0x5555555555555555ull);
+    EXPECT_EQ(imageWord(prog, 0x2ff8), 0x5555555555555555ull);
+    EXPECT_EQ(imageWord(prog, 0x3000), 0x3333333344444444ull);
+}
+
+TEST(Program, CopyThenAddDataLeavesTheOriginal)
+{
+    Program original("t");
+    original.addData64(0x2000, 1);
+    Program copy = original;
+    EXPECT_EQ(copy.image(), original.image()); // shared until written
+    copy.addData64(0x2000, 2);
+    copy.addData64(0x9000, 3);
+    EXPECT_EQ(imageWord(original, 0x2000), 1u);
+    EXPECT_EQ(original.image()->size(), 1u);
+    EXPECT_EQ(imageWord(copy, 0x2000), 2u);
+    EXPECT_EQ(imageWord(copy, 0x9000), 3u);
+
+    // The original, again alone with its image, writes it in place.
+    original.addData64(0x2008, 4);
+    EXPECT_EQ(imageWord(original, 0x2008), 4u);
+    EXPECT_EQ(imageWord(copy, 0x2008), 0u);
 }
 
 TEST(Builder, ForwardAndBackwardLabels)
@@ -209,7 +265,8 @@ TEST(Assembler, MemoryAndFpForms)
     EXPECT_EQ(prog.at(0).op, Opcode::Ld);
     EXPECT_EQ(prog.at(1).src2, 2);
     EXPECT_EQ(prog.at(5).op, Opcode::Fcvt);
-    ASSERT_EQ(prog.dataInits().size(), 1u);
+    ASSERT_EQ(prog.image()->size(), 1u);
+    EXPECT_EQ(imageWord(prog, 0x2000), 42u);
 }
 
 TEST(Assembler, HexAndNegativeImmediates)

@@ -70,11 +70,14 @@ TEST_P(EveryWorkload, SeedChangesTheData)
     // Same code, different data.
     EXPECT_EQ(a.program.size(), b.program.size());
     bool differs = false;
-    const auto &da = a.program.dataInits();
-    const auto &db = b.program.dataInits();
-    ASSERT_EQ(da.size(), db.size());
-    for (size_t i = 0; i < da.size() && !differs; ++i)
-        differs = da[i].bytes != db[i].bytes;
+    auto da = a.program.image();
+    auto db = b.program.image();
+    ASSERT_EQ(da->size(), db->size());
+    for (const auto &[num, page] : *da) {
+        auto it = db->find(num);
+        ASSERT_NE(it, db->end()) << "page " << num;
+        differs = differs || page != it->second;
+    }
     EXPECT_TRUE(differs);
 }
 
