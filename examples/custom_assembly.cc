@@ -1,18 +1,17 @@
 /**
  * @file
  * Example: write a program in the micro-ISA's text assembly, run it
- * functionally, capture a trace, and replay that trace through the
- * timing model — the workflow for bringing your own (open) traces.
+ * functionally, and simulate it on the base and the PUBS machine — the
+ * workflow for bringing your own kernel.
  */
 
 #include <cstdio>
-#include <filesystem>
 
+#include "common/rng.hh"
 #include "emu/emulator.hh"
 #include "isa/assembler.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
-#include "trace/trace.hh"
 
 namespace
 {
@@ -65,38 +64,32 @@ main()
     std::string listing = prog.listing();
     std::printf("%.*s...\n\n", 420, listing.c_str());
 
-    // Functional run + trace capture.
-    std::string path =
-        (std::filesystem::temp_directory_path() / "checksum.trc").string();
+    // Functional run: what the first 400K instructions compute.
     {
         emu::Emulator emu(prog);
-        trace::TraceWriter writer(path);
         trace::DynInst di;
-        for (int i = 0; i < 400000 && emu.step(di); ++i)
-            writer.write(di);
-        writer.close();
-        std::printf("captured %llu instructions to %s\n",
-                    (unsigned long long)writer.recordsWritten(),
-                    path.c_str());
+        unsigned long long steps = 0;
+        while (steps < 400000 && emu.step(di))
+            ++steps;
+        std::printf("emulated %llu instructions\n", steps);
         std::printf("architectural checksum r11 = %#llx\n\n",
                     (unsigned long long)emu.intReg(11));
     }
 
-    // Timing simulation straight from the emulator...
-    sim::RunResult live = sim::simulate(
-        sim::makeConfig(sim::Machine::Pubs), prog, 50000, 200000);
-    std::printf("emulator-driven   : IPC %.3f, branch MPKI %.1f\n",
-                live.ipc, live.branchMpki);
-
-    // ...and from the captured trace (wrong-path modelling degrades to
-    // redirect stalls because a trace has no static code to fetch).
-    sim::Simulator fromTrace(
-        sim::makeConfig(sim::Machine::Pubs),
-        std::make_unique<trace::TraceReader>(path));
-    sim::RunResult replay = fromTrace.run(50000, 200000);
-    std::printf("trace-driven      : IPC %.3f, branch MPKI %.1f\n",
-                replay.ipc, replay.branchMpki);
-
-    std::remove(path.c_str());
+    // Timing simulation from the program, on both machines.
+    const uint64_t warmup = 50000;
+    const uint64_t measure = 200000;
+    sim::RunResult base = sim::simulate(sim::makeConfig(sim::Machine::Base),
+                                        prog, warmup, measure);
+    sim::RunResult pubs = sim::simulate(sim::makeConfig(sim::Machine::Pubs),
+                                        prog, warmup, measure);
+    std::printf("base machine      : IPC %.3f, branch MPKI %.1f\n",
+                base.ipc, base.branchMpki);
+    std::printf("PUBS machine      : IPC %.3f, branch MPKI %.1f\n",
+                pubs.ipc, pubs.branchMpki);
+    std::printf("speedup           : %+.1f%%\n",
+                (pubs.speedupOver(base) - 1.0) * 100.0);
+    std::printf("misspec. penalty  : %.1f -> %.1f cycles\n",
+                base.avgMisspecPenalty, pubs.avgMisspecPenalty);
     return 0;
 }

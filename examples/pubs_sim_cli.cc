@@ -1,21 +1,21 @@
 /**
  * @file
- * A command-line driver for one-off simulations: one workload (suite
- * name or .trc trace) on one machine, optionally fast-forwarded,
- * checkpointed, sampled, or dumped as stats JSON / pipeview / an HTML
- * dashboard; or, with --check lockstep, every suite workload under the
- * lockstep checker and the structural auditor as one sweep (PASS/FAIL
- * per workload). `pubs_sim_cli --help` lists every flag: this driver's
- * own rows, then the harness rows it shares with the bench drivers
+ * A command-line driver for one-off simulations: one suite workload on
+ * one machine, optionally fast-forwarded, checkpointed, sampled, or
+ * dumped as stats JSON / pipeview / an HTML dashboard; or, with --check
+ * lockstep, every suite workload under the lockstep checker and the
+ * structural auditor as one sweep (PASS/FAIL per workload).
+ * `pubs_sim_cli --help` lists every flag: this driver's own rows, then
+ * the harness rows it shares with the bench drivers
  * (bench/common/run_options.hh: --jobs, --procs, --progress, --report,
  * --cpi-stack, --branch-profile, --sample, ...).
  *
  * Prints the full pipeline stat group. Recoverable failures (bad
- * configuration, corrupt trace, checker divergence under --check throw)
- * print "error: ..." and exit 1 instead of aborting; so does --check
- * lockstep when a workload fails, including a worker process that fails
- * beyond retry under --procs. Malformed flags print the usage and
- * exit 2.
+ * configuration, unknown workload, corrupt checkpoint, checker
+ * divergence under --check throw) print "error: ..." and exit 1 instead
+ * of aborting; so does --check lockstep when a workload fails,
+ * including a worker process that fails beyond retry under --procs.
+ * Malformed flags print the usage and exit 2.
  */
 
 #include <cstdio>
@@ -29,12 +29,10 @@
 #include "common/report.hh"
 #include "common/stats.hh"
 #include "cpu/telemetry.hh"
-#include "emu/emulator.hh"
 #include "sim/config.hh"
 #include "sim/sampling.hh"
 #include "sim/simulator.hh"
 #include "trace/pipeview.hh"
-#include "trace/trace.hh"
 #include "workloads/suite.hh"
 
 namespace
@@ -132,7 +130,7 @@ run(int argc, char **argv)
     using T = bench::OptionType;
     bench::parseRunOptions(argc, argv, options, {
         {"--workload", nullptr, T::Text,
-         "suite workload or trace file path.trc (default sjeng_like)",
+         "suite workload (default sjeng_like; --list names them)",
          &workload},
         {"--machine", nullptr, T::Text,
          "base, pubs, age or pubs+age (default pubs)", &machineArg},
@@ -254,12 +252,8 @@ run(int argc, char **argv)
     std::printf("machine: %s (%s)\n%s\n", sim::machineName(machine),
                 cpu::sizeClassName(size), params.describe().c_str());
 
+    wl::Workload w = wl::makeWorkload(workload, seed);
     if (options.sampleWindows) {
-        if (workload.ends_with(".trc")) {
-            fatal("--sample needs a suite workload; trace replay cannot "
-                  "be checkpointed");
-        }
-        wl::Workload w = wl::makeWorkload(workload, seed);
         sim::SamplePlan plan = options.samplePlan();
         const std::string &checkpointDir = options.checkpointDir;
         sim::CheckpointStore store(checkpointDir);
@@ -314,17 +308,7 @@ run(int argc, char **argv)
         return 0;
     }
 
-    std::unique_ptr<trace::InstSource> source;
-    isa::Program program;
-    if (workload.ends_with(".trc")) {
-        source = std::make_unique<trace::TraceReader>(workload);
-    } else {
-        wl::Workload w = wl::makeWorkload(workload, seed);
-        program = std::move(w.program);
-        source = std::make_unique<emu::Emulator>(program);
-    }
-
-    sim::Simulator simulator(params, std::move(source));
+    sim::Simulator simulator(params, w.program);
     if (!restoreCkptPath.empty()) {
         simulator.restoreCheckpointFile(restoreCkptPath);
         std::printf("checkpoint restored from %s (%llu insts "

@@ -9,14 +9,16 @@
 #ifndef PUBS_BRANCH_PERCEPTRON_HH
 #define PUBS_BRANCH_PERCEPTRON_HH
 
+#include <cstdint>
 #include <vector>
 
-#include "branch/predictor.hh"
+#include "common/serialize.hh"
+#include "common/types.hh"
 
 namespace pubs::branch
 {
 
-class Perceptron : public BranchPredictor
+class Perceptron
 {
   public:
     /**
@@ -25,14 +27,30 @@ class Perceptron : public BranchPredictor
      */
     Perceptron(unsigned historyBits, unsigned tableEntries);
 
-    bool predict(Pc pc) override;
-    void update(Pc pc, bool taken) override;
-    uint64_t costBits() const override;
-    const char *name() const override { return "perceptron"; }
+    /** Predicted direction of the conditional branch at @p pc. */
+    bool predict(Pc pc);
 
-    /** The predict/update memo is a pure cache and is not serialized. */
-    void serialize(Serializer &s) const override;
-    void unserialize(Deserializer &d) override;
+    /**
+     * Train with the actual outcome and shift it into the global
+     * history. Updating with the actual outcome models perfect history
+     * repair after a misprediction: fetch resumes on the correct path,
+     * so the repaired history is what the hardware would hold.
+     */
+    void update(Pc pc, bool taken);
+
+    /** Storage cost in bits (for Table III-style accounting). */
+    uint64_t costBits() const;
+
+    /** Cost in kilobytes. */
+    double costKB() const { return (double)costBits() / 8.0 / 1024.0; }
+
+    /**
+     * Checkpoint the weights and history; restoring into a predictor of
+     * another geometry fails. The predict/update memo is a pure cache
+     * and is not serialized.
+     */
+    void serialize(Serializer &s) const;
+    void unserialize(Deserializer &d);
 
     unsigned historyBits() const { return historyBits_; }
     unsigned tableEntries() const { return tableEntries_; }

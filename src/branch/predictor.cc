@@ -1,15 +1,11 @@
 #include "branch/predictor.hh"
 
-#include "branch/bimode.hh"
-#include "branch/gshare.hh"
-#include "branch/perceptron.hh"
-#include "branch/tournament.hh"
 #include "common/logging.hh"
 
 namespace pubs::branch
 {
 
-std::unique_ptr<BranchPredictor>
+std::unique_ptr<Perceptron>
 makePredictor(PredictorKind kind)
 {
     switch (kind) {
@@ -19,14 +15,6 @@ makePredictor(PredictorKind kind)
       case PredictorKind::PerceptronLarge:
         // Section V-F: 36-bit history, 512-entry weight table.
         return std::make_unique<Perceptron>(36, 512);
-      case PredictorKind::Gshare:
-        return std::make_unique<Gshare>(14);
-      case PredictorKind::Bimode:
-        return std::make_unique<Bimode>(12, 13);
-      case PredictorKind::Tournament:
-        return std::make_unique<Tournament>(10, 10, 13);
-      case PredictorKind::AlwaysTaken:
-        return std::make_unique<StaticPredictor>(true);
     }
     panic("unknown predictor kind %d", (int)kind);
 }
@@ -37,10 +25,6 @@ predictorKindName(PredictorKind kind)
     switch (kind) {
       case PredictorKind::Perceptron: return "perceptron";
       case PredictorKind::PerceptronLarge: return "perceptron-large";
-      case PredictorKind::Gshare: return "gshare";
-      case PredictorKind::Bimode: return "bimode";
-      case PredictorKind::Tournament: return "tournament";
-      case PredictorKind::AlwaysTaken: return "always-taken";
     }
     panic("unknown predictor kind %d", (int)kind);
 }

@@ -1,82 +1,32 @@
 /**
  * @file
- * Conditional-branch direction predictors. All predictors share a simple
- * trace-driven protocol: predict(pc) then update(pc, taken). History is
- * updated with the actual outcome inside update(), which models perfect
- * history repair after a misprediction (the standard trace-driven
- * simplification; fetch resumes on the correct path in our redirect
- * model, so the repaired history is what the hardware would hold).
+ * The conditional-branch predictor configurations the evaluation uses:
+ * the Table I perceptron and the enlarged one of Fig. 13.
  */
 
 #ifndef PUBS_BRANCH_PREDICTOR_HH
 #define PUBS_BRANCH_PREDICTOR_HH
 
-#include <cstdint>
 #include <memory>
-#include <string>
 
-#include "common/serialize.hh"
-#include "common/types.hh"
+#include "branch/perceptron.hh"
 
 namespace pubs::branch
 {
 
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predicted direction of the conditional branch at @p pc. */
-    virtual bool predict(Pc pc) = 0;
-
-    /** Train with the actual outcome (also advances global history). */
-    virtual void update(Pc pc, bool taken) = 0;
-
-    /** Storage cost in bits (for Table III-style accounting). */
-    virtual uint64_t costBits() const = 0;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Checkpoint the warm tables and history. Default: stateless
-     * (StaticPredictor). Implementations must guard their geometry so
-     * restoring into a differently-sized predictor fails loudly.
-     */
-    virtual void serialize(Serializer &) const {}
-    virtual void unserialize(Deserializer &) {}
-
-    /** Cost in kilobytes. */
-    double costKB() const { return (double)costBits() / 8.0 / 1024.0; }
-};
-
-/** Always-taken / always-not-taken (baseline for tests). */
-class StaticPredictor : public BranchPredictor
-{
-  public:
-    explicit StaticPredictor(bool taken) : taken_(taken) {}
-
-    bool predict(Pc) override { return taken_; }
-    void update(Pc, bool) override {}
-    uint64_t costBits() const override { return 0; }
-    const char *name() const override { return "static"; }
-
-  private:
-    bool taken_;
-};
-
-/** Named predictor kinds understood by makePredictor(). */
+/**
+ * Named predictor configurations understood by makePredictor(). The
+ * machine key and the checkpoint fingerprint render a kind as its
+ * number, so the values are fixed.
+ */
 enum class PredictorKind
 {
-    Perceptron,       ///< paper default: 34-bit history, 256 weights
-    PerceptronLarge,  ///< Fig. 13: 36-bit history, 512 weights
-    Gshare,
-    Bimode,
-    Tournament,
-    AlwaysTaken,
+    Perceptron = 0,      ///< paper default: 34-bit history, 256 weights
+    PerceptronLarge = 1, ///< Fig. 13: 36-bit history, 512 weights
 };
 
 /** Factory for the predictor configurations used in the evaluation. */
-std::unique_ptr<BranchPredictor> makePredictor(PredictorKind kind);
+std::unique_ptr<Perceptron> makePredictor(PredictorKind kind);
 
 const char *predictorKindName(PredictorKind kind);
 

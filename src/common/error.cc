@@ -14,7 +14,6 @@ SimError::kindName(Kind kind)
     switch (kind) {
       case Kind::Fatal: return "fatal";
       case Kind::Config: return "config";
-      case Kind::Trace: return "trace";
       case Kind::Check: return "check";
       case Kind::Audit: return "audit";
       case Kind::Proc: return "proc";
@@ -85,8 +84,6 @@ reportViolation(CheckPolicy policy, SimError::Kind kind,
             throw AuditError(message);
           case SimError::Kind::Config:
             throw ConfigError(message);
-          case SimError::Kind::Trace:
-            throw TraceError(message);
           default:
             throw SimError(kind, message);
         }

@@ -4,7 +4,7 @@
  *
  * Historically every configuration or input problem ended the process via
  * fatal()'s exit(1). A production sweep running thousands of
- * configurations cannot afford that: one corrupt trace or impossible
+ * configurations cannot afford that: one corrupt checkpoint or impossible
  * parameter combination must be reported, skipped, and survived. All
  * user-recoverable failures therefore throw SimError (fatal() itself now
  * throws — see logging.hh); panic() still aborts, because it marks a
@@ -33,7 +33,6 @@ class SimError : public std::runtime_error
     {
         Fatal,  ///< generic fatal() (impossible request)
         Config, ///< rejected by CoreParams::validate()
-        Trace,  ///< malformed or corrupt trace file
         Check,  ///< lockstep commit-checker divergence
         Audit,  ///< structural pipeline invariant violated
         Proc,   ///< worker process failed (crash, hang, corrupt frame)
@@ -58,15 +57,6 @@ class ConfigError : public SimError
   public:
     explicit ConfigError(const std::string &message)
         : SimError(Kind::Config, message)
-    {}
-};
-
-/** A trace file that cannot be trusted. */
-class TraceError : public SimError
-{
-  public:
-    explicit TraceError(const std::string &message)
-        : SimError(Kind::Trace, message)
     {}
 };
 

@@ -5,8 +5,7 @@
  * bracketed by CRC-tagged markers so a reader that drifts out of sync
  * fails loudly at the next bracket instead of silently misdecoding, and
  * every read is bounds-checked against the payload — a truncated or
- * bit-flipped checkpoint surfaces as a typed CheckpointError, mirroring
- * the trace reader's corruption contract.
+ * bit-flipped checkpoint surfaces as a typed CheckpointError.
  */
 
 #ifndef PUBS_COMMON_SERIALIZE_HH

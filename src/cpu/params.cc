@@ -119,7 +119,8 @@ constexpr ParamRow paramRows[] = {
     PARAM(numIntMulDiv, Timing, atLeast(1)),
     PARAM(numLdSt, Timing, atLeast(1)),
     PARAM(numFpu, Timing, atLeast(1)),
-    PARAM(predictor, Functional, upTo(branch::PredictorKind::AlwaysTaken)),
+    PARAM(predictor, Functional,
+          upTo(branch::PredictorKind::PerceptronLarge)),
     PARAM(btbSets, Functional, powerOfTwo),
     PARAM(btbWays, Functional, atLeast(1)),
     PARAM(rasDepth, Functional, atLeast(1)),

@@ -115,10 +115,10 @@ struct CoreParams
 
     // --- verification (see sim/checker.hh and cpu/audit.hh) ---
     /**
-     * Lockstep commit checker: an independent functional emulator
-     * cross-validates PC / next-PC / destination value / effective
-     * address at every commit. Needs a program-backed source; trace
-     * replays warn once and run unchecked. Overridable via PUBS_CHECK.
+     * Lockstep commit checker: an independent functional emulator of
+     * the source's program cross-validates PC / next-PC / destination
+     * value / effective address at every commit. Overridable via
+     * PUBS_CHECK.
      */
     CheckPolicy checkPolicy = CheckPolicy::Off;
     /**

@@ -30,6 +30,7 @@ using isa::Opcode;
 Pipeline::Pipeline(const CoreParams &params, trace::InstSource &source)
     : params_((params.validate(), params)),
       source_(source),
+      program_(source.program()),
       rename_(params.intPhysRegs, params.fpPhysRegs),
       rob_(params.robEntries),
       lsq_(params.lsqEntries),
@@ -103,9 +104,7 @@ Pipeline::Pipeline(const CoreParams &params, trace::InstSource &source)
     for (size_t i = slots; i > 0; --i)
         freeIds_.push_back((uint32_t)(i - 1));
     readyMask_.assign((params.iqEntries + 63) / 64, 0);
-    staticProgram_ = source.program();
-    if (staticProgram_)
-        lastMemAddr_.assign(staticProgram_->size(), 0);
+    lastMemAddr_.assign(program_.size(), 0);
 
     if (params.telemetry)
         telemetry_ = std::make_unique<CoreTelemetry>(params);
@@ -113,15 +112,8 @@ Pipeline::Pipeline(const CoreParams &params, trace::InstSource &source)
     // PUBS_CHECK in the environment overrides both configured policies.
     checkPolicy_ = checkPolicyFromEnv(params.checkPolicy);
     auditPolicy_ = checkPolicyFromEnv(params.auditPolicy);
-    if (checkPolicy_ != CheckPolicy::Off) {
-        if (staticProgram_) {
-            checker_ = std::make_unique<sim::CommitChecker>(*staticProgram_);
-        } else {
-            warn_once("lockstep checking requested, but the instruction "
-                      "source carries no static program (trace replay); "
-                      "commits will run unchecked");
-        }
-    }
+    if (checkPolicy_ != CheckPolicy::Off)
+        checker_ = std::make_unique<sim::CommitChecker>(program_);
 }
 
 Pipeline::~Pipeline() = default;
@@ -361,11 +353,8 @@ bool
 Pipeline::fetchCanProgress() const
 {
     // Would doFetch() reach the i-cache access once any suspension
-    // expires? Mirrors its early exits: blocked on an unresolved branch,
-    // front end full, idling on an unresolvable wrong path, or source
-    // exhausted.
-    if (fetchBlockedOnBranch_)
-        return false;
+    // expires? Mirrors its early exits: front end full, idling on an
+    // unresolvable wrong path, or source exhausted.
     if (frontendQueue_.size() >= frontendCapacity_)
         return false;
     if (wrongPathActive_)
@@ -507,7 +496,7 @@ Pipeline::classifyStallCycle(DispatchBlock block) const
     // the starvation cause decides the component.
     if (!rob_.empty())
         return chaseRobHead(CpiComponent::Execute);
-    if (wrongPathActive_ || fetchBlockedOnBranch_)
+    if (wrongPathActive_)
         return CpiComponent::BranchMisspec;
     if (now_ < fetchSuspendedUntil_ &&
         suspendReason_ == SuspendReason::Recovery) {
@@ -597,8 +586,7 @@ Pipeline::functionalFastForward(uint64_t insts)
         mem_->warmFetch(di.pc);
 
         if (di.isMem()) {
-            if (staticProgram_)
-                lastMemAddr_[staticProgram_->indexOf(di.pc)] = di.effAddr;
+            lastMemAddr_[program_.indexOf(di.pc)] = di.effAddr;
             mem::DataAccess res = mem_->warmData(di.effAddr, di.isStore());
             if (res.llcMiss && modeSwitch_)
                 modeSwitch_->noteLlcMiss();
@@ -806,7 +794,6 @@ Pipeline::processSquashes()
         // recovery penalty (Table I: 10 cycles).
         wrongPathActive_ = false;
         wrongPathPc_ = 0;
-        fetchBlockedOnBranch_ = false;
         if (now_ + params_.recoveryPenalty >= fetchSuspendedUntil_) {
             fetchSuspendedUntil_ = now_ + params_.recoveryPenalty;
             suspendReason_ = SuspendReason::Recovery;
@@ -1422,7 +1409,7 @@ Pipeline::doDispatch()
 void
 Pipeline::doFetch()
 {
-    if (fetchBlockedOnBranch_ || now_ < fetchSuspendedUntil_)
+    if (now_ < fetchSuspendedUntil_)
         return;
 
     unsigned fetched = 0;
@@ -1505,14 +1492,13 @@ Pipeline::doFetch()
         }
 
         bool endGroup = false;
-        bool blockFetch = false;
         bool btbBubble = false;
         if (!onWrongPath) {
             // Remember data addresses so wrong-path replays of this
             // static instruction can approximate their accesses.
-            if (di.isMem() && staticProgram_)
-                lastMemAddr_[staticProgram_->indexOf(di.pc)] = di.effAddr;
-            fetchControl(hot, cold.di, endGroup, blockFetch, btbBubble);
+            if (di.isMem())
+                lastMemAddr_[program_.indexOf(di.pc)] = di.effAddr;
+            fetchControl(hot, cold.di, endGroup, btbBubble);
         } else {
             endGroup = wpEndGroup;
             ++stats_.wrongPathFetched;
@@ -1522,12 +1508,6 @@ Pipeline::doFetch()
         ++fetched;
         ++stats_.fetched;
 
-        if (blockFetch) {
-            // No static program available: degrade to redirect-stall
-            // modelling (fetch idles until the branch resolves).
-            fetchBlockedOnBranch_ = true;
-            break;
-        }
         if (btbBubble) {
             ++stats_.btbMissBubbles;
             fetchSuspendedUntil_ = now_ + params_.btbMissPenalty;
@@ -1543,16 +1523,13 @@ Pipeline::doFetch()
 
 void
 Pipeline::fetchControl(InflightHot &hot, const trace::DynInst &di,
-                       bool &endGroup, bool &blockFetch, bool &btbBubble)
+                       bool &endGroup, bool &btbBubble)
 {
-    auto enterWrongPath = [this, &blockFetch](Pc wrongPc) {
-        if (staticProgram_) {
-            wrongPathActive_ = true;
-            wrongPathPc_ =
-                staticProgram_->contains(wrongPc) ? wrongPc : 0;
-        } else {
-            blockFetch = true;
-        }
+    // A wrong path that leaves the program (or has no target) idles the
+    // front end until the squash.
+    auto enterWrongPath = [this](Pc wrongPc) {
+        wrongPathActive_ = true;
+        wrongPathPc_ = program_.contains(wrongPc) ? wrongPc : 0;
     };
 
     if (di.isCondBranch()) {
@@ -1568,21 +1545,11 @@ Pipeline::fetchControl(InflightHot &hot, const trace::DynInst &di,
         if (hot.isMispredict) {
             ++stats_.condMispredicts;
             // The wrong path is the direction the predictor chose.
-            Pc wrongPc;
-            if (predTaken) {
-                // Predicted taken, actually fell through: the machine
-                // fetches from the branch target.
-                size_t index = staticProgram_
-                                   ? staticProgram_->indexOf(di.pc)
-                                   : 0;
-                wrongPc = staticProgram_
-                              ? staticProgram_->pcOf(
-                                    (size_t)staticProgram_->at(index).imm)
-                              : 0;
-            } else {
-                wrongPc = di.fallthroughPc();
-            }
-            enterWrongPath(wrongPc);
+            // Predicted taken, actually fell through: the machine
+            // fetches from the branch target.
+            const isa::Inst &si = program_.at(program_.indexOf(di.pc));
+            enterWrongPath(predTaken ? program_.pcOf((size_t)si.imm)
+                                     : di.fallthroughPc());
         } else if (di.taken) {
             endGroup = true;
         }
@@ -1599,17 +1566,7 @@ Pipeline::fetchControl(InflightHot &hot, const trace::DynInst &di,
         if (predTarget != di.nextPc) {
             ++stats_.indirectMispredicts;
             hot.isMispredict = true;
-            if (predTarget != 0) {
-                enterWrongPath(predTarget);
-            } else {
-                // No predicted target at all: the front end idles.
-                if (staticProgram_) {
-                    wrongPathActive_ = true;
-                    wrongPathPc_ = 0;
-                } else {
-                    blockFetch = true;
-                }
-            }
+            enterWrongPath(predTarget); // 0 when the RAS is empty
         } else {
             endGroup = true;
         }
@@ -1619,14 +1576,13 @@ Pipeline::fetchControl(InflightHot &hot, const trace::DynInst &di,
 bool
 Pipeline::makeWrongPathInst(trace::DynInst &out)
 {
-    panic_if(!staticProgram_, "wrong-path fetch without a program");
-    if (wrongPathPc_ == 0 || !staticProgram_->contains(wrongPathPc_)) {
+    if (wrongPathPc_ == 0 || !program_.contains(wrongPathPc_)) {
         wrongPathPc_ = 0;
         return false;
     }
     Pc pc = wrongPathPc_;
-    size_t index = staticProgram_->indexOf(pc);
-    const isa::Inst &si = staticProgram_->at(index);
+    size_t index = program_.indexOf(pc);
+    const isa::Inst &si = program_.at(index);
 
     out = trace::DynInst{};
     out.pc = pc;
@@ -1645,12 +1601,11 @@ Pipeline::makeWrongPathInst(trace::DynInst &out)
         // wrong-path branches are unknown and never update state).
         bool predTaken = predictor_->predict(pc);
         out.taken = predTaken;
-        out.nextPc = predTaken
-                         ? staticProgram_->pcOf((size_t)si.imm)
-                         : pc + instBytes;
+        out.nextPc =
+            predTaken ? program_.pcOf((size_t)si.imm) : pc + instBytes;
     } else if (si.op == Opcode::J || si.op == Opcode::Jal) {
         out.taken = true;
-        out.nextPc = staticProgram_->pcOf((size_t)si.imm);
+        out.nextPc = program_.pcOf((size_t)si.imm);
     } else if (si.op == Opcode::Jr) {
         // Unpredictable indirect target on the wrong path: emit the jump
         // and stop fetching until the squash.
@@ -1663,7 +1618,7 @@ Pipeline::makeWrongPathInst(trace::DynInst &out)
         return true;
     }
 
-    wrongPathPc_ = staticProgram_->contains(out.nextPc) ? out.nextPc : 0;
+    wrongPathPc_ = program_.contains(out.nextPc) ? out.nextPc : 0;
     return true;
 }
 
@@ -1689,9 +1644,7 @@ Pipeline::debugSnapshot() const
     out << "\n  rename free " << rename_.freeRegs(isa::RegClass::Int)
         << " int, " << rename_.freeRegs(isa::RegClass::Fp) << " fp\n"
         << "  fetch "
-        << (fetchBlockedOnBranch_
-                ? "blocked on branch"
-                : now_ < fetchSuspendedUntil_ ? "suspended" : "running")
+        << (now_ < fetchSuspendedUntil_ ? "suspended" : "running")
         << (wrongPathActive_ ? ", on the wrong path" : "");
     if (havePending_) {
         out << ", next pc 0x" << std::hex << pending_.pc << std::dec;

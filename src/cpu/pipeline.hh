@@ -6,13 +6,15 @@
  * prediction and the PUBS slice unit operate) -> rename/dispatch ->
  * wakeup/select issue from the IQ -> execute -> commit.
  *
- * Misprediction modelling (see DESIGN.md): a mispredicted branch stalls
- * further fetch until the branch completes execution, then fetch resumes
- * on the correct path after the state-recovery penalty. The interval from
- * the branch's fetch to its execution completion is exactly the paper's
- * *misspeculation penalty*; PUBS shortens the IQ-waiting portion of it by
- * dispatching unconfident-branch-slice instructions into the reserved
- * priority entries at the head of the IQ.
+ * Misprediction modelling (see DESIGN.md): after a mispredicted branch,
+ * fetch follows the predicted path through the static program until the
+ * branch completes execution; the wrong-path instructions are then
+ * squashed and fetch resumes on the correct path after the
+ * state-recovery penalty. The interval from the branch's fetch to its
+ * execution completion is exactly the paper's *misspeculation penalty*;
+ * PUBS shortens the IQ-waiting portion of it by dispatching
+ * unconfident-branch-slice instructions into the reserved priority
+ * entries at the head of the IQ.
  */
 
 #ifndef PUBS_CPU_PIPELINE_HH
@@ -25,7 +27,7 @@
 #include <vector>
 
 #include "branch/btb.hh"
-#include "branch/predictor.hh"
+#include "branch/perceptron.hh"
 #include "branch/ras.hh"
 #include "common/rng.hh"
 #include "common/serialize.hh"
@@ -222,7 +224,6 @@ class Pipeline
     const pubs::ModeSwitch *modeSwitch() const { return modeSwitch_.get(); }
     const iq::IssueQueue &issueQueue() const { return *iqs_[0]; }
     size_t issueQueueCount() const { return iqs_.size(); }
-    const branch::BranchPredictor &predictor() const { return *predictor_; }
 
     /** Summarise into a stat group for reporting. */
     void fillStats(StatGroup &group) const;
@@ -394,7 +395,7 @@ class Pipeline
 
     /** Handle control flow of a just-fetched correct-path instruction. */
     void fetchControl(InflightHot &hot, const trace::DynInst &di,
-                      bool &endGroup, bool &blockFetch, bool &btbBubble);
+                      bool &endGroup, bool &btbBubble);
 
     /** Synthesise the next wrong-path instruction from the static
      *  program; returns false when wrong-path fetch must stop. */
@@ -427,9 +428,11 @@ class Pipeline
 
     CoreParams params_;
     trace::InstSource &source_;
+    /** The source's static program: wrong-path fetch reads it. */
+    const isa::Program &program_;
 
     std::unique_ptr<mem::MemorySystem> mem_;
-    std::unique_ptr<branch::BranchPredictor> predictor_;
+    std::unique_ptr<branch::Perceptron> predictor_;
     std::unique_ptr<branch::Btb> btb_;
     std::unique_ptr<branch::Ras> ras_;
     /** One queue (unified) or one per FU group (distributed). */
@@ -468,7 +471,6 @@ class Pipeline
     Cycle now_ = 0;
     Cycle fetchSuspendedUntil_ = 0;
     SuspendReason suspendReason_ = SuspendReason::None;
-    bool fetchBlockedOnBranch_ = false;
     bool sourceExhausted_ = false;
     bool haltCommitted_ = false;
     bool havePending_ = false;
@@ -479,7 +481,6 @@ class Pipeline
 
     // Wrong-path fetch state (active between the fetch of a mispredicted
     // branch and its resolution).
-    const isa::Program *staticProgram_ = nullptr;
     bool wrongPathActive_ = false;
     Pc wrongPathPc_ = 0;
 
@@ -487,8 +488,7 @@ class Pipeline
      *  to approximate wrong-path load/store addresses. Indexed by the
      *  instruction's program index (programs are dense from basePc);
      *  0 means "never seen", which the wrong-path replay already treats
-     *  the same as an absent entry. Empty without a static program —
-     *  wrong-path replay is impossible then, so nothing reads it. */
+     *  the same as an absent entry. */
     std::vector<Addr> lastMemAddr_;
 
     /** Scheduled squashes: (resolution cycle, mispredicted branch id). */

@@ -109,7 +109,7 @@ class Emulator : public trace::InstSource
 
     /** InstSource interface. */
     bool next(trace::DynInst &out) override { return step(out); }
-    const isa::Program *program() const override { return &prog_; }
+    const isa::Program &program() const override { return prog_; }
 
     bool halted() const { return halted_; }
     Pc pc() const { return pc_; }

@@ -67,8 +67,8 @@ CommitChecker::check(const trace::DynInst &committed, Cycle commitCycle)
             mismatch("access size", ref.memSize, committed.memSize);
         if (ref.isCondBranch() && ref.taken != committed.taken)
             mismatch("branch direction", ref.taken, committed.taken);
-        // Architectural destination value: only comparable when the
-        // committed stream carries one (v0 traces do not).
+        // Architectural destination value, where the instruction
+        // writes one.
         if (ref.hasDstValue && committed.hasDstValue &&
             ref.dstValue != committed.dstValue) {
             mismatch("dst value", ref.dstValue, committed.dstValue);

@@ -115,7 +115,7 @@ void
 checkIdentity(const CheckpointMeta &stored, const emu::Emulator &emu,
               const cpu::Pipeline &pipeline)
 {
-    uint32_t liveProgram = programFingerprint(*emu.program());
+    uint32_t liveProgram = programFingerprint(emu.program());
     if (stored.programCrc != liveProgram) {
         throw CheckpointError("checkpoint was taken on a different "
                               "program (workload '" +

@@ -6,9 +6,9 @@
  * u32 format version, u64 payload length, u32 payload CRC32, u32 header
  * CRC32 — followed by the payload, a common/serialize.hh stream holding
  * the checkpoint metadata, the emulator's architectural state, and the
- * pipeline's warm microarchitectural state. Like the trace format, the
- * header is designed to evolve: readers reject unknown versions with a
- * typed CheckpointError instead of misdecoding.
+ * pipeline's warm microarchitectural state. The header is designed to
+ * evolve: readers reject unknown versions with a typed CheckpointError
+ * instead of misdecoding.
  *
  * Every corruption mode — truncated tail, bit flip, stale version,
  * mismatched machine geometry — surfaces as CheckpointError; a loader

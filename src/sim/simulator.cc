@@ -72,18 +72,15 @@ PhaseScope::~PhaseScope()
 
 Simulator::Simulator(const cpu::CoreParams &params,
                      const isa::Program &program)
-{
-    auto emulator = std::make_unique<emu::Emulator>(program);
-    owned_ = std::move(emulator);
-    pipeline_ = std::make_unique<cpu::Pipeline>(params, *owned_);
-}
+    : Simulator(params, std::make_unique<emu::Emulator>(program))
+{}
 
 Simulator::Simulator(const cpu::CoreParams &params,
-                     std::unique_ptr<trace::InstSource> source)
-    : owned_(std::move(source))
+                     std::unique_ptr<emu::Emulator> emulator)
+    : emulator_(std::move(emulator))
 {
-    fatal_if(!owned_, "simulator needs an instruction source");
-    pipeline_ = std::make_unique<cpu::Pipeline>(params, *owned_);
+    fatal_if(!emulator_, "simulator needs an emulator");
+    pipeline_ = std::make_unique<cpu::Pipeline>(params, *emulator_);
 }
 
 Simulator::~Simulator() = default;
@@ -156,41 +153,22 @@ Simulator::fastForward(uint64_t insts)
     fastForwarded_ += consumed;
     // The lockstep checker's private emulator does not see the
     // fast-forwarded instructions; realign it with the source.
-    if (const emu::Emulator *emu = emulator())
-        pipeline_->resyncChecker(*emu);
+    pipeline_->resyncChecker(*emulator_);
     return consumed;
-}
-
-const emu::Emulator *
-Simulator::emulator() const
-{
-    return dynamic_cast<const emu::Emulator *>(owned_.get());
-}
-
-emu::Emulator &
-Simulator::requireEmulator() const
-{
-    auto *emu = dynamic_cast<emu::Emulator *>(owned_.get());
-    if (!emu) {
-        throw CheckpointError(
-            "checkpointing requires a program-backed (emulator) "
-            "instruction source; trace replay cannot be checkpointed");
-    }
-    return *emu;
 }
 
 std::string
 Simulator::saveCheckpoint(const std::string &machineLabel) const
 {
     PhaseScope phase(SimPhase::CheckpointIo);
-    emu::Emulator &emu = requireEmulator();
+    const isa::Program &program = emulator_->program();
     CheckpointMeta meta;
-    meta.workload = emu.program()->name();
+    meta.workload = program.name();
     meta.machine = machineLabel;
     meta.skipInsts = fastForwarded_;
-    meta.programCrc = programFingerprint(*emu.program());
+    meta.programCrc = programFingerprint(program);
     meta.paramsFp = paramsFingerprint(pipeline_->params());
-    return encodeCheckpoint(meta, emu, *pipeline_);
+    return encodeCheckpoint(meta, *emulator_, *pipeline_);
 }
 
 void
@@ -208,9 +186,8 @@ void
 Simulator::restoreCheckpoint(const std::string &bytes)
 {
     PhaseScope phase(SimPhase::CheckpointIo);
-    emu::Emulator &emu = requireEmulator();
-    CheckpointMeta meta = decodeCheckpoint(bytes, emu, *pipeline_);
-    pipeline_->resyncChecker(emu);
+    CheckpointMeta meta = decodeCheckpoint(bytes, *emulator_, *pipeline_);
+    pipeline_->resyncChecker(*emulator_);
     fastForwarded_ = meta.skipInsts;
 }
 

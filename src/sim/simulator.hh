@@ -1,8 +1,8 @@
 /**
  * @file
- * Top-level run controller: wires a Program (through the functional
- * emulator) or a trace file into the timing pipeline, runs warmup +
- * measurement, and returns the headline metrics the figures use.
+ * Top-level run controller: wires a Program, through the functional
+ * emulator, into the timing pipeline, runs warmup + measurement, and
+ * returns the headline metrics the figures use.
  */
 
 #ifndef PUBS_SIM_SIMULATOR_HH
@@ -148,9 +148,10 @@ class Simulator
     /** Simulate @p program on a core configured by @p params. */
     Simulator(const cpu::CoreParams &params, const isa::Program &program);
 
-    /** Simulate a pre-recorded instruction stream. */
+    /** Simulate the program of @p emulator (a subclass may wrap its
+     *  next()). */
     Simulator(const cpu::CoreParams &params,
-              std::unique_ptr<trace::InstSource> source);
+              std::unique_ptr<emu::Emulator> emulator);
 
     ~Simulator();
 
@@ -172,8 +173,8 @@ class Simulator
 
     /**
      * Serialize the current state as checkpoint container bytes under
-     * @p machineLabel. Requires a program-backed (emulator) source and a
-     * pristine pipeline; throws CheckpointError otherwise.
+     * @p machineLabel. Requires a pristine pipeline; throws
+     * CheckpointError otherwise.
      */
     std::string saveCheckpoint(const std::string &machineLabel = "") const;
 
@@ -191,15 +192,10 @@ class Simulator
     /** Read @p path and restoreCheckpoint(). */
     void restoreCheckpointFile(const std::string &path);
 
-    /** The owned emulator, or null for a trace-replay source. */
-    const emu::Emulator *emulator() const;
-
     cpu::Pipeline &pipeline() { return *pipeline_; }
 
   private:
-    emu::Emulator &requireEmulator() const;
-
-    std::unique_ptr<trace::InstSource> owned_;
+    std::unique_ptr<emu::Emulator> emulator_;
     std::unique_ptr<cpu::Pipeline> pipeline_;
     uint64_t fastForwarded_ = 0;
 };

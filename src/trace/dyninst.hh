@@ -1,9 +1,9 @@
 /**
  * @file
  * The dynamic-instruction record that flows from the functional emulator
- * (or a trace file) into the timing model. It carries exactly what timing
- * needs: static identity, logical operands, the resolved memory address,
- * and the actual control-flow outcome.
+ * into the timing model. It carries exactly what timing needs: static
+ * identity, logical operands, the resolved memory address, and the
+ * actual control-flow outcome.
  */
 
 #ifndef PUBS_TRACE_DYNINST_HH
@@ -62,10 +62,8 @@ struct DynInst
     uint64_t dstValue = 0;
     bool hasDstValue = false;
 
-    /**
-     * Pipeline stage timing, filled only while a pipeview trace is being
-     * written (never serialised into trace files).
-     */
+    /** Pipeline stage timing, filled only while a pipeview trace is
+     *  being written. */
     StageStamps stamps{};
 
     isa::OpClass cls() const { return isa::opClass(op); }
@@ -79,7 +77,11 @@ struct DynInst
     Pc fallthroughPc() const { return pc + instBytes; }
 };
 
-/** Anything that produces a dynamic instruction stream. */
+/**
+ * A program's dynamic instruction stream. The functional emulator is
+ * the one implementation; next() stays virtual so a caller can wrap
+ * the emulator's step (to time it, say).
+ */
 class InstSource
 {
   public:
@@ -92,12 +94,11 @@ class InstSource
     virtual bool next(DynInst &out) = 0;
 
     /**
-     * The static program this stream was produced from, if available.
-     * The timing model uses it to synthesise wrong-path instructions
-     * after a misprediction; sources without one (e.g. trace files)
-     * degrade to redirect-stall modelling.
+     * The static program this stream executes. The timing model fetches
+     * the wrong path of a mispredicted branch from it, and the lockstep
+     * checker replays it.
      */
-    virtual const isa::Program *program() const { return nullptr; }
+    virtual const isa::Program &program() const = 0;
 };
 
 } // namespace pubs::trace

@@ -1,20 +1,17 @@
 /**
  * @file
- * Branch-prediction tests: each predictor learns the patterns it should,
- * the BTB and RAS behave, and the JRS confidence counters follow the
- * paper's resetting semantics.
+ * Branch-prediction tests: both perceptron configurations learn the
+ * patterns they should, the BTB and RAS behave, and the JRS confidence
+ * counters follow the paper's resetting semantics.
  */
 
 #include <gtest/gtest.h>
 
-#include "branch/bimode.hh"
 #include "branch/btb.hh"
 #include "branch/confidence.hh"
-#include "branch/gshare.hh"
 #include "branch/perceptron.hh"
 #include "branch/predictor.hh"
 #include "branch/ras.hh"
-#include "branch/tournament.hh"
 #include "common/rng.hh"
 
 namespace pubs::branch
@@ -24,7 +21,7 @@ namespace
 
 /** Train on a repeating pattern and return the steady-state accuracy. */
 double
-accuracyOnPattern(BranchPredictor &pred, Pc pc,
+accuracyOnPattern(Perceptron &pred, Pc pc,
                   const std::vector<bool> &pattern, int rounds)
 {
     // Warm up for half the rounds, measure the rest.
@@ -42,14 +39,11 @@ accuracyOnPattern(BranchPredictor &pred, Pc pc,
     return (double)correct / measured;
 }
 
-using MakerFn = std::unique_ptr<BranchPredictor> (*)();
-
 class PredictorPattern
     : public ::testing::TestWithParam<PredictorKind>
 {
   protected:
-    std::unique_ptr<BranchPredictor> pred_ =
-        makePredictor(GetParam());
+    std::unique_ptr<Perceptron> pred_ = makePredictor(GetParam());
 };
 
 TEST_P(PredictorPattern, LearnsAlwaysTaken)
@@ -86,17 +80,13 @@ TEST_P(PredictorPattern, CannotBeatRandomness)
 
 TEST_P(PredictorPattern, HasNonZeroCost)
 {
-    if (GetParam() != PredictorKind::AlwaysTaken) {
-        EXPECT_GT(pred_->costBits(), 0u);
-    }
+    EXPECT_GT(pred_->costBits(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, PredictorPattern,
     ::testing::Values(PredictorKind::Perceptron,
-                      PredictorKind::PerceptronLarge,
-                      PredictorKind::Gshare, PredictorKind::Bimode,
-                      PredictorKind::Tournament),
+                      PredictorKind::PerceptronLarge),
     [](const auto &info) {
         std::string name = predictorKindName(info.param);
         for (char &c : name)
@@ -108,11 +98,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PerceptronTest, TableIConfiguration)
 {
     auto pred = makePredictor(PredictorKind::Perceptron);
-    auto *perceptron = dynamic_cast<Perceptron *>(pred.get());
-    ASSERT_NE(perceptron, nullptr);
-    EXPECT_EQ(perceptron->historyBits(), 34u);
-    EXPECT_EQ(perceptron->tableEntries(), 256u);
-    EXPECT_EQ(perceptron->threshold(), (int)(1.93 * 34 + 14));
+    EXPECT_EQ(pred->historyBits(), 34u);
+    EXPECT_EQ(pred->tableEntries(), 256u);
+    EXPECT_EQ(pred->threshold(), (int)(1.93 * 34 + 14));
 }
 
 TEST(PerceptronTest, LargeConfigurationCostsMore)
@@ -265,9 +253,10 @@ TEST(Factory, NamesRoundTrip)
 {
     EXPECT_STREQ(predictorKindName(PredictorKind::Perceptron),
                  "perceptron");
-    EXPECT_STREQ(predictorKindName(PredictorKind::Gshare), "gshare");
-    auto pred = makePredictor(PredictorKind::AlwaysTaken);
-    EXPECT_TRUE(pred->predict(0x1234));
+    EXPECT_STREQ(predictorKindName(PredictorKind::PerceptronLarge),
+                 "perceptron-large");
+    EXPECT_EQ(makePredictor(PredictorKind::PerceptronLarge)->historyBits(),
+              36u);
 }
 
 } // namespace

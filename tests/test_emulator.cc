@@ -533,7 +533,7 @@ TEST(Emulator, ExposesStaticProgram)
     isa::Program prog = isa::assemble("nop\nhalt\n");
     Emulator emu(prog);
     trace::InstSource &source = emu;
-    EXPECT_EQ(source.program(), &prog);
+    EXPECT_EQ(&source.program(), &prog);
 }
 
 } // namespace

@@ -19,10 +19,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +32,6 @@
 #include "sim/config.hh"
 #include "sim/parallel_for.hh"
 #include "sim/simulator.hh"
-#include "trace/trace.hh"
 #include "workloads/suite.hh"
 
 namespace pubs
@@ -256,62 +252,10 @@ TEST(FuzzDifferential, GeneratorIsDeterministic)
     EXPECT_NE(a.listing(), makeRandomProgram(8, p).listing());
 }
 
-TEST(FuzzDifferential, CorruptedTracesNeverCrashTheReader)
-{
-    // Corruption mode: a well-formed trace, then seeded truncations and
-    // bit flips. Every mutation must either read back cleanly or throw
-    // a structured SimError — never crash, hang, or misdecode into an
-    // out-of-bounds access.
-    std::string path =
-        (std::filesystem::temp_directory_path() / "pubs_fuzz_corrupt.trc")
-            .string();
-    isa::Program program = makeRandomProgram(11, FuzzParams{});
-    {
-        trace::TraceWriter writer(path);
-        emu::Emulator emu(program);
-        trace::DynInst di;
-        for (int i = 0; i < 200 && emu.step(di); ++i)
-            writer.write(di);
-        writer.close();
-    }
-    std::ifstream in(path, std::ios::binary);
-    std::string pristine((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    ASSERT_GT(pristine.size(), 64u);
-
-    Rng rng(0xc0221);
-    const uint64_t rounds = envOr("PUBS_FUZZ_CORRUPT_ROUNDS", 300);
-    for (uint64_t round = 0; round < rounds; ++round) {
-        SCOPED_TRACE("round " + std::to_string(round));
-        std::string mutated = pristine;
-        if (rng.chance(0.5)) {
-            mutated.resize(rng.below(mutated.size()));
-        } else {
-            for (uint64_t flips = 1 + rng.below(4); flips; --flips) {
-                size_t at = (size_t)rng.below(mutated.size());
-                mutated[at] = (char)(mutated[at] ^ (1u << rng.below(8)));
-            }
-        }
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(mutated.data(), (std::streamsize)mutated.size());
-        out.close();
-
-        try {
-            trace::TraceReader reader(path);
-            trace::DynInst di;
-            while (reader.next(di)) {
-            }
-        } catch (const SimError &) {
-            // Structured rejection is exactly the contract.
-        }
-    }
-    std::remove(path.c_str());
-}
-
 TEST(FuzzDifferential, CorruptedCheckpointsNeverCrashTheLoader)
 {
-    // Mirror of the trace round for the checkpoint container: a
-    // pristine checkpoint, then seeded truncations, bit flips, and a
+    // Corruption mode for the checkpoint container: a pristine
+    // checkpoint, then seeded truncations, bit flips, and a
     // stale-version rewrite. Every mutation must either restore cleanly
     // (the mutation missed the validated bytes) or throw a structured
     // SimError — never crash, hang, or silently restore wrong state.

@@ -1,8 +1,9 @@
 /**
  * @file
  * The machine-parameter table (cpu/params.hh): its ranges are exactly
- * what validate() and the components' constructors accept, and its
- * classes decide what the machine key covers.
+ * what validate() and the components' constructors accept, its classes
+ * decide what the machine key covers, and each rule that relates
+ * several fields rejects what it should and nothing next to it.
  */
 
 #include <gtest/gtest.h>
@@ -88,6 +89,94 @@ TEST(ParamTable, KeyCoversEveryRowButTheObservationalOnes)
     // row holds; only the heartbeat changes nothing journaled.
     EXPECT_EQ(observational, (std::set<std::string>{"heartbeatInterval",
                                                     "heartbeatToStderr"}));
+}
+
+/**
+ * One rule of validationErrors() that relates several fields: a machine
+ * it rejects, and the nearest machine it accepts.
+ */
+struct CrossFieldCase
+{
+    const char *rule;
+    const char *field; ///< what the rejection must name
+    sim::Machine machine;
+    void (*reject)(CoreParams &);
+    void (*accept)(CoreParams &); ///< applied to the rejected machine
+};
+
+TEST(CoreParamsValidate, EachCrossFieldRuleRejectsOnlyWhatItShould)
+{
+    const CrossFieldCase cases[] = {
+        {"age matrix on a non-random IQ", "ageMatrix", sim::Machine::Base,
+         [](CoreParams &p) {
+             p.ageMatrix = true;
+             p.iqKind = iq::IqKind::Shifting;
+         },
+         [](CoreParams &p) { p.iqKind = iq::IqKind::Random; }},
+        {"distributed IQ of non-random queues", "distributedIq",
+         sim::Machine::Base,
+         [](CoreParams &p) {
+             p.distributedIq = true;
+             p.iqKind = iq::IqKind::Circular;
+         },
+         [](CoreParams &p) { p.iqKind = iq::IqKind::Random; }},
+        {"distributed IQ under two entries per queue", "iqEntries",
+         sim::Machine::Base,
+         [](CoreParams &p) {
+             p.distributedIq = true;
+             p.iqEntries = 7;
+         },
+         [](CoreParams &p) { p.iqEntries = 8; }},
+        {"distributed priority partition filling its queue",
+         "pubs.priorityEntries", sim::Machine::Pubs,
+         [](CoreParams &p) {
+             p.distributedIq = true;
+             p.iqEntries = 8;
+             p.pubs.priorityEntries = 4;
+         },
+         [](CoreParams &p) { p.pubs.priorityEntries = 3; }},
+        {"cache size not a multiple of ways x lines",
+         "memory.l1d.sizeBytes", sim::Machine::Base,
+         [](CoreParams &p) { p.memory.l1d.sizeBytes = 32 * 1024 + 64; },
+         [](CoreParams &p) { p.memory.l1d.sizeBytes = 32 * 1024; }},
+        {"cache set count not a power of two", "memory.l1d.sizeBytes",
+         sim::Machine::Base,
+         [](CoreParams &p) {
+             p.memory.l1d.sizeBytes = 48 * 1024; // 96 sets of 8 ways
+             p.memory.l1d.ways = 8;
+         },
+         [](CoreParams &p) { p.memory.l1d.ways = 12; }}, // 64 sets
+        {"structural audit every 0 cycles", "auditInterval",
+         sim::Machine::Base,
+         [](CoreParams &p) {
+             p.auditPolicy = CheckPolicy::Warn;
+             p.auditInterval = 0;
+         },
+         [](CoreParams &p) { p.auditInterval = 1; }},
+    };
+
+    wl::Workload w = wl::makeWorkload("hmmer_like");
+    for (const CrossFieldCase &c : cases) {
+        SCOPED_TRACE(c.rule);
+        CoreParams rejected = sim::makeConfig(c.machine);
+        c.reject(rejected);
+        // This rule alone fires, and names the field.
+        EXPECT_EQ(rejected.validationErrors().size(), 1u);
+        try {
+            rejected.validate();
+            ADD_FAILURE() << "validate() accepts it";
+        } catch (const ConfigError &error) {
+            EXPECT_NE(std::string(error.what()).find(c.field),
+                      std::string::npos)
+                << error.what();
+        }
+
+        CoreParams accepted = rejected;
+        c.accept(accepted);
+        EXPECT_NO_THROW(accepted.validate());
+        emu::Emulator emu(w.program);
+        EXPECT_NO_THROW({ Pipeline pipe(accepted, emu); });
+    }
 }
 
 } // namespace

@@ -1,17 +1,13 @@
 /**
  * @file
- * Simulator-driver tests: config presets, Table IV size scaling, run
- * results, and trace-driven simulation.
+ * Simulator-driver tests: config presets, Table IV size scaling and
+ * run results.
  */
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
-#include "emu/emulator.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
-#include "trace/trace.hh"
 #include "workloads/suite.hh"
 
 namespace pubs::sim
@@ -122,29 +118,6 @@ TEST(Simulator, WarmupIsExcludedFromStats)
     RunResult warm =
         simulate(makeConfig(Machine::Base), w.program, 50000, 50000);
     EXPECT_EQ(warm.instructions, 50000u);
-}
-
-TEST(Simulator, TraceDrivenRunMatchesWorkload)
-{
-    // Record a short trace from the emulator, then drive the pipeline
-    // from the file: the SPEC-substitution path for external traces.
-    wl::Workload w = wl::makeWorkload("hmmer_like");
-    std::string path =
-        (std::filesystem::temp_directory_path() / "pubs_sim.trc").string();
-    {
-        emu::Emulator emu(w.program);
-        trace::TraceWriter writer(path);
-        trace::DynInst di;
-        for (int i = 0; i < 50000 && emu.step(di); ++i)
-            writer.write(di);
-        writer.close();
-    }
-    Simulator sim(makeConfig(Machine::Base),
-                  std::make_unique<trace::TraceReader>(path));
-    RunResult r = sim.run(0, 50000);
-    EXPECT_EQ(r.instructions, 50000u);
-    EXPECT_GT(r.ipc, 0.0);
-    std::remove(path.c_str());
 }
 
 TEST(Simulator, PubsAgeCombinationRuns)
