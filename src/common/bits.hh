@@ -91,6 +91,18 @@ xorFold(uint64_t value, unsigned width)
     return folded;
 }
 
+/** Store @p value at @p dst as 8 little-endian bytes. */
+inline void
+storeLe64(uint8_t *dst, uint64_t value)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        __builtin_memcpy(dst, &value, sizeof(value));
+    } else {
+        for (unsigned i = 0; i < 8; ++i)
+            dst[i] = (uint8_t)(value >> (8 * i));
+    }
+}
+
 } // namespace pubs
 
 #endif // PUBS_COMMON_BITS_HH

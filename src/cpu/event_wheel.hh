@@ -13,16 +13,20 @@
  * Cancellation is lazy: the wheel always delivers what was scheduled,
  * and consumers validate the payload (instruction id + sequence number)
  * against live state, so a squash never has to search the wheel.
+ *
+ * A bitmap marks the non-empty buckets, so scheduling and draining cost
+ * O(1) and nextEventCycle() scans the bitmap forward from the last
+ * drained cycle.
  */
 
 #ifndef PUBS_CPU_EVENT_WHEEL_HH
 #define PUBS_CPU_EVENT_WHEEL_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -53,6 +57,7 @@ class EventWheel
         while (size < buckets)
             size *= 2;
         buckets_.resize(size);
+        occupied_.resize((size + 63) / 64);
         mask_ = size - 1;
     }
 
@@ -63,8 +68,9 @@ class EventWheel
         panic_if(cycle <= now,
                  "event wheel schedule at cycle %llu not after now %llu",
                  (unsigned long long)cycle, (unsigned long long)now);
-        buckets_[cycle & mask_].push_back({cycle, b, a, kind});
-        cycleHeap_.push(cycle);
+        const size_t slot = cycle & mask_;
+        buckets_[slot].push_back({cycle, b, a, kind});
+        occupied_[slot / 64] |= uint64_t(1) << (slot % 64);
         ++pending_;
     }
 
@@ -76,9 +82,9 @@ class EventWheel
     void
     drain(Cycle now, Visitor &&visit)
     {
+        drained_ = now;
         if (pending_ == 0)
             return;
-        drained_ = now;
         // Index (not reference) the bucket on every access: a visitor
         // scheduling exactly one wheel revolution ahead would push into
         // this same bucket and may reallocate it.
@@ -94,50 +100,59 @@ class EventWheel
             }
         }
         buckets_[slot].resize(keep);
-        // Retire this cycle's heap entries now. Busy pipelines rarely
-        // ask for nextEventCycle(), so without eager pruning the heap
-        // would grow with one stale entry per event ever scheduled.
-        while (!cycleHeap_.empty() && cycleHeap_.top() <= now)
-            cycleHeap_.pop();
+        if (keep == 0)
+            occupied_[slot / 64] &= ~(uint64_t(1) << (slot % 64));
     }
 
     /**
      * Earliest pending fire cycle, or neverCycle when the wheel is
-     * empty. Served from a lazy min-heap of scheduled cycles (entries
-     * whose cycle has already drained are discarded on access), so the
-     * per-cycle idle-scheduling path pays O(log events) amortised, not
-     * a scan of every pending event.
+     * empty. Visits the non-empty buckets in cycle order from the one
+     * after the last drained cycle; the bucket at distance d holds
+     * events no earlier than drained + 1 + d, so the scan stops once
+     * that bound reaches the earliest event found. An event more than
+     * one revolution ahead is thus never mistaken for a nearer one.
      */
     Cycle
     nextEventCycle() const
     {
-        if (pending_ == 0) {
-            if (!cycleHeap_.empty())
-                cycleHeap_ = MinHeap();
+        if (pending_ == 0)
             return neverCycle;
+        const size_t start = (drained_ + 1) & mask_;
+        const size_t words = occupied_.size();
+        Cycle best = neverCycle;
+        // The start word twice: its bits from the start slot first, and
+        // after a revolution its bits below the start slot.
+        for (size_t step = 0; step <= words; ++step) {
+            const size_t w = (start / 64 + step) % words;
+            uint64_t bits = occupied_[w];
+            if (step == 0)
+                bits &= ~mask(start % 64);
+            else if (step == words)
+                bits &= mask(start % 64);
+            for (; bits != 0; bits &= bits - 1) {
+                const size_t slot = w * 64 + countTrailingZeros(bits);
+                const Cycle bound = drained_ + 1 + ((slot - start) & mask_);
+                if (bound >= best)
+                    return best;
+                for (const Event &event : buckets_[slot])
+                    best = std::min(best, event.cycle);
+            }
         }
-        while (!cycleHeap_.empty() && cycleHeap_.top() <= drained_)
-            cycleHeap_.pop();
-        panic_if(cycleHeap_.empty(),
-                 "event wheel: %zu events pending but none after "
-                 "cycle %llu",
-                 pending_, (unsigned long long)drained_);
-        return cycleHeap_.top();
+        panic_if(best == neverCycle,
+                 "event wheel: %zu events pending in no bucket", pending_);
+        return best;
     }
 
     size_t pending() const { return pending_; }
     bool empty() const { return pending_ == 0; }
 
   private:
-    using MinHeap = std::priority_queue<Cycle, std::vector<Cycle>,
-                                        std::greater<Cycle>>;
-
     std::vector<std::vector<Event>> buckets_;
+    /** Bit s of word s / 64 is set iff bucket s holds an event. */
+    std::vector<uint64_t> occupied_;
     uint64_t mask_ = 0;
     size_t pending_ = 0;
     Cycle drained_ = 0; ///< latest cycle drain() has processed
-    /** Cycles of scheduled events; stale entries removed lazily. */
-    mutable MinHeap cycleHeap_;
 };
 
 } // namespace pubs::cpu

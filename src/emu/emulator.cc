@@ -14,10 +14,7 @@ using isa::Opcode;
 const SparseMemory::Page *
 SparseMemory::imagePage(Addr num) const
 {
-    if (!image_)
-        return nullptr;
-    auto it = image_->find(num);
-    return it == image_->end() ? nullptr : &it->second;
+    return image_ ? image_->page(num) : nullptr;
 }
 
 const SparseMemory::Page *
@@ -123,21 +120,36 @@ void
 SparseMemory::serialize(Serializer &s) const
 {
     s.beginObject("sparse_memory");
-    std::vector<Addr> pageNums;
-    pageNums.reserve(owned_.size() + (image_ ? image_->size() : 0));
-    for (const auto &entry : owned_)
-        pageNums.push_back(entry.first);
-    if (image_)
-        for (const auto &entry : *image_)
-            pageNums.push_back(entry.first);
-    std::sort(pageNums.begin(), pageNums.end());
-    pageNums.erase(std::unique(pageNums.begin(), pageNums.end()),
-                   pageNums.end());
-    s.u64(pageNums.size());
-    for (Addr num : pageNums) {
-        s.u64(num);
-        s.bytes(findPage(num)->data(), pageBytes);
+    // The owned pages in order, merged into the image's run order; an
+    // owned page takes the place of the image's page of its number.
+    std::vector<std::pair<Addr, const Page *>> owned;
+    owned.reserve(owned_.size());
+    size_t count = image_ ? image_->pageCount() : 0;
+    for (const auto &[num, page] : owned_) {
+        owned.emplace_back(num, page.get());
+        count += imagePage(num) ? 0 : 1;
     }
+    std::sort(owned.begin(), owned.end());
+    s.u64(count);
+    auto next = owned.begin();
+    auto put = [&s](Addr num, const Page &page) {
+        s.u64(num);
+        s.bytes(page.data(), pageBytes);
+    };
+    auto putOwnedBelow = [&](Addr limit) {
+        for (; next != owned.end() && next->first < limit; ++next)
+            put(next->first, *next->second);
+    };
+    if (image_) {
+        image_->forEachPage([&](Addr num, const Page &page) {
+            putOwnedBelow(num);
+            if (next != owned.end() && next->first == num)
+                put(num, *(next++)->second);
+            else
+                put(num, page);
+        });
+    }
+    putOwnedBelow(~(Addr)0);
     s.endObject("sparse_memory");
 }
 

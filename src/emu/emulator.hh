@@ -57,7 +57,7 @@ class SparseMemory
 
     /**
      * Checkpoint the page set: the image's pages and the owned ones, an
-     * owned page in place of the image's, sorted by page number, so the
+     * owned page in place of the image's, in page-number order, so the
      * byte stream is independent of hash-map iteration order, of the
      * access pattern that allocated the pages and of which were copied.
      */

@@ -35,33 +35,89 @@ Program::hasLabel(const std::string &label) const
     return labels_.count(label) != 0;
 }
 
-Program::Page &
-Program::ownPage(Addr num)
+Program::Image::Image(const Image &other)
 {
-    if (num == memoPageNum_ && memoPage_ && image_.use_count() == 1)
-        return *memoPage_;
+    runs_.reserve(other.runs_.size());
+    for (const Run &run : other.runs_) {
+        Run &copy = runs_.emplace_back();
+        copy.firstPage = run.firstPage;
+        copy.pages.reserve(run.pages.size());
+        for (const auto &page : run.pages)
+            copy.pages.push_back(std::make_unique<Page>(*page));
+    }
+}
+
+size_t
+Program::Image::pageCount() const
+{
+    size_t count = 0;
+    for (const Run &run : runs_)
+        count += run.pages.size();
+    return count;
+}
+
+Program::Image::Run &
+Program::Image::cover(Addr first, Addr last, Addr rawFirst, Addr rawEnd)
+{
+    // [lo, hi): the runs that overlap or abut pages [first, last].
+    auto lo = std::partition_point(
+        runs_.begin(), runs_.end(), [first](const Run &run) {
+            return run.firstPage + run.pages.size() < first;
+        });
+    if (lo != runs_.end() && lo->firstPage <= first &&
+        last < lo->firstPage + lo->pages.size())
+        return *lo;
+    auto hi = lo;
+    while (hi != runs_.end() && hi->firstPage <= last + 1)
+        ++hi;
+
+    Addr begin = first, end = last + 1;
+    if (lo != hi) {
+        begin = std::min(begin, lo->firstPage);
+        end = std::max(end, (hi - 1)->firstPage + (hi - 1)->pages.size());
+    }
+    Run merged{begin, std::vector<std::unique_ptr<Page>>(end - begin)};
+    for (auto it = lo; it != hi; ++it)
+        std::move(it->pages.begin(), it->pages.end(),
+                  merged.pages.begin() + (it->firstPage - begin));
+    for (Addr num = begin; num < end; ++num) {
+        std::unique_ptr<Page> &page = merged.pages[num - begin];
+        if (page)
+            continue;
+        if (num >= rawFirst && num < rawEnd)
+            page = std::make_unique_for_overwrite<Page>();
+        else
+            page = std::make_unique<Page>(); // value-initialised: zeros
+    }
+    return *runs_.insert(runs_.erase(lo, hi), std::move(merged));
+}
+
+Program::DataRegion
+Program::region(Addr base, size_t bytes, bool overwritten)
+{
+    fatal_if(bytes == 0 || base + bytes - 1 < base,
+             "data region of %zu bytes at %#llx is empty or wraps the "
+             "address space",
+             bytes, (unsigned long long)base);
     if (!image_)
         image_ = std::make_shared<Image>();
     else if (image_.use_count() > 1)
         image_ = std::make_shared<Image>(*image_); // unshare before writing
-    memoPageNum_ = num;
-    memoPage_ = &(*image_)[num];
-    return *memoPage_;
+    const Addr first = base / pageBytes;
+    const Addr last = (base + bytes - 1) / pageBytes;
+    // [rawFirst, rawEnd): the pages the range covers whole, which an
+    // overwriting caller fills, so they need no zeroing.
+    const Addr rawFirst = first + (base % pageBytes != 0);
+    Addr rawEnd = rawFirst;
+    if (overwritten)
+        rawEnd = std::max(rawFirst, last + ((base + bytes) % pageBytes == 0));
+    return DataRegion(image_->cover(first, last, rawFirst, rawEnd), base);
 }
 
 void
 Program::addData64(Addr addr, uint64_t value)
 {
-    Addr off = addr % pageBytes;
-    if (off + 8 <= pageBytes) {
-        Page &page = ownPage(addr / pageBytes);
-        for (unsigned i = 0; i < 8; ++i)
-            page[off + i] = (value >> (8 * i)) & 0xff;
-        return;
-    }
-    for (unsigned i = 0; i < 8; ++i)
-        ownPage((addr + i) / pageBytes)[(addr + i) % pageBytes] =
-            (value >> (8 * i)) & 0xff;
+    dataRegion(addr, 8).put64(0, value);
 }
 
 const Inst &

@@ -1,6 +1,5 @@
 #include "sim/checkpoint.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -135,17 +134,11 @@ uint32_t
 programFingerprint(const isa::Program &program)
 {
     uint32_t crc = crc32(program.listing());
-    auto image = program.image();
-    if (!image)
-        return crc;
-    std::vector<Addr> pageNums;
-    pageNums.reserve(image->size());
-    for (const auto &entry : *image)
-        pageNums.push_back(entry.first);
-    std::sort(pageNums.begin(), pageNums.end());
-    for (Addr num : pageNums) {
-        crc = crc32(&num, sizeof(num), crc);
-        crc = crc32(image->at(num).data(), isa::Program::pageBytes, crc);
+    if (auto image = program.image()) {
+        image->forEachPage([&crc](Addr num, const isa::Program::Page &page) {
+            crc = crc32(&num, sizeof(num), crc);
+            crc = crc32(page.data(), page.size(), crc);
+        });
     }
     return crc;
 }

@@ -48,20 +48,19 @@ void
 installRandomWords(isa::Program &prog, Addr base, size_t count,
                    uint64_t limit, Rng &rng)
 {
-    for (size_t i = 0; i < count; ++i)
-        prog.addData64(base + i * 8, rng.below(limit));
+    prog.fillData64(base, count, [&] { return rng.below(limit); });
 }
 
 /** Append a random double array (values in [0,2)) as program data. */
 void
 installRandomDoubles(isa::Program &prog, Addr base, size_t count, Rng &rng)
 {
-    for (size_t i = 0; i < count; ++i) {
+    prog.fillData64(base, count, [&rng] {
         double v = rng.uniform() * 2.0;
         uint64_t bits;
         __builtin_memcpy(&bits, &v, sizeof(bits));
-        prog.addData64(base + i * 8, bits);
-    }
+        return bits;
+    });
 }
 
 /** Load FP constants: f10 = 1.0, f11 = 0.5. */
@@ -247,12 +246,13 @@ pointerChaseProgram(const std::string &name, const PointerChaseParams &p)
     // perm now encodes a permutation; turn it into a successor ring:
     // node perm[k] -> perm[k+1]. Each node is a next pointer and a
     // payload; the rest of its bytes read zero.
+    isa::Program::DataRegion ring =
+        prog.dataRegion(chaseBase, (size_t)p.nodes * nodeBytes);
     for (uint32_t k = 0; k < p.nodes; ++k) {
-        uint32_t node = perm[k];
+        size_t node = (size_t)perm[k] * nodeBytes;
         uint32_t next = perm[(k + 1) % p.nodes];
-        Addr addr = chaseBase + (Addr)node * nodeBytes;
-        prog.addData64(addr + 0, chaseBase + (uint64_t)next * nodeBytes);
-        prog.addData64(addr + 8, rng.below(valueRange));
+        ring.put64(node + 0, chaseBase + (uint64_t)next * nodeBytes);
+        ring.put64(node + 8, rng.below(valueRange));
     }
     return prog;
 }

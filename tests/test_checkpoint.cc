@@ -329,6 +329,43 @@ TEST(Checkpoint, RejectsWrongProgram)
     }
 }
 
+/**
+ * programFingerprint() of every workload at seed 1, as the hash-map
+ * image computed it before images became page runs. A checkpoint
+ * carries it and the checkpoint store's key mixes it in, so any change
+ * to an image's page set, page order or bytes would make every stored
+ * checkpoint a miss or a rejected restore.
+ */
+TEST(ProgramFingerprint, IsPinnedForEveryWorkload)
+{
+    const std::pair<const char *, uint32_t> expected[] = {
+        {"astar_like", 0xe9320cd8u},
+        {"bzip2_like", 0xc8455c1du},
+        {"gcc_like", 0xf138c2b0u},
+        {"gobmk_like", 0x7e03a3e0u},
+        {"mcf_like", 0x8fdb94abu},
+        {"omnetpp_like", 0x67ee42c0u},
+        {"perlbench_like", 0xb579e31du},
+        {"sjeng_like", 0xba375a86u},
+        {"soplex_like", 0x5e28be7du},
+        {"xalancbmk_like", 0x8520ab53u},
+        {"bwaves_like", 0x1629f1ffu},
+        {"gromacs_like", 0xb1bb7f10u},
+        {"h264ref_like", 0xdc94868bu},
+        {"hmmer_like", 0x2cdea2ebu},
+        {"lbm_like", 0x786bb4d2u},
+        {"libquantum_like", 0x60448a8fu},
+        {"milc_like", 0x819151b8u},
+        {"namd_like", 0x805ab4bdu},
+    };
+    ASSERT_EQ(std::size(expected), wl::suiteNames().size());
+    for (const auto &[name, fingerprint] : expected) {
+        EXPECT_EQ(sim::programFingerprint(wl::makeWorkload(name, 1).program),
+                  fingerprint)
+            << name;
+    }
+}
+
 TEST(Checkpoint, RejectsWrongMachineConfig)
 {
     std::string bytes =

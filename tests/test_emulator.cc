@@ -366,9 +366,10 @@ TEST(EmulatorImage, StoreThroughOneEmulatorLeavesTheOtherAndTheImage)
     EXPECT_EQ(reader.memory().read64(0x4000 + 8 * 7), 7u);
     EXPECT_EQ(reader.memory().pagesOwned(), 0u);
     auto image = prog.image();
-    const isa::Program::Page &page =
-        image->at(0x4000 / isa::Program::pageBytes);
-    EXPECT_EQ(page[8 * 7], 7u); // word 7's low byte
+    const isa::Program::Page *page =
+        image->page(0x4000 / isa::Program::pageBytes);
+    ASSERT_NE(page, nullptr);
+    EXPECT_EQ((*page)[8 * 7], 7u); // word 7's low byte
 }
 
 TEST(EmulatorImage, ResetRestoresTheImageAndDropsWrittenPages)
@@ -407,7 +408,8 @@ TEST(EmulatorImage, FreshMcfEmulatorCopiesNothing)
 {
     wl::Workload w = wl::makeWorkload("mcf_like");
     Emulator emu(w.program);
-    EXPECT_EQ(w.program.image()->size(), 4096u); // 16 MB of nodes
+    EXPECT_EQ(w.program.image()->pageCount(), 4096u); // 16 MB of nodes
+    EXPECT_EQ(w.program.image()->runs().size(), 1u);  // in one run
     EXPECT_EQ(emu.memory().pagesOwned(), 0u);
 }
 

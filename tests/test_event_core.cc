@@ -1,7 +1,8 @@
 /**
  * @file
  * Event-driven core building blocks: the cycle event wheel (same-cycle
- * FIFO order, wrap-around past the wheel horizon, lazy cancellation),
+ * FIFO order, wrap-around past the wheel horizon, next-event search
+ * against a brute-force minimum, lazy cancellation),
  * the per-queue ready bitmaps checked against a full-scan reference
  * model on randomized queue histories (including ShiftingQueue
  * compaction), the position-indexed LSQ lookups against the linear-scan
@@ -94,6 +95,48 @@ TEST(EventWheelTest, WrapAroundPastTheWheelHorizon)
     EXPECT_EQ(drainAt(wheel, 10), (std::vector<uint32_t>{2}));
     EXPECT_EQ(drainAt(wheel, 18), (std::vector<uint32_t>{3}));
     EXPECT_TRUE(wheel.empty());
+}
+
+TEST(EventWheelTest, NextEventCycleMatchesBruteForceMinimum)
+{
+    // Random schedules, some several revolutions ahead, checked after
+    // every step against the minimum over all pending events. Time
+    // advances one cycle, jumps to the next event as the pipeline's idle
+    // skip does, or leaps ahead while the wheel is empty.
+    for (unsigned buckets : {8u, 64u, 1024u}) {
+        for (uint64_t seed = 0; seed < 4; ++seed) {
+            EventWheel wheel(buckets);
+            Rng rng(seed * 7919 + buckets);
+            std::multiset<Cycle> pending;
+            Cycle now = 0;
+            for (uint32_t step = 0; step < 4000; ++step) {
+                for (uint64_t n = rng.below(3); n > 0; --n) {
+                    Cycle ahead = rng.chance(0.2)
+                                      ? 1 + rng.below(4 * buckets)
+                                      : 1 + rng.below(6);
+                    wheel.schedule(now + ahead,
+                                   EventWheel::Kind::OperandReady, step, 0,
+                                   now);
+                    pending.insert(now + ahead);
+                }
+                const Cycle expected =
+                    pending.empty() ? neverCycle : *pending.begin();
+                ASSERT_EQ(wheel.nextEventCycle(), expected)
+                    << buckets << " buckets, seed " << seed << ", step "
+                    << step << ", now " << now;
+                if (pending.empty())
+                    now += rng.chance(0.5) ? 1 + rng.below(3 * buckets) : 1;
+                else
+                    now = rng.chance(0.5) ? expected : now + 1;
+                wheel.drain(now, [&](const EventWheel::Event &event) {
+                    ASSERT_EQ(event.cycle, now);
+                    pending.erase(pending.find(event.cycle));
+                });
+                ASSERT_EQ(wheel.pending(), pending.size());
+                ASSERT_TRUE(pending.empty() || *pending.begin() > now);
+            }
+        }
+    }
 }
 
 TEST(EventWheelTest, LazyCancellationDeliversStalePayloads)

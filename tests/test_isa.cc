@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
+#include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "isa/builder.hh"
 #include "isa/isa.hh"
 #include "isa/program.hh"
+#include "sim/checkpoint.hh"
 
 namespace pubs::isa
 {
@@ -21,10 +24,9 @@ uint8_t
 imageByte(const Program &prog, Addr addr)
 {
     auto image = prog.image();
-    if (!image)
-        return 0;
-    auto it = image->find(addr / Program::pageBytes);
-    return it == image->end() ? 0 : it->second[addr % Program::pageBytes];
+    const Program::Page *page =
+        image ? image->page(addr / Program::pageBytes) : nullptr;
+    return page ? (*page)[addr % Program::pageBytes] : 0;
 }
 
 /** The little-endian word at @p addr of @p prog's image. */
@@ -142,8 +144,8 @@ TEST(Program, DataInits)
     Program prog("t");
     EXPECT_EQ(prog.image(), nullptr);
     prog.addData64(0x2000, 0x1122334455667788ull);
-    ASSERT_EQ(prog.image()->size(), 1u);
-    EXPECT_EQ(prog.image()->count(0x2000 / Program::pageBytes), 1u);
+    ASSERT_EQ(prog.image()->pageCount(), 1u);
+    EXPECT_NE(prog.image()->page(0x2000 / Program::pageBytes), nullptr);
     EXPECT_EQ(imageByte(prog, 0x2000), 0x88); // little endian
     EXPECT_EQ(imageByte(prog, 0x2007), 0x11);
     EXPECT_EQ(imageByte(prog, 0x2008), 0x00); // the rest of the page
@@ -155,7 +157,7 @@ TEST(Program, OverlappingDataKeepsTheLaterBytes)
     // Straddles pages 2 and 3; the second word overwrites its top half.
     prog.addData64(0x2ffc, 0x1111111122222222ull);
     prog.addData64(0x3000, 0x3333333344444444ull);
-    ASSERT_EQ(prog.image()->size(), 2u);
+    ASSERT_EQ(prog.image()->pageCount(), 2u);
     EXPECT_EQ(imageWord(prog, 0x2ffc), 0x4444444422222222ull);
     EXPECT_EQ(imageWord(prog, 0x3000), 0x3333333344444444ull);
     prog.addData64(0x2ff8, 0x5555555555555555ull);
@@ -172,7 +174,7 @@ TEST(Program, CopyThenAddDataLeavesTheOriginal)
     copy.addData64(0x2000, 2);
     copy.addData64(0x9000, 3);
     EXPECT_EQ(imageWord(original, 0x2000), 1u);
-    EXPECT_EQ(original.image()->size(), 1u);
+    EXPECT_EQ(original.image()->pageCount(), 1u);
     EXPECT_EQ(imageWord(copy, 0x2000), 2u);
     EXPECT_EQ(imageWord(copy, 0x9000), 3u);
 
@@ -180,6 +182,131 @@ TEST(Program, CopyThenAddDataLeavesTheOriginal)
     original.addData64(0x2008, 4);
     EXPECT_EQ(imageWord(original, 0x2008), 4u);
     EXPECT_EQ(imageWord(copy, 0x2008), 0u);
+}
+
+/** Runs sorted by first page, none empty, none touching the next. */
+void
+expectMaximalRuns(const Program &prog)
+{
+    const auto &runs = prog.image()->runs();
+    for (size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_GT(runs[i].pages.size(), 0u) << "run " << i;
+        if (i > 0) {
+            EXPECT_GT(runs[i].firstPage,
+                      runs[i - 1].firstPage + runs[i - 1].pages.size())
+                << "run " << i;
+        }
+    }
+}
+
+/** The same pages with the same bytes, and so the same fingerprint. */
+void
+expectSameImage(const Program &a, const Program &b)
+{
+    auto ia = a.image(), ib = b.image();
+    ASSERT_EQ(ia->pageCount(), ib->pageCount());
+    ia->forEachPage([&](Addr num, const Program::Page &page) {
+        const Program::Page *other = ib->page(num);
+        ASSERT_NE(other, nullptr) << "page " << num;
+        EXPECT_TRUE(page == *other) << "page " << num;
+    });
+    EXPECT_EQ(sim::programFingerprint(a), sim::programFingerprint(b));
+}
+
+TEST(Program, RegionWritersMatchWordByWordData)
+{
+    // 1000 words from 0x2ffc: the first straddles pages 2 and 3, page 3
+    // is covered whole and page 4 in part.
+    constexpr Addr base = 0x2ffc;
+    constexpr size_t words = 1000;
+    std::vector<uint64_t> values(words);
+    Rng rng(7);
+    for (uint64_t &value : values)
+        value = rng.next();
+
+    // Freed page-sized blocks full of ones, for the fills' new pages to
+    // reuse: a page left unzeroed that the words do not cover whole then
+    // shows. (Sanitizer builds fill new blocks with garbage anyway.)
+    {
+        std::vector<std::unique_ptr<Program::Page>> dirty(64);
+        for (auto &page : dirty) {
+            page = std::make_unique_for_overwrite<Program::Page>();
+            page->fill(0xff);
+        }
+    }
+
+    Program region("t"), filled("t"), byWord("t");
+    Program::DataRegion writer = region.dataRegion(base, words * 8);
+    size_t next = 0;
+    filled.fillData64(base, words, [&] { return values[next++]; });
+    for (size_t i = 0; i < words; ++i) {
+        writer.put64(i * 8, values[i]);
+        byWord.addData64(base + i * 8, values[i]);
+    }
+    EXPECT_EQ(next, words);
+    // Scattered words: one on a page of its own, one on the page below
+    // the range (its run absorbs the range's); then a region over the
+    // lone page, which must keep its word, and a fill that covers pages
+    // 12 and 13 whole and page 14 in part, which must read zero after.
+    for (Program *prog : {&region, &filled, &byWord}) {
+        prog->addData64(0x9000, 0x99);
+        prog->addData64(0x1ff8, 0x11);
+        prog->dataRegion(0x8000, 3 * Program::pageBytes).put64(8, 0x88);
+        uint64_t count = 0;
+        prog->fillData64(0xc000, 2 * Program::pageBytes / 8 + 1,
+                         [&] { return ++count; });
+        expectMaximalRuns(*prog);
+        EXPECT_EQ(prog->image()->runs().size(), 3u);
+        EXPECT_EQ(imageWord(*prog, 0x9000), 0x99u);
+        EXPECT_EQ(imageWord(*prog, 0x1ff8), 0x11u);
+        EXPECT_EQ(imageWord(*prog, 0x8008), 0x88u);
+        EXPECT_EQ(imageWord(*prog, 0xd000), 513u);
+        EXPECT_EQ(imageWord(*prog, 0xe000), 1025u);
+        for (Addr at = 0xe008; at < 0xf000; at += 8)
+            ASSERT_EQ(imageWord(*prog, at), 0u) << at;
+    }
+
+    std::vector<Addr> pages;
+    byWord.image()->forEachPage(
+        [&](Addr num, const Program::Page &) { pages.push_back(num); });
+    EXPECT_EQ(pages, (std::vector<Addr>{1, 2, 3, 4, 8, 9, 10, 12, 13, 14}));
+    EXPECT_EQ(imageWord(region, base), values[0]);
+    expectSameImage(region, byWord);
+    expectSameImage(filled, byWord);
+}
+
+TEST(Program, DataRegionAfterACopyUnsharesTheImage)
+{
+    Program original("t");
+    original.dataRegion(0x2000, 16).put64(0, 1);
+    const uint32_t before = sim::programFingerprint(original);
+    Program copy = original;
+    EXPECT_EQ(copy.image(), original.image()); // shared until written
+    copy.dataRegion(0x2000, 16).put64(0, 2);
+    copy.dataRegion(0x2ffc, 8).put64(0, 3); // into a new page
+    EXPECT_NE(copy.image(), original.image());
+    EXPECT_EQ(imageWord(original, 0x2000), 1u);
+    EXPECT_EQ(original.image()->pageCount(), 1u);
+    EXPECT_EQ(sim::programFingerprint(original), before);
+    EXPECT_EQ(imageWord(copy, 0x2000), 2u);
+    EXPECT_EQ(imageWord(copy, 0x2ffc), 3u);
+    EXPECT_EQ(copy.image()->pageCount(), 2u);
+    expectMaximalRuns(copy);
+
+    // The original, again alone with its image, writes it in place.
+    const Program::Image *image = original.image().get();
+    original.dataRegion(0x2008, 8).put64(0, 4);
+    EXPECT_EQ(original.image().get(), image);
+    EXPECT_EQ(imageWord(original, 0x2008), 4u);
+    EXPECT_EQ(imageWord(copy, 0x2008), 0u);
+}
+
+TEST(Program, EmptyOrWrappingDataRegionIsFatal)
+{
+    Program prog("t");
+    EXPECT_THROW(prog.dataRegion(0x2000, 0), SimError);
+    EXPECT_THROW(prog.addData64(~(Addr)3, 1), SimError); // past 2^64
+    EXPECT_EQ(prog.image(), nullptr);
 }
 
 TEST(Builder, ForwardAndBackwardLabels)
@@ -265,7 +392,7 @@ TEST(Assembler, MemoryAndFpForms)
     EXPECT_EQ(prog.at(0).op, Opcode::Ld);
     EXPECT_EQ(prog.at(1).src2, 2);
     EXPECT_EQ(prog.at(5).op, Opcode::Fcvt);
-    ASSERT_EQ(prog.image()->size(), 1u);
+    ASSERT_EQ(prog.image()->pageCount(), 1u);
     EXPECT_EQ(imageWord(prog, 0x2000), 42u);
 }
 

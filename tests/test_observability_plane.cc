@@ -90,7 +90,7 @@ TEST(Profiler, NestedScopesAggregateSelfTime)
             prof::Scope inner("test/inner");
             volatile uint64_t spin = 0;
             for (int j = 0; j < 50000; ++j)
-                spin += (uint64_t)j;
+                spin = spin + (uint64_t)j;
         }
     }
     prof::disable();

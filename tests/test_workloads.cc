@@ -35,6 +35,24 @@ TEST(Suite, UnknownNameIsFatal)
     EXPECT_THROW({ makeWorkload("nonexistent"); }, SimError);
 }
 
+TEST(Suite, FatalMessageNamesTheSourceFileNotTheBuildPath)
+{
+    // fatal() leads with __FILE__:__LINE__; the build maps __FILE__ to a
+    // path relative to the source tree, so the message is the same
+    // wherever the tree was built.
+    try {
+        makeWorkload("nonexistent");
+        FAIL() << "no SimError";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.find(PUBS_SOURCE_DIR), std::string::npos) << what;
+        EXPECT_EQ(what.rfind("src/workloads/suite.cc:", 0), 0u) << what;
+        EXPECT_NE(what.find("unknown workload 'nonexistent'"),
+                  std::string::npos)
+            << what;
+    }
+}
+
 class EveryWorkload : public ::testing::TestWithParam<std::string>
 {
 };
@@ -72,12 +90,12 @@ TEST_P(EveryWorkload, SeedChangesTheData)
     bool differs = false;
     auto da = a.program.image();
     auto db = b.program.image();
-    ASSERT_EQ(da->size(), db->size());
-    for (const auto &[num, page] : *da) {
-        auto it = db->find(num);
-        ASSERT_NE(it, db->end()) << "page " << num;
-        differs = differs || page != it->second;
-    }
+    ASSERT_EQ(da->pageCount(), db->pageCount());
+    da->forEachPage([&](Addr num, const isa::Program::Page &page) {
+        const isa::Program::Page *other = db->page(num);
+        ASSERT_NE(other, nullptr) << "page " << num;
+        differs = differs || page != *other;
+    });
     EXPECT_TRUE(differs);
 }
 
