@@ -232,17 +232,15 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
         const SweepRow &row = result.rows[i];
         if (!row.ok())
             continue;
-        for (const sim::BranchProfileRow &b : row.result.branchProfile) {
-            char pc[24];
-            std::snprintf(pc, sizeof(pc), "0x%llx",
-                          (unsigned long long)b.pc);
+        for (const auto &[pc, b] : row.result.branchProfile) {
+            char pcText[24];
+            std::snprintf(pcText, sizeof(pcText), "0x%llx",
+                          (unsigned long long)pc);
             out << spec.items[i].workload->name << ','
-                << spec.items[i].machine << ',' << pc << ','
-                << b.commits << ',' << b.mispredicts << ','
-                << b.penaltyCycles << ',' << b.confCorrect << ','
-                << b.confWrong << ',' << b.unconfCorrect << ','
-                << b.unconfWrong << ',' << b.sliceInsts << ','
-                << b.sliceCovered << '\n';
+                << spec.items[i].machine << ',' << pcText;
+            cpu::BranchSiteStats::forEachField(
+                [&out](uint64_t v) { out << ',' << v; }, b);
+            out << '\n';
         }
     }
     appendCsvAtomic(spec.options.csvDir, "branch_profile.csv",
@@ -356,29 +354,25 @@ uint64_t
 sweepKey(const SweepSpec &spec)
 {
     const RunOptions &options = spec.options;
-    uint32_t lo = 0, hi = 0x50554253u;
-    auto mix = [&](const std::string &text) {
-        lo = crc32(text, lo);
-        hi = crc32(text, hi ^ 0x9e3779b9u);
-    };
+    ContentKey key;
     // Sampled rows are not interchangeable with straight-through ones,
     // and branch-profile rows ride in the journaled payload.
-    mix(std::to_string(options.warmup) + ":" +
-        std::to_string(options.insts) + ":" +
-        std::to_string(spec.items.size()) + ":" +
-        options.samplePlan().describe() + ":" +
-        std::to_string(options.branchProfile));
+    key.mix(std::to_string(options.warmup) + ":" +
+            std::to_string(options.insts) + ":" +
+            std::to_string(spec.items.size()) + ":" +
+            options.samplePlan().describe() + ":" +
+            std::to_string(options.branchProfile));
     for (const SweepItem &item : spec.items) {
         // The Pipeline lets PUBS_CHECK replace both check policies, so
         // key the machine that will run, not the one that was asked for.
         cpu::CoreParams params = item.params;
         params.checkPolicy = checkPolicyFromEnv(params.checkPolicy);
         params.auditPolicy = checkPolicyFromEnv(params.auditPolicy);
-        mix(item.workload->name);
-        mix(item.machine);
-        mix(params.key());
+        key.mix(item.workload->name);
+        key.mix(item.machine);
+        key.mix(params.key());
     }
-    return ((uint64_t)hi << 32) | lo;
+    return key.value();
 }
 
 /** Run one sweep item to a SweepRow (never throws SimError out). */

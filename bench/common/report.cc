@@ -143,13 +143,13 @@ ReportBuilder::dataJson() const
         if (!r.branches.empty()) {
             out << ", \"branches\": [";
             for (size_t b = 0; b < r.branches.size(); ++b) {
-                const sim::BranchProfileRow &br = r.branches[b];
-                out << (b ? ", " : "") << "{\"pc\": " << br.pc
+                const auto &[pc, br] = r.branches[b];
+                out << (b ? ", " : "") << "{\"pc\": " << pc
                     << ", \"commits\": " << br.commits
                     << ", \"mispredicts\": " << br.mispredicts
-                    << ", \"penalty_cycles\": " << br.penaltyCycles
-                    << ", \"unconf_correct\": " << br.unconfCorrect
-                    << ", \"unconf_wrong\": " << br.unconfWrong
+                    << ", \"penalty_cycles\": " << br.penaltySum
+                    << ", \"unconf_correct\": " << br.unconfidentCorrect
+                    << ", \"unconf_wrong\": " << br.unconfidentWrong
                     << ", \"slice_insts\": " << br.sliceInsts
                     << ", \"slice_covered\": " << br.sliceCovered << "}";
             }

@@ -56,7 +56,7 @@ class ReportBuilder
 
         /** Top-cost static branches; filled by runRow() under
          *  --branch-profile. */
-        std::vector<sim::BranchProfileRow> branches;
+        cpu::BranchSites branches;
     };
 
     /** Dashboard heading; defaults to "PUBS sweep farm". */

@@ -9,6 +9,7 @@
 #include "common/checksum.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace pubs::bench
 {
@@ -22,36 +23,19 @@ constexpr uint32_t recordMagic = 0x43455242u; // "BREC" little-endian
 constexpr size_t headerBytes = 32;
 constexpr size_t recordHeaderBytes = 20;
 
-void
-pack32(uint8_t *out, uint32_t v)
+/** Does journal @p header name this format, @p specKey and @p slots? */
+bool
+headerMatches(const char (&header)[headerBytes], uint64_t specKey,
+              uint64_t slots)
 {
-    for (int i = 0; i < 4; ++i)
-        out[i] = (v >> (8 * i)) & 0xff;
-}
-
-void
-pack64(uint8_t *out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out[i] = (v >> (8 * i)) & 0xff;
-}
-
-uint32_t
-unpack32(const uint8_t *in)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= (uint32_t)in[i] << (8 * i);
-    return v;
-}
-
-uint64_t
-unpack64(const uint8_t *in)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= (uint64_t)in[i] << (8 * i);
-    return v;
+    Deserializer d(header, sizeof(header));
+    char magic[sizeof(journalMagic)];
+    d.bytes(magic, sizeof(magic));
+    if (std::memcmp(magic, journalMagic, sizeof(magic)) != 0 ||
+        d.u32() != journalVersion)
+        return false;
+    (void)d.u32(); // reserved
+    return d.u64() == specKey && d.u64() == slots;
 }
 
 } // namespace
@@ -80,24 +64,21 @@ SweepJournal::load(bool resume)
     if (resume) {
         std::FILE *in = std::fopen(path_.c_str(), "rb");
         if (in) {
-            uint8_t header[headerBytes];
+            char header[headerBytes];
             if (std::fread(header, 1, sizeof(header), in) ==
                     sizeof(header) &&
-                std::memcmp(header, journalMagic, sizeof(journalMagic)) ==
-                    0 &&
-                unpack32(header + 8) == journalVersion &&
-                unpack64(header + 16) == specKey_ &&
-                unpack64(header + 24) == slots_) {
+                headerMatches(header, specKey_, slots_)) {
                 keep = true;
                 for (;;) {
-                    uint8_t rec[recordHeaderBytes];
+                    char rec[recordHeaderBytes];
                     if (std::fread(rec, 1, sizeof(rec), in) != sizeof(rec))
                         break; // torn tail: header cut short
-                    if (unpack32(rec + 0) != recordMagic)
+                    Deserializer d(rec, sizeof(rec));
+                    if (d.u32() != recordMagic)
                         break;
-                    uint64_t slot = unpack64(rec + 4);
-                    uint32_t length = unpack32(rec + 12);
-                    uint32_t crc = unpack32(rec + 16);
+                    uint64_t slot = d.u64();
+                    uint32_t length = d.u32();
+                    uint32_t crc = d.u32();
                     if (slot >= slots_ || length > (64u << 20))
                         break;
                     std::string payload(length, '\0');
@@ -155,12 +136,14 @@ SweepJournal::load(bool resume)
                        "cannot create sweep journal '" + path_ +
                            "': " + std::strerror(errno));
     }
-    uint8_t header[headerBytes] = {};
-    std::memcpy(header, journalMagic, sizeof(journalMagic));
-    pack32(header + 8, journalVersion);
-    pack64(header + 16, specKey_);
-    pack64(header + 24, slots_);
-    if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header) ||
+    Serializer header;
+    header.bytes(journalMagic, sizeof(journalMagic));
+    header.u32(journalVersion);
+    header.u32(0); // reserved
+    header.u64(specKey_);
+    header.u64(slots_);
+    if (std::fwrite(header.data().data(), 1, header.size(), file_) !=
+            header.size() ||
         std::fflush(file_) != 0) {
         warn("sweep journal '%s': cannot write header: %s (journaling "
              "disabled)",
@@ -188,16 +171,17 @@ SweepJournal::record(size_t slot, const std::string &payload)
     std::lock_guard<std::mutex> lock(mutex_);
     if (!file_ || slot >= slots_)
         return;
-    std::string rec(recordHeaderBytes, '\0');
-    pack32((uint8_t *)rec.data() + 0, recordMagic);
-    pack64((uint8_t *)rec.data() + 4, slot);
-    pack32((uint8_t *)rec.data() + 12, (uint32_t)payload.size());
-    pack32((uint8_t *)rec.data() + 16, crc32(payload));
-    rec += payload;
+    Serializer rec;
+    rec.u32(recordMagic);
+    rec.u64(slot);
+    rec.u32((uint32_t)payload.size());
+    rec.u32(crc32(payload));
+    rec.bytes(payload.data(), payload.size());
     // One fwrite per record, then flush + fdatasync: the record is
     // durable before the sweep moves on, and a torn append is confined
     // to the (CRC-guarded) tail.
-    if (std::fwrite(rec.data(), 1, rec.size(), file_) != rec.size() ||
+    if (std::fwrite(rec.data().data(), 1, rec.size(), file_) !=
+            rec.size() ||
         std::fflush(file_) != 0) {
         warn("sweep journal '%s': append failed: %s (resumability lost "
              "from here)",

@@ -10,9 +10,10 @@
  * Journal format v1 (little-endian):
  *   header  — 8-byte magic "PUBSJNL1", u32 format version, u32 reserved
  *             (zero), u64 spec key, u64 slot count
- *   records — u32 record magic "JREC", u64 slot index, u32 payload
+ *   records — u32 record magic "BREC", u64 slot index, u32 payload
  *             length, u32 CRC32 of the payload, payload bytes
  *             (run_codec.hh sweep-row encoding)
+ * Both are written and read through common/serialize.hh.
  *
  * Recovery semantics: records are read sequentially; the first record
  * whose magic, bounds, or CRC fails marks the torn tail of an

@@ -30,8 +30,8 @@ Perceptron::indexOf(Pc pc) const
 int
 Perceptron::dot(size_t index) const
 {
-    // The history kernel lives in common/simd.hh (vectorised when
-    // PUBS_SIMD is on, bit-identical scalar fallback otherwise);
+    // The history kernel lives in common/simd.hh (vectorised on SSE2
+    // targets, bit-identical scalar fallback otherwise);
     // weights are clamped to [-128, 127] and historyBits_ <= 63, the
     // kernel's no-overflow precondition.
     const Weight *w = &weights_[index * (historyBits_ + 1)];

@@ -3,7 +3,9 @@
  * CRC32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to protect
  * every byte that crosses a crash boundary: proc-pool pipe frames,
  * sweep-journal records, and any other payload whose torn or bit-flipped
- * remains must be detected rather than trusted.
+ * remains must be detected rather than trusted. Two seeded CRC32 streams
+ * also make the 64-bit content keys of sweep journals and checkpoint
+ * artifacts.
  */
 
 #ifndef PUBS_COMMON_CHECKSUM_HH
@@ -28,6 +30,29 @@ crc32(const std::string &bytes, uint32_t seed = 0)
 {
     return crc32(bytes.data(), bytes.size(), seed);
 }
+
+/**
+ * 64-bit content address of a sequence of texts: two differently seeded
+ * CRC32 streams over the same bytes. Sweep journals are keyed and
+ * checkpoint artifacts named by it, so changing it orphans every
+ * journal and cached checkpoint already written.
+ */
+class ContentKey
+{
+  public:
+    void
+    mix(const std::string &text)
+    {
+        lo_ = crc32(text, lo_);
+        hi_ = crc32(text, hi_ ^ 0x9e3779b9u);
+    }
+
+    uint64_t value() const { return ((uint64_t)hi_ << 32) | lo_; }
+
+  private:
+    uint32_t lo_ = 0;
+    uint32_t hi_ = 0x50554253u;
+};
 
 } // namespace pubs
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <sstream>
 
 #include "common/atomic_file.hh"
-#include "common/logging.hh"
 #include "common/stats.hh"
 
 namespace pubs::prof
@@ -135,26 +133,10 @@ enabled()
 }
 
 void
-applySampleIntervalFromEnv()
-{
-    const char *value = std::getenv("PUBS_PROF_SAMPLE");
-    if (!value || !*value)
-        return;
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0' || parsed == 0) {
-        warn_once("ignoring malformed PUBS_PROF_SAMPLE '%s'", value);
-        return;
-    }
-    sampleInterval_.store(parsed, std::memory_order_relaxed);
-}
-
-void
 enable(uint64_t sampleInterval)
 {
     if (sampleInterval)
         sampleInterval_.store(sampleInterval, std::memory_order_relaxed);
-    applySampleIntervalFromEnv();
     uint64_t expected = 0;
     epochNs_.compare_exchange_strong(expected, nowNs());
     enabled_.store(true, std::memory_order_relaxed);

@@ -73,9 +73,6 @@ sampleCycle(uint64_t cycle)
            cycle % sampleInterval_.load(std::memory_order_relaxed) == 0;
 }
 
-/** Honour PUBS_PROF_SAMPLE (cycles) when set; called by enable(). */
-void applySampleIntervalFromEnv();
-
 /** Drop all recorded data (aggregates, trace events, drop counts). */
 void reset();
 

@@ -1,6 +1,5 @@
 #include "common/progress.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -13,6 +12,8 @@
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
+#include "common/error.hh"
+#include "common/serialize.hh"
 #include "common/stats.hh"
 #include "common/subprocess.hh"
 
@@ -30,43 +31,8 @@ nowNs()
         .count();
 }
 
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out += (char)((v >> (8 * i)) & 0xff);
-}
-
-void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out += (char)((v >> (8 * i)) & 0xff);
-}
-
-uint64_t
-getU64(const std::string &in, size_t at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= (uint64_t)(uint8_t)in[at + i] << (8 * i);
-    return v;
-}
-
-uint32_t
-getU32(const std::string &in, size_t at)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= (uint32_t)(uint8_t)in[at + i] << (8 * i);
-    return v;
-}
-
 constexpr char sampleMagic[4] = {'P', 'B', 'P', 'G'};
 constexpr uint8_t sampleVersion = 1;
-
-/** magic + version + slot + insts + total + kips + rss + labelLen */
-constexpr size_t sampleFixedBytes = 4 + 1 + 8 * 5 + 4;
 
 /** Labels are short workload names; anything huge is a decode error. */
 constexpr size_t sampleMaxLabel = 4096;
@@ -78,55 +44,39 @@ constexpr size_t sampleMaxLabel = 4096;
 std::string
 encodeSample(const Sample &sample)
 {
-    std::string out;
-    out.reserve(sampleFixedBytes + sample.label.size());
-    out.append(sampleMagic, sizeof(sampleMagic));
-    out += (char)sampleVersion;
-    putU64(out, sample.slot);
-    putU64(out, sample.insts);
-    putU64(out, sample.totalInsts);
-    uint64_t kipsBits = 0;
-    static_assert(sizeof(kipsBits) == sizeof(sample.kips));
-    std::memcpy(&kipsBits, &sample.kips, sizeof(kipsBits));
-    putU64(out, kipsBits);
-    putU64(out, sample.rssBytes);
-    putU32(out, (uint32_t)std::min(sample.label.size(), sampleMaxLabel));
-    out.append(sample.label, 0,
-               std::min(sample.label.size(), sampleMaxLabel));
-    return out;
+    Serializer s;
+    s.bytes(sampleMagic, sizeof(sampleMagic));
+    s.u8(sampleVersion);
+    s.u64(sample.slot);
+    s.u64(sample.insts);
+    s.u64(sample.totalInsts);
+    s.f64(sample.kips);
+    s.u64(sample.rssBytes);
+    s.str(sample.label.substr(0, sampleMaxLabel));
+    return s.data();
 }
 
 bool
 decodeSample(const std::string &payload, Sample &sample)
 {
-    if (payload.size() < sampleFixedBytes)
+    try {
+        Deserializer d(payload);
+        char magic[sizeof(sampleMagic)];
+        d.bytes(magic, sizeof(magic));
+        if (std::memcmp(magic, sampleMagic, sizeof(magic)) != 0 ||
+            d.u8() != sampleVersion)
+            return false;
+        sample.slot = d.u64();
+        sample.insts = d.u64();
+        sample.totalInsts = d.u64();
+        sample.kips = d.f64();
+        sample.rssBytes = d.u64();
+        sample.label = d.str();
+        d.expectEnd();
+        return sample.label.size() <= sampleMaxLabel;
+    } catch (const CheckpointError &) {
         return false;
-    if (std::memcmp(payload.data(), sampleMagic, sizeof(sampleMagic)) != 0)
-        return false;
-    if ((uint8_t)payload[4] != sampleVersion)
-        return false;
-    size_t at = 5;
-    sample.slot = getU64(payload, at);
-    sample.insts = getU64(payload, at + 8);
-    sample.totalInsts = getU64(payload, at + 16);
-    uint64_t kipsBits = getU64(payload, at + 24);
-    std::memcpy(&sample.kips, &kipsBits, sizeof(sample.kips));
-    sample.rssBytes = getU64(payload, at + 32);
-    uint32_t labelLen = getU32(payload, at + 40);
-    if (labelLen > sampleMaxLabel)
-        return false;
-    if (payload.size() != sampleFixedBytes + labelLen)
-        return false;
-    sample.label = payload.substr(sampleFixedBytes, labelLen);
-    return true;
-}
-
-bool
-isSamplePayload(const std::string &payload)
-{
-    return payload.size() >= sizeof(sampleMagic) &&
-           std::memcmp(payload.data(), sampleMagic,
-                       sizeof(sampleMagic)) == 0;
+    }
 }
 
 uint64_t

@@ -5,8 +5,9 @@
  * Three pieces:
  *
  *  1. A compact PROGRESS sample codec: (slot, instructions retired,
- *     total budget, KIPS, RSS, label) packed little-endian behind a
- *     magic+version header. ProcPool workers ship these over the
+ *     total budget, KIPS, RSS, label) packed little-endian by
+ *     common/serialize.hh behind a magic+version header. ProcPool
+ *     workers ship these over the
  *     existing CRC-checked pipe frames (typed 'P', interleaved with the
  *     final 'R' result frame), so corruption detection rides the frame
  *     CRC for free.
@@ -66,9 +67,6 @@ std::string encodeSample(const Sample &sample);
  * payload.
  */
 bool decodeSample(const std::string &payload, Sample &sample);
-
-/** Does @p payload carry the progress magic? (cheap dispatch test) */
-bool isSamplePayload(const std::string &payload);
 
 /** Resident set size of this process in bytes (0 if unavailable). */
 uint64_t currentRssBytes();

@@ -87,7 +87,7 @@ Deserializer::need(size_t n)
 {
     if (n > len_ - pos_) {
         throw CheckpointError(
-            "checkpoint payload truncated: need " + std::to_string(n) +
+            "payload truncated: need " + std::to_string(n) +
             " bytes at offset " + std::to_string(pos_) + ", have " +
             std::to_string(len_ - pos_));
     }
@@ -132,8 +132,7 @@ Deserializer::boolean()
 {
     uint8_t v = u8();
     if (v > 1) {
-        throw CheckpointError("checkpoint bool field holds " +
-                              std::to_string(v));
+        throw CheckpointError("bool field holds " + std::to_string(v));
     }
     return v != 0;
 }
@@ -152,8 +151,8 @@ Deserializer::str()
 {
     uint32_t n = u32();
     if (n > len_ - pos_) {
-        throw CheckpointError("checkpoint string length " +
-                              std::to_string(n) + " overruns payload");
+        throw CheckpointError("string length " + std::to_string(n) +
+                              " overruns payload");
     }
     const uint8_t *p = need(n);
     return std::string((const char *)p, n);
@@ -199,9 +198,8 @@ void
 Deserializer::expectEnd() const
 {
     if (!exhausted()) {
-        throw CheckpointError("checkpoint payload has " +
-                              std::to_string(len_ - pos_) +
-                              " trailing bytes");
+        throw CheckpointError("payload has " +
+                              std::to_string(len_ - pos_) + " trailing bytes");
     }
 }
 

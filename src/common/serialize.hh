@@ -1,11 +1,15 @@
 /**
  * @file
- * Binary serialization for architectural checkpoints. Every multi-byte
- * value is written little-endian regardless of host order, objects are
- * bracketed by CRC-tagged markers so a reader that drifts out of sync
- * fails loudly at the next bracket instead of silently misdecoding, and
- * every read is bounds-checked against the payload — a truncated or
- * bit-flipped checkpoint surfaces as a typed CheckpointError.
+ * Little-endian binary serialization: the one byte codec behind every
+ * host-side format — checkpoint containers and payloads, sweep-row
+ * payloads, sweep-journal headers and records, pipe-frame headers and
+ * progress samples. Every multi-byte value is written little-endian
+ * regardless of host order. Checkpoint payloads bracket objects with
+ * CRC-tagged markers so a reader that drifts out of sync fails loudly at
+ * the next bracket instead of silently misdecoding. Every read is
+ * bounds-checked against the input, and every malformed input surfaces
+ * as one typed error, CheckpointError; the decoders that report failure
+ * as a bool catch it at their entry point.
  */
 
 #ifndef PUBS_COMMON_SERIALIZE_HH
@@ -20,7 +24,7 @@
 namespace pubs
 {
 
-/** Append-only little-endian byte sink for checkpoint payloads. */
+/** Append-only little-endian byte sink. */
 class Serializer
 {
   public:
@@ -49,7 +53,7 @@ class Serializer
 
 /**
  * Bounds-checked reader for Serializer output. Every underflow, tag
- * mismatch or length overflow throws CheckpointError.
+ * mismatch, bad bool or length overflow throws CheckpointError.
  */
 class Deserializer
 {
@@ -131,15 +135,6 @@ readTable(Deserializer &d, std::vector<T> &v, const char *what)
             e = (T)d.u64();
     }
 }
-
-/** A component whose warm state can round-trip through a checkpoint. */
-class Serializable
-{
-  public:
-    virtual ~Serializable() = default;
-    virtual void serialize(Serializer &s) const = 0;
-    virtual void unserialize(Deserializer &d) = 0;
-};
 
 } // namespace pubs
 

@@ -8,22 +8,17 @@
  * — integer addition is associative, so the lane-major order cannot
  * change the sum.
  *
- * Gating is two-level. Compile time: the PUBS_SIMD CMake option defines
- * PUBS_SIMD_ENABLED; without it (or on targets without SSE2) only the
- * scalar path is compiled. Run time: setting PUBS_FORCE_SCALAR=1 in the
- * environment routes a SIMD-enabled build through the scalar
- * reference, which is how the bit-exactness regression test A/Bs one
- * binary against itself.
+ * The target decides: wherever the compiler targets SSE2 (every x86-64
+ * build) the vector kernel is compiled and used; elsewhere the scalar
+ * reference is the kernel.
  */
 
 #ifndef PUBS_COMMON_SIMD_HH
 #define PUBS_COMMON_SIMD_HH
 
 #include <cstdint>
-#include <cstdlib>
 
-#if defined(PUBS_SIMD_ENABLED) && \
-    (defined(__x86_64__) || defined(_M_X64)) && defined(__SSE2__)
+#if defined(__SSE2__)
 #define PUBS_SIMD_COMPILED 1
 #include <immintrin.h>
 #else
@@ -33,44 +28,11 @@
 namespace pubs::simd
 {
 
-/** Compile-time answer: were the vector paths built at all? */
-constexpr bool
-compiled()
-{
-    return PUBS_SIMD_COMPILED != 0;
-}
-
-/**
- * Runtime kill-switch flag: initialised once from PUBS_FORCE_SCALAR=1
- * in the environment, then writable (the bit-exactness regression test
- * flips it to A/B one process against itself). Hot paths read a single
- * cached bool.
- */
-inline bool &
-scalarForced()
-{
-    static bool forced = [] {
-        const char *env = std::getenv("PUBS_FORCE_SCALAR");
-        return env && env[0] == '1' && env[1] == '\0';
-    }();
-    return forced;
-}
-
-/** Do the dispatchers take the vector paths right now? */
-inline bool
-enabled()
-{
-#if PUBS_SIMD_COMPILED
-    return !scalarForced();
-#else
-    return false;
-#endif
-}
-
 /**
  * Scalar reference for the perceptron dot product over @p n history
  * bits: sum of (+w[i] if history bit i set else -w[i]). The branchless
- * form matches the original predictor loop exactly.
+ * form matches the original predictor loop exactly. It is the kernel on
+ * targets without SSE2.
  */
 inline int
 perceptronDotScalar(const int16_t *w, unsigned n, uint64_t history)
@@ -124,15 +86,15 @@ perceptronDotSimd(const int16_t *w, unsigned n, uint64_t history)
 
 #endif // PUBS_SIMD_COMPILED
 
-/** Dispatching perceptron dot product (see the scalar reference). */
+/** The target's perceptron dot product (see the scalar reference). */
 inline int
 perceptronDot(const int16_t *w, unsigned n, uint64_t history)
 {
 #if PUBS_SIMD_COMPILED
-    if (enabled())
-        return perceptronDotSimd(w, n, history);
-#endif
+    return perceptronDotSimd(w, n, history);
+#else
     return perceptronDotScalar(w, n, history);
+#endif
 }
 
 } // namespace pubs::simd

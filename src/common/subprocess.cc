@@ -1,5 +1,6 @@
 #include "common/subprocess.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -11,28 +12,13 @@
 #include "common/checksum.hh"
 #include "common/error.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace pubs::proc
 {
 
 namespace
 {
-
-void
-pack32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back((char)((v >> (8 * i)) & 0xff));
-}
-
-uint32_t
-unpack32(const char *in)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= (uint32_t)(uint8_t)in[i] << (8 * i);
-    return v;
-}
 
 uint64_t
 splitmix64(uint64_t x)
@@ -48,13 +34,12 @@ splitmix64(uint64_t x)
 std::string
 encodeFrame(const std::string &payload)
 {
-    std::string frame;
-    frame.reserve(frameHeaderBytes + payload.size());
-    pack32(frame, frameMagic);
-    pack32(frame, (uint32_t)payload.size());
-    pack32(frame, crc32(payload));
-    frame += payload;
-    return frame;
+    Serializer frame;
+    frame.u32(frameMagic);
+    frame.u32((uint32_t)payload.size());
+    frame.u32(crc32(payload));
+    frame.bytes(payload.data(), payload.size());
+    return frame.data();
 }
 
 FrameStatus
@@ -64,15 +49,18 @@ nextFrame(std::string &buffer, std::string &payload)
     if (buffer.size() < frameHeaderBytes) {
         // A prefix of the header could still become valid — unless the
         // magic already disagrees.
-        for (size_t i = 0; i < buffer.size() && i < 4; ++i)
-            if ((uint8_t)buffer[i] != ((frameMagic >> (8 * i)) & 0xff))
-                return FrameStatus::Corrupt;
-        return FrameStatus::Truncated;
+        Serializer magic;
+        magic.u32(frameMagic);
+        size_t n = std::min(buffer.size(), magic.size());
+        return buffer.compare(0, n, magic.data(), 0, n) == 0
+                   ? FrameStatus::Truncated
+                   : FrameStatus::Corrupt;
     }
-    if (unpack32(buffer.data()) != frameMagic)
+    Deserializer header(buffer.data(), frameHeaderBytes);
+    if (header.u32() != frameMagic)
         return FrameStatus::Corrupt;
-    uint32_t length = unpack32(buffer.data() + 4);
-    uint32_t crc = unpack32(buffer.data() + 8);
+    uint32_t length = header.u32();
+    uint32_t crc = header.u32();
     if (buffer.size() < frameHeaderBytes + (size_t)length)
         return FrameStatus::Truncated;
     if (crc32(buffer.data() + frameHeaderBytes, (size_t)length) != crc)

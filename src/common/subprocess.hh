@@ -5,8 +5,9 @@
  * to return results over a pipe, and the PUBS_FAULT fault-injection
  * plan CI uses to prove the recovery paths.
  *
- * Frame layout (little-endian): u32 magic "PBSF", u32 payload length,
- * u32 CRC32 of the payload, then the payload bytes. A parent reading a
+ * Frame layout (little-endian, written and read through
+ * common/serialize.hh): u32 magic "PBSF", u32 payload length, u32 CRC32
+ * of the payload, then the payload bytes. A parent reading a
  * frame can therefore distinguish "child died before answering" (short
  * read / bad magic) from "child answered but the bytes are not
  * trustworthy" (CRC mismatch) — both are retried, neither is believed.

@@ -1672,8 +1672,7 @@ Pipeline::fillStats(StatGroup &group) const
     group.add("issued", (double)s.issued);
     group.add("issue_conflict_cycles", (double)s.issueConflictCycles,
               "cycles a ready instruction was left unissued");
-    group.add("avg_iq_wait",
-              s.issued ? (double)s.iqWaitSum / (double)s.issued : 0.0,
+    group.add("avg_iq_wait", s.avgIqWait(),
               "mean cycles between dispatch and issue");
     group.add("avg_misspec_penalty", s.avgMisspecPenalty(),
               "mean fetch-to-resolution cycles of mispredicted branches");

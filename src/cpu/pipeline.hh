@@ -155,6 +155,57 @@ struct PipelineStats
                    ? (double)misspecPenaltySum / (double)misspecPenaltyCount
                    : 0.0;
     }
+
+    double
+    avgIqWait() const
+    {
+        return issued ? (double)iqWaitSum / (double)issued : 0.0;
+    }
+
+    /**
+     * The field list: calls @p visit once per field, on that field of
+     * every one of @p stats (PipelineStats, const or not, walked in
+     * step), in sweep-row payload order — the scalar counters, the three
+     * histograms, then the CPI stack. The sweep-row codec and the
+     * sampled-window merge walk this list, so a field left off it is
+     * neither carried across processes and journals nor merged.
+     */
+    template <typename Visit, typename... Stats>
+    static void
+    forEachField(Visit &&visit, Stats &...stats)
+    {
+        visit(stats.cycles...);
+        visit(stats.committed...);
+        visit(stats.fetched...);
+        visit(stats.condBranches...);
+        visit(stats.condMispredicts...);
+        visit(stats.indirectJumps...);
+        visit(stats.indirectMispredicts...);
+        visit(stats.btbMissBubbles...);
+        visit(stats.llcMisses...);
+        visit(stats.l1dAccesses...);
+        visit(stats.l1dMisses...);
+        visit(stats.priorityDispatches...);
+        visit(stats.normalDispatches...);
+        visit(stats.priorityStallCycles...);
+        visit(stats.iqFullStallCycles...);
+        visit(stats.robFullStallCycles...);
+        visit(stats.issueConflictCycles...);
+        visit(stats.issued...);
+        visit(stats.misspecPenaltySum...);
+        visit(stats.misspecPenaltyCount...);
+        visit(stats.wrongPathFetched...);
+        visit(stats.squashed...);
+        visit(stats.iqWaitSum...);
+        visit(stats.checkerCommits...);
+        visit(stats.checkerDivergences...);
+        visit(stats.auditsRun...);
+        visit(stats.auditViolations...);
+        visit(stats.misspecPenalty...);
+        visit(stats.iqOccupancy...);
+        visit(stats.iqWait...);
+        visit(stats.cpi...);
+    }
 };
 
 class Pipeline

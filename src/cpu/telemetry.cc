@@ -84,20 +84,25 @@ CoreTelemetry::heartbeat(Cycle now, const PipelineStats &stats)
     nextHeartbeat_ = now + heartbeatInterval_;
 }
 
-std::vector<std::pair<Pc, BranchSiteStats>>
-CoreTelemetry::topBranchSites(size_t topN) const
+void
+rankBranchSites(BranchSites &sites, size_t topN)
 {
-    std::vector<std::pair<Pc, BranchSiteStats>> sites(sites_.begin(),
-                                                      sites_.end());
     std::sort(sites.begin(), sites.end(), [](const auto &a, const auto &b) {
         if (a.second.mispredicts != b.second.mispredicts)
             return a.second.mispredicts > b.second.mispredicts;
         if (a.second.penaltySum != b.second.penaltySum)
             return a.second.penaltySum > b.second.penaltySum;
-        return a.first < b.first; // deterministic tie-break
+        return a.first < b.first;
     });
     if (sites.size() > topN)
         sites.resize(topN);
+}
+
+BranchSites
+CoreTelemetry::topBranchSites(size_t topN) const
+{
+    BranchSites sites(sites_.begin(), sites_.end());
+    rankBranchSites(sites, topN);
     return sites;
 }
 

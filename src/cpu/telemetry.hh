@@ -26,6 +26,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -61,7 +62,37 @@ struct BranchSiteStats
     // mispredictions, and how many the slice predictor had covered.
     uint64_t sliceInsts = 0;
     uint64_t sliceCovered = 0;
+
+    /**
+     * The field list: calls @p visit once per field, on that field of
+     * every one of @p sites, in sweep-row payload order. The sweep-row
+     * codec and the sampled-window merge walk it.
+     */
+    template <typename Visit, typename... Sites>
+    static void
+    forEachField(Visit &&visit, Sites &...sites)
+    {
+        visit(sites.commits...);
+        visit(sites.mispredicts...);
+        visit(sites.penaltySum...);
+        visit(sites.confidentCorrect...);
+        visit(sites.confidentWrong...);
+        visit(sites.unconfidentCorrect...);
+        visit(sites.unconfidentWrong...);
+        visit(sites.sliceInsts...);
+        visit(sites.sliceCovered...);
+    }
 };
+
+/** Static branch sites with their accumulated cost, keyed by pc. */
+using BranchSites = std::vector<std::pair<Pc, BranchSiteStats>>;
+
+/**
+ * Sort @p sites most costly first — by mispredictions, then summed
+ * penalty, then pc, so the order is deterministic — and keep the first
+ * @p topN.
+ */
+void rankBranchSites(BranchSites &sites, size_t topN);
 
 /** One heartbeat interval's headline numbers. */
 struct HeartbeatSample
@@ -244,9 +275,8 @@ class CoreTelemetry
     const std::unordered_map<Pc, BranchSiteStats> &branchSites() const
         { return sites_; }
 
-    /** The @p topN sites by misprediction count, most costly first. */
-    std::vector<std::pair<Pc, BranchSiteStats>> topBranchSites(
-        size_t topN) const;
+    /** The @p topN sites in rankBranchSites() order. */
+    BranchSites topBranchSites(size_t topN) const;
 
     /** Publish slice / priority-occupancy stats into @p group. */
     void fillSliceStats(StatGroup &group) const;

@@ -21,38 +21,6 @@ namespace
 constexpr size_t headerBytes = 28;
 
 void
-putU32(std::string &out, uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back((char)((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back((char)((v >> (8 * i)) & 0xff));
-}
-
-uint32_t
-getU32(const std::string &bytes, size_t at)
-{
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= (uint32_t)(uint8_t)bytes[at + i] << (8 * i);
-    return v;
-}
-
-uint64_t
-getU64(const std::string &bytes, size_t at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= (uint64_t)(uint8_t)bytes[at + i] << (8 * i);
-    return v;
-}
-
-void
 writeMeta(Serializer &s, const CheckpointMeta &meta)
 {
     s.beginObject("meta");
@@ -80,34 +48,36 @@ readMeta(Deserializer &d)
 
 /**
  * Validate the container framing (magic, version, lengths, both CRCs)
- * and return the payload slice. Every failure is a CheckpointError.
+ * of @p bytes and return a reader positioned at the payload. Every
+ * failure is a CheckpointError.
  */
-std::string
+Deserializer
 validatedPayload(const std::string &bytes)
 {
     if (bytes.size() < headerBytes)
         throw CheckpointError("checkpoint shorter than its header");
-    if (std::memcmp(bytes.data(), checkpointMagic,
-                    sizeof(checkpointMagic)) != 0) {
+    Deserializer d(bytes);
+    char magic[sizeof(checkpointMagic)];
+    d.bytes(magic, sizeof(magic));
+    if (std::memcmp(magic, checkpointMagic, sizeof(magic)) != 0)
         throw CheckpointError("not a checkpoint file (bad magic)");
-    }
-    uint32_t version = getU32(bytes, 8);
+    uint32_t version = d.u32();
     if (version != checkpointFormatVersion) {
         throw CheckpointError(
             "unsupported checkpoint format version " +
             std::to_string(version) + " (this build reads version " +
             std::to_string(checkpointFormatVersion) + ")");
     }
-    uint32_t storedHeaderCrc = getU32(bytes, 24);
-    if (crc32(bytes.data(), 24) != storedHeaderCrc)
+    uint64_t payloadLen = d.u64();
+    uint32_t storedPayloadCrc = d.u32();
+    uint32_t storedHeaderCrc = d.u32();
+    if (crc32(bytes.data(), headerBytes - 4) != storedHeaderCrc)
         throw CheckpointError("checkpoint header fails its CRC");
-    uint64_t payloadLen = getU64(bytes, 12);
-    if (bytes.size() - headerBytes != payloadLen)
+    if (d.remaining() != payloadLen)
         throw CheckpointError("checkpoint payload length mismatch");
-    uint32_t storedPayloadCrc = getU32(bytes, 20);
     if (crc32(bytes.data() + headerBytes, payloadLen) != storedPayloadCrc)
         throw CheckpointError("checkpoint payload fails its CRC");
-    return bytes.substr(headerBytes);
+    return d;
 }
 
 void
@@ -164,23 +134,20 @@ encodeCheckpoint(const CheckpointMeta &meta, const emu::Emulator &emu,
     pipeline.serialize(payload);
     payload.endObject("checkpoint");
 
-    std::string out;
-    out.reserve(headerBytes + payload.size());
-    out.append(checkpointMagic, sizeof(checkpointMagic));
-    putU32(out, checkpointFormatVersion);
-    putU64(out, payload.size());
-    putU32(out, crc32(payload.data()));
-    putU32(out, crc32(out.data(), 24));
-    out += payload.data();
-    return out;
+    Serializer header;
+    header.bytes(checkpointMagic, sizeof(checkpointMagic));
+    header.u32(checkpointFormatVersion);
+    header.u64(payload.size());
+    header.u32(crc32(payload.data()));
+    header.u32(crc32(header.data()));
+    return header.data() + payload.data();
 }
 
 CheckpointMeta
 decodeCheckpoint(const std::string &bytes, emu::Emulator &emu,
                  cpu::Pipeline &pipeline)
 {
-    std::string payload = validatedPayload(bytes);
-    Deserializer d(payload);
+    Deserializer d = validatedPayload(bytes);
     d.beginObject("checkpoint");
     CheckpointMeta meta = readMeta(d);
     // Reject a wrong-program / wrong-machine restore before touching any
@@ -196,58 +163,24 @@ decodeCheckpoint(const std::string &bytes, emu::Emulator &emu,
 CheckpointMeta
 readCheckpointMeta(const std::string &bytes)
 {
-    std::string payload = validatedPayload(bytes);
-    Deserializer d(payload);
+    Deserializer d = validatedPayload(bytes);
     d.beginObject("checkpoint");
     return readMeta(d);
-}
-
-void
-saveCheckpointFile(const std::string &path, const CheckpointMeta &meta,
-                   const emu::Emulator &emu, const cpu::Pipeline &pipeline)
-{
-    std::string bytes = encodeCheckpoint(meta, emu, pipeline);
-    std::string error = atomicWriteFile(path, bytes);
-    if (!error.empty())
-        throw CheckpointError("cannot write checkpoint: " + error);
-}
-
-CheckpointMeta
-loadCheckpointFile(const std::string &path, emu::Emulator &emu,
-                   cpu::Pipeline &pipeline)
-{
-    std::string bytes;
-    if (!readWholeFile(path, bytes))
-        throw CheckpointError("cannot read checkpoint '" + path + "'");
-    return decodeCheckpoint(bytes, emu, pipeline);
 }
 
 std::string
 CheckpointStore::pathFor(const CheckpointMeta &meta) const
 {
-    // Same dual-CRC32 idiom as the sweep journal's spec key: two
-    // independently seeded CRC32 streams over the identity text give a
-    // 64-bit content address with no new hash machinery.
-    uint32_t lo = 0, hi = 0x50554253u;
-    auto mix = [&](const std::string &text) {
-        lo = crc32(text, lo);
-        hi = crc32(text, hi ^ 0x9e3779b9u);
-    };
-    mix(meta.workload);
-    mix(std::to_string(meta.programCrc));
-    mix(std::to_string(meta.paramsFp));
-    mix(std::to_string(meta.skipInsts));
-    mix(std::to_string(checkpointFormatVersion));
+    ContentKey key;
+    key.mix(meta.workload);
+    key.mix(std::to_string(meta.programCrc));
+    key.mix(std::to_string(meta.paramsFp));
+    key.mix(std::to_string(meta.skipInsts));
+    key.mix(std::to_string(checkpointFormatVersion));
     char name[96];
-    std::snprintf(name, sizeof(name), "ckpt-%08x%08x.pubsckpt", hi, lo);
+    std::snprintf(name, sizeof(name), "ckpt-%016llx.pubsckpt",
+                  (unsigned long long)key.value());
     return dir_ + "/" + name;
-}
-
-bool
-CheckpointStore::contains(const CheckpointMeta &meta) const
-{
-    std::string bytes;
-    return readWholeFile(pathFor(meta), bytes);
 }
 
 void

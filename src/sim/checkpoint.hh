@@ -6,9 +6,10 @@
  * u32 format version, u64 payload length, u32 payload CRC32, u32 header
  * CRC32 — followed by the payload, a common/serialize.hh stream holding
  * the checkpoint metadata, the emulator's architectural state, and the
- * pipeline's warm microarchitectural state. The header is designed to
- * evolve: readers reject unknown versions with a typed CheckpointError
- * instead of misdecoding.
+ * pipeline's warm microarchitectural state. Header and payload are both
+ * written and read through common/serialize.hh. The header is designed
+ * to evolve: readers reject unknown versions with a typed
+ * CheckpointError instead of misdecoding.
  *
  * Every corruption mode — truncated tail, bit flip, stale version,
  * mismatched machine geometry — surfaces as CheckpointError; a loader
@@ -87,16 +88,6 @@ CheckpointMeta decodeCheckpoint(const std::string &bytes,
 /** Validate the container and return the metadata without restoring. */
 CheckpointMeta readCheckpointMeta(const std::string &bytes);
 
-/** encodeCheckpoint() + atomic temp-then-rename write to @p path. */
-void saveCheckpointFile(const std::string &path, const CheckpointMeta &meta,
-                        const emu::Emulator &emu,
-                        const cpu::Pipeline &pipeline);
-
-/** Read @p path and decodeCheckpoint(). Throws CheckpointError. */
-CheckpointMeta loadCheckpointFile(const std::string &path,
-                                  emu::Emulator &emu,
-                                  cpu::Pipeline &pipeline);
-
 /**
  * Content-addressed checkpoint artifacts in one directory, keyed on
  * workload x machine configuration x skip distance x container format
@@ -115,9 +106,6 @@ class CheckpointStore
 
     /** Content-address filename (inside dir()) for @p meta's identity. */
     std::string pathFor(const CheckpointMeta &meta) const;
-
-    /** Is a (readable) artifact present for @p meta's identity? */
-    bool contains(const CheckpointMeta &meta) const;
 
     /** Cache container @p bytes for @p meta (atomic; warns on error). */
     void save(const CheckpointMeta &meta, const std::string &bytes) const;

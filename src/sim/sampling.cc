@@ -29,9 +29,18 @@ tQuantile975(uint32_t df)
     return df <= 30 ? tTable975[df] : 1.96;
 }
 
+// merge(into, from): pool one field of a measurement window into the
+// running total, for each field type of the stats field lists.
+
+void
+merge(uint64_t &into, uint64_t from)
+{
+    into += from;
+}
+
 /** Bucket-wise histogram merge; both sides share one geometry. */
 void
-mergeHistogram(Histogram &into, const Histogram &from)
+merge(Histogram &into, const Histogram &from)
 {
     std::vector<uint64_t> counts(into.numBuckets());
     for (size_t i = 0; i < into.numBuckets(); ++i)
@@ -41,82 +50,35 @@ mergeHistogram(Histogram &into, const Histogram &from)
                  into.samples() + from.samples());
 }
 
-/** Sum @p from's counters (and histograms) into @p into. */
 void
-accumulateStats(cpu::PipelineStats &into, const cpu::PipelineStats &from)
+merge(cpu::CpiStack &into, const cpu::CpiStack &from)
 {
-    into.cycles += from.cycles;
-    into.committed += from.committed;
-    into.fetched += from.fetched;
-    into.condBranches += from.condBranches;
-    into.condMispredicts += from.condMispredicts;
-    into.indirectJumps += from.indirectJumps;
-    into.indirectMispredicts += from.indirectMispredicts;
-    into.btbMissBubbles += from.btbMissBubbles;
-    into.llcMisses += from.llcMisses;
-    into.l1dAccesses += from.l1dAccesses;
-    into.l1dMisses += from.l1dMisses;
-    into.priorityDispatches += from.priorityDispatches;
-    into.normalDispatches += from.normalDispatches;
-    into.priorityStallCycles += from.priorityStallCycles;
-    into.iqFullStallCycles += from.iqFullStallCycles;
-    into.robFullStallCycles += from.robFullStallCycles;
-    into.issueConflictCycles += from.issueConflictCycles;
-    into.issued += from.issued;
-    into.misspecPenaltySum += from.misspecPenaltySum;
-    into.misspecPenaltyCount += from.misspecPenaltyCount;
-    into.wrongPathFetched += from.wrongPathFetched;
-    into.squashed += from.squashed;
-    into.iqWaitSum += from.iqWaitSum;
-    into.checkerCommits += from.checkerCommits;
-    into.checkerDivergences += from.checkerDivergences;
-    into.auditsRun += from.auditsRun;
-    into.auditViolations += from.auditViolations;
-    into.cpi.merge(from.cpi);
-    mergeHistogram(into.misspecPenalty, from.misspecPenalty);
-    mergeHistogram(into.iqOccupancy, from.iqOccupancy);
-    mergeHistogram(into.iqWait, from.iqWait);
+    into.merge(from);
 }
 
+/** The field-list visitor: pool one field of a window into the total. */
+constexpr auto mergeField = [](auto &into, const auto &from) {
+    merge(into, from);
+};
+
 /**
- * Pool @p from's per-branch profile rows into @p into by pc, re-sort
- * by the canonical order (mispredicts, penalty, pc) and re-cap. Each
- * window only exports its own top rows, so a branch hot in one window
- * and just-below-cap in another is slightly undercounted — acceptable
- * for a profile whose purpose is ranking the dominant sites.
+ * Pool @p from's per-branch profile rows into @p into by pc, re-rank and
+ * re-cap. Each window only exports its own top rows, so a branch hot in
+ * one window and just-below-cap in another is slightly undercounted —
+ * acceptable for a profile whose purpose is ranking the dominant sites.
  */
 void
-mergeBranchProfile(std::vector<BranchProfileRow> &into,
-                   const std::vector<BranchProfileRow> &from)
+mergeBranchProfile(cpu::BranchSites &into, const cpu::BranchSites &from)
 {
-    for (const BranchProfileRow &row : from) {
-        auto it = std::find_if(
-            into.begin(), into.end(),
-            [&](const BranchProfileRow &r) { return r.pc == row.pc; });
-        if (it == into.end()) {
-            into.push_back(row);
-            continue;
-        }
-        it->commits += row.commits;
-        it->mispredicts += row.mispredicts;
-        it->penaltyCycles += row.penaltyCycles;
-        it->confCorrect += row.confCorrect;
-        it->confWrong += row.confWrong;
-        it->unconfCorrect += row.unconfCorrect;
-        it->unconfWrong += row.unconfWrong;
-        it->sliceInsts += row.sliceInsts;
-        it->sliceCovered += row.sliceCovered;
+    for (const auto &[pc, site] : from) {
+        auto it = std::find_if(into.begin(), into.end(),
+                               [&](const auto &e) { return e.first == pc; });
+        if (it == into.end())
+            into.emplace_back(pc, site);
+        else
+            cpu::BranchSiteStats::forEachField(mergeField, it->second, site);
     }
-    std::sort(into.begin(), into.end(),
-              [](const BranchProfileRow &a, const BranchProfileRow &b) {
-                  if (a.mispredicts != b.mispredicts)
-                      return a.mispredicts > b.mispredicts;
-                  if (a.penaltyCycles != b.penaltyCycles)
-                      return a.penaltyCycles > b.penaltyCycles;
-                  return a.pc < b.pc;
-              });
-    if (into.size() > maxBranchProfileRows)
-        into.resize(maxBranchProfileRows);
+    cpu::rankBranchSites(into, maxBranchProfileRows);
 }
 
 } // namespace
@@ -225,7 +187,8 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
         if (wr.instructions == 0)
             break; // nothing measurable left (halt inside warmup)
 
-        accumulateStats(total.pipeline, wr.pipeline);
+        cpu::PipelineStats::forEachField(mergeField, total.pipeline,
+                                         wr.pipeline);
         mergeBranchProfile(total.branchProfile, wr.branchProfile);
         total.simSeconds += wr.simSeconds;
         // The slice unit and mode switch are cumulative from reset
@@ -242,16 +205,7 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
     // Point estimates come from the pooled counters (the union of the
     // measured windows); the confidence intervals from the per-window
     // spread. See DESIGN.md section 10 for the methodology.
-    const cpu::PipelineStats &p = total.pipeline;
-    total.instructions = p.committed;
-    total.cycles = p.cycles;
-    total.ipc = p.ipc();
-    total.branchMpki = p.branchMpki();
-    total.llcMpki = p.llcMpki();
-    total.avgMisspecPenalty = p.avgMisspecPenalty();
-    total.avgIqWait =
-        p.issued ? (double)p.iqWaitSum / (double)p.issued : 0.0;
-    total.priorityStallCycles = p.priorityStallCycles;
+    total.deriveHeadline();
     total.sampled = true;
     total.windows = (uint32_t)ipcs.size();
     total.ipcCi95 = meanCi(ipcs).halfWidth;

@@ -70,6 +70,19 @@ PhaseScope::~PhaseScope()
     currentPhase = prev_;
 }
 
+void
+RunResult::deriveHeadline()
+{
+    instructions = pipeline.committed;
+    cycles = pipeline.cycles;
+    ipc = pipeline.ipc();
+    branchMpki = pipeline.branchMpki();
+    llcMpki = pipeline.llcMpki();
+    avgMisspecPenalty = pipeline.avgMisspecPenalty();
+    avgIqWait = pipeline.avgIqWait();
+    priorityStallCycles = pipeline.priorityStallCycles;
+}
+
 Simulator::Simulator(const cpu::CoreParams &params,
                      const isa::Program &program)
     : Simulator(params, std::make_unique<emu::Emulator>(program))
@@ -105,41 +118,16 @@ Simulator::run(uint64_t warmupInsts, uint64_t measureInsts)
         std::chrono::steady_clock::now() - wallStart;
     progress::phaseDone();
 
-    const cpu::PipelineStats &s = pipeline_->stats();
     RunResult result;
-    result.instructions = s.committed;
-    result.cycles = s.cycles;
-    result.ipc = s.ipc();
-    result.branchMpki = s.branchMpki();
-    result.llcMpki = s.llcMpki();
-    result.avgMisspecPenalty = s.avgMisspecPenalty();
-    result.avgIqWait =
-        s.issued ? (double)s.iqWaitSum / (double)s.issued : 0.0;
-    result.priorityStallCycles = s.priorityStallCycles;
+    result.pipeline = pipeline_->stats();
+    result.deriveHeadline();
     result.simSeconds = wall.count();
     if (const pubs::SliceUnit *unit = pipeline_->sliceUnit())
         result.unconfidentBranchRate = unit->unconfidentBranchRate();
     if (const pubs::ModeSwitch *ms = pipeline_->modeSwitch())
         result.pubsEnabledFraction = ms->enabledFraction();
-    result.pipeline = s;
-    if (const cpu::CoreTelemetry *tel = pipeline_->telemetry()) {
-        auto top = tel->topBranchSites(maxBranchProfileRows);
-        result.branchProfile.reserve(top.size());
-        for (const auto &[pc, site] : top) {
-            BranchProfileRow row;
-            row.pc = pc;
-            row.commits = site.commits;
-            row.mispredicts = site.mispredicts;
-            row.penaltyCycles = site.penaltySum;
-            row.confCorrect = site.confidentCorrect;
-            row.confWrong = site.confidentWrong;
-            row.unconfCorrect = site.unconfidentCorrect;
-            row.unconfWrong = site.unconfidentWrong;
-            row.sliceInsts = site.sliceInsts;
-            row.sliceCovered = site.sliceCovered;
-            result.branchProfile.push_back(row);
-        }
-    }
+    if (const cpu::CoreTelemetry *tel = pipeline_->telemetry())
+        result.branchProfile = tel->topBranchSites(maxBranchProfileRows);
     result.skippedInsts = fastForwarded_;
     return result;
 }

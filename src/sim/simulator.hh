@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "cpu/pipeline.hh"
+#include "cpu/telemetry.hh"
 #include "emu/emulator.hh"
 #include "isa/program.hh"
 #include "sim/config.hh"
@@ -60,26 +61,6 @@ class PhaseScope
     int exceptionsAtEntry_;
 };
 
-/**
- * One static conditional branch's accumulated cost profile, exported
- * from cpu::CoreTelemetry into the run result so sweeps/CSV emitters
- * can consume it without reaching into the pipeline. Field meanings
- * match cpu::BranchSiteStats.
- */
-struct BranchProfileRow
-{
-    Pc pc = 0;
-    uint64_t commits = 0;
-    uint64_t mispredicts = 0;
-    uint64_t penaltyCycles = 0;
-    uint64_t confCorrect = 0;
-    uint64_t confWrong = 0;
-    uint64_t unconfCorrect = 0;
-    uint64_t unconfWrong = 0;
-    uint64_t sliceInsts = 0;
-    uint64_t sliceCovered = 0;
-};
-
 /** Rows kept per run: the tail beyond the top-N costliest branches is
  *  noise for the profile's purpose (and bloats sweep-row payloads). */
 constexpr size_t maxBranchProfileRows = 64;
@@ -119,11 +100,17 @@ struct RunResult
 
     /**
      * Top-misprediction-cost static branches (empty unless the run had
-     * telemetry enabled), sorted by mispredicts, then summed penalty,
-     * then pc — the deterministic order of
-     * cpu::CoreTelemetry::topBranchSites().
+     * telemetry enabled), at most maxBranchProfileRows of them, in
+     * cpu::rankBranchSites() order.
      */
-    std::vector<BranchProfileRow> branchProfile;
+    cpu::BranchSites branchProfile;
+
+    /**
+     * Set the eight headline fields — instructions, cycles, ipc,
+     * branchMpki, llcMpki, avgMisspecPenalty, avgIqWait and
+     * priorityStallCycles — from pipeline.
+     */
+    void deriveHeadline();
 
     /** Speedup of this run's IPC over @p baseline (same cycle time). */
     double

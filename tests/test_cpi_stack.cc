@@ -259,10 +259,10 @@ TEST(BranchProfile, RowsAreInternallyConsistent)
     ASSERT_FALSE(r.branchProfile.empty());
     ASSERT_LE(r.branchProfile.size(), sim::maxBranchProfileRows);
     uint64_t lastMispredicts = UINT64_MAX;
-    for (const sim::BranchProfileRow &row : r.branchProfile) {
+    for (const auto &[pc, row] : r.branchProfile) {
         EXPECT_GT(row.commits, 0u);
-        EXPECT_EQ(row.confCorrect + row.confWrong + row.unconfCorrect +
-                      row.unconfWrong,
+        EXPECT_EQ(row.confidentCorrect + row.confidentWrong +
+                      row.unconfidentCorrect + row.unconfidentWrong,
                   row.commits);
         EXPECT_LE(row.mispredicts, row.commits);
         EXPECT_LE(row.sliceCovered, row.sliceInsts);

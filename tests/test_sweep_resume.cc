@@ -148,6 +148,22 @@ TEST(SweepResume, CodecRejectsEveryTruncation)
     EXPECT_FALSE(decodeSweepRow(wrongVersion, decoded));
 }
 
+TEST(SweepResume, FieldListsCoverEveryField)
+{
+    // A field declared but left off its list would silently drop out of
+    // the payload and the sampled-window merge: the listed fields must
+    // account for every byte of each struct.
+    size_t listed = 0;
+    auto count = [&listed](const auto &field) { listed += sizeof(field); };
+    cpu::PipelineStats stats;
+    cpu::PipelineStats::forEachField(count, stats);
+    EXPECT_EQ(listed, sizeof(stats));
+    listed = 0;
+    cpu::BranchSiteStats site;
+    cpu::BranchSiteStats::forEachField(count, site);
+    EXPECT_EQ(listed, sizeof(site));
+}
+
 // --- journal ---------------------------------------------------------
 
 TEST(SweepResume, JournalRoundTrip)
