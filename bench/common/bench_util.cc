@@ -565,8 +565,7 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
             progress::setCallbackSink(
                 [meter](const progress::Sample &sample) {
                     meter->update(sample);
-                },
-                250);
+                });
         }
         std::atomic<double> busySeconds{0.0};
         sim::parallelFor(result.jobs, todo.size(), [&](size_t index) {
@@ -673,7 +672,6 @@ runSweep(const SweepSpec &spec)
             warn("cannot write dashboard: %s", error.c_str());
     }
     if (!options.traceEvents.empty()) {
-        prof::Scope span("sweep/trace_export");
         try {
             prof::writeTrace(options.traceEvents);
         } catch (const SimError &error) {

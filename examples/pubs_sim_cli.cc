@@ -342,8 +342,7 @@ run(int argc, char **argv)
         mc.jsonPath = options.progressJson;
         meter = std::make_unique<progress::Meter>(mc);
         progress::setCallbackSink(
-            [&meter](const progress::Sample &s) { meter->update(s); },
-            250);
+            [&meter](const progress::Sample &s) { meter->update(s); });
         progress::beginTask(0, workload, warmup + insts);
     }
     sim::RunResult result = simulator.run(warmup, insts);

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/atomic_file.hh"
-
 namespace pubs::json
 {
 
@@ -527,21 +525,6 @@ validate(const std::string &text, std::string &error)
 {
     Value ignored;
     return parse(text, ignored, error);
-}
-
-bool
-parseFile(const std::string &path, Value &out, std::string &error)
-{
-    std::string text;
-    if (!readWholeFile(path, text)) {
-        error = "cannot read " + path;
-        return false;
-    }
-    if (!parse(text, out, error)) {
-        error = path + ": " + error;
-        return false;
-    }
-    return true;
 }
 
 } // namespace pubs::json

@@ -5,10 +5,10 @@
  * Every JSON document this repo emits (stats registry exports, sweep
  * statsJson, progress.json, Chrome trace events, the dashboard data
  * block) is consumed by tools that hard-fail on invalid JSON —
- * Perfetto, browsers, python json.load, stats_diff. This parser is the
- * in-repo referee: tests strict-parse every emitted document through
- * it, and stats_diff and the dashboard read their inputs with it
- * instead of ad-hoc scanning.
+ * Perfetto, browsers, python json.load. This parser is the in-repo
+ * referee: tests strict-parse every emitted document through it, and
+ * the dashboard reads its embedded stats document with it instead of
+ * ad-hoc scanning.
  *
  * Strictness: exactly one top-level value, no trailing input, no
  * comments, no trailing commas, no NaN/Infinity literals, strings must
@@ -99,12 +99,6 @@ bool parse(const std::string &text, Value &out, std::string &error);
 
 /** Validate without keeping the DOM. */
 bool validate(const std::string &text, std::string &error);
-
-/**
- * Parse the file at @p path. @return true on success; false with
- * @p error set (including for an unreadable file).
- */
-bool parseFile(const std::string &path, Value &out, std::string &error);
 
 } // namespace pubs::json
 

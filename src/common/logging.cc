@@ -1,6 +1,5 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -12,8 +11,6 @@ namespace pubs
 
 namespace
 {
-
-std::atomic<uint64_t> warnCounter{0};
 
 void
 vreport(const char *prefix, const char *fmt, va_list args)
@@ -63,7 +60,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
 void
 warnImpl(const char *fmt, ...)
 {
-    warnCounter.fetch_add(1, std::memory_order_relaxed);
     va_list args;
     va_start(args, fmt);
     vreport("warn: ", fmt, args);
@@ -77,12 +73,6 @@ informImpl(const char *fmt, ...)
     va_start(args, fmt);
     vreport("info: ", fmt, args);
     va_end(args);
-}
-
-uint64_t
-warnCount()
-{
-    return warnCounter.load(std::memory_order_relaxed);
 }
 
 } // namespace pubs

@@ -34,9 +34,6 @@ void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 void informImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Count of warn() calls so far (used by tests). */
-uint64_t warnCount();
-
 } // namespace pubs
 
 #define panic(...) ::pubs::panicImpl(__FILE__, __LINE__, __VA_ARGS__)

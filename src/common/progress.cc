@@ -1,6 +1,5 @@
 #include "common/progress.hh"
 
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstring>
@@ -36,6 +35,8 @@ constexpr uint8_t sampleVersion = 1;
 
 /** Labels are short workload names; anything huge is a decode error. */
 constexpr size_t sampleMaxLabel = 4096;
+
+constexpr uint64_t msToNs = 1000000;
 
 } // namespace
 
@@ -108,7 +109,6 @@ struct SinkState
     std::mutex mutex;
     int fd = -1;
     std::function<void(const Sample &)> callback;
-    uint64_t intervalNs = 0;
 };
 
 SinkState &
@@ -138,24 +138,6 @@ taskCtx()
     return ctx;
 }
 
-/** Write all of @p bytes to @p fd, retrying short writes and EINTR. */
-void
-writeAll(int fd, const std::string &bytes)
-{
-    size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            // A dead reader is the parent's problem, not ours: progress
-            // is best-effort and the result frame will fail loudly.
-            return;
-        }
-        off += (size_t)n;
-    }
-}
-
 /** Build and deliver one sample for the calling thread's task. */
 void
 emitSample(TaskCtx &ctx, uint64_t now)
@@ -172,8 +154,10 @@ emitSample(TaskCtx &ctx, uint64_t now)
 
     SinkState &sink = sinkState();
     std::lock_guard<std::mutex> lock(sink.mutex);
+    // Best-effort: if the reader is gone, the result frame fails loudly.
     if (sink.fd >= 0)
-        writeAll(sink.fd, proc::encodeFrame("P" + encodeSample(sample)));
+        proc::writeAll(sink.fd,
+                       proc::encodeFrame("P" + encodeSample(sample)));
     else if (sink.callback)
         sink.callback(sample);
     ctx.lastEmitNs = now;
@@ -195,13 +179,7 @@ tickSlow(uint64_t instsDone)
         return;
     ctx.phaseInsts = instsDone;
     uint64_t now = nowNs();
-    uint64_t interval;
-    {
-        SinkState &sink = sinkState();
-        std::lock_guard<std::mutex> lock(sink.mutex);
-        interval = sink.intervalNs;
-    }
-    if (now - ctx.lastEmitNs < interval)
+    if (now - ctx.lastEmitNs < sampleIntervalMs * msToNs)
         return;
     emitSample(ctx, now);
 }
@@ -245,25 +223,22 @@ endTask()
 }
 
 void
-setFrameSink(int fd, unsigned intervalMs)
+setFrameSink(int fd)
 {
     SinkState &sink = sinkState();
     std::lock_guard<std::mutex> lock(sink.mutex);
     sink.fd = fd;
     sink.callback = nullptr;
-    sink.intervalNs = (uint64_t)intervalMs * 1000000ull;
     sinkInstalled_.store(true, std::memory_order_relaxed);
 }
 
 void
-setCallbackSink(std::function<void(const Sample &)> fn,
-                unsigned intervalMs)
+setCallbackSink(std::function<void(const Sample &)> fn)
 {
     SinkState &sink = sinkState();
     std::lock_guard<std::mutex> lock(sink.mutex);
     sink.fd = -1;
     sink.callback = std::move(fn);
-    sink.intervalNs = (uint64_t)intervalMs * 1000000ull;
     sinkInstalled_.store(true, std::memory_order_relaxed);
 }
 
@@ -279,6 +254,15 @@ clearSink()
 
 // --- broker-side meter -----------------------------------------------
 
+namespace
+{
+
+constexpr uint64_t drawIntervalMs = 100;
+constexpr uint64_t jsonIntervalMs = 200;
+constexpr unsigned nonTtyStepPct = 10;
+
+} // namespace
+
 struct Meter::Impl
 {
     mutable std::mutex mutex;
@@ -286,13 +270,7 @@ struct Meter::Impl
     bool tty = false;
     bool finished = false;
 
-    struct SlotState
-    {
-        Sample sample;
-        uint64_t updatedNs = 0;
-    };
-
-    std::map<uint64_t, SlotState> active; ///< keyed by slot, so sorted
+    std::map<uint64_t, Sample> active; ///< keyed by slot, so sorted
     size_t done = 0;
     size_t failed = 0;
     uint64_t retries = 0;
@@ -303,12 +281,6 @@ struct Meter::Impl
     uint64_t lastJsonNs = 0;
     unsigned lastLoggedPct = 0; ///< non-TTY step tracking
     bool drewMeter = false;     ///< a \r meter line is on screen
-
-    FILE *
-    out() const
-    {
-        return config.out ? config.out : stderr;
-    }
 
     unsigned
     overallPct() const
@@ -323,7 +295,7 @@ struct Meter::Impl
     {
         double total = 0.0;
         for (const auto &entry : active)
-            total += entry.second.sample.kips;
+            total += entry.second.kips;
         return total;
     }
 
@@ -340,20 +312,20 @@ struct Meter::Impl
             line << "  " << buf << " KIPS";
         }
         // Show the farthest-behind active run: it bounds the sweep.
-        const SlotState *laggard = nullptr;
+        const Sample *laggard = nullptr;
         double laggardPct = 101.0;
         for (const auto &entry : active) {
-            const Sample &s = entry.second.sample;
+            const Sample &s = entry.second;
             if (s.totalInsts == 0)
                 continue;
             double pct = 100.0 * (double)s.insts / (double)s.totalInsts;
             if (pct < laggardPct) {
                 laggardPct = pct;
-                laggard = &entry.second;
+                laggard = &s;
             }
         }
         if (laggard) {
-            line << "  " << laggard->sample.label << " "
+            line << "  " << laggard->label << " "
                  << (unsigned)laggardPct << "%";
         }
         if (failed)
@@ -382,7 +354,7 @@ struct Meter::Impl
         doc << "  \"active\": [";
         bool first = true;
         for (const auto &entry : active) {
-            const Sample &s = entry.second.sample;
+            const Sample &s = entry.second;
             doc << (first ? "\n" : ",\n");
             first = false;
             double pct = s.totalInsts
@@ -407,32 +379,27 @@ struct Meter::Impl
             return;
         uint64_t now = nowNs();
         if (tty) {
-            if (!force &&
-                now - lastDrawNs <
-                    (uint64_t)config.drawIntervalMs * 1000000ull)
+            if (!force && now - lastDrawNs < drawIntervalMs * msToNs)
                 return;
             lastDrawNs = now;
-            std::fprintf(out(), "\r\033[K%s", renderLine().c_str());
-            std::fflush(out());
+            std::fprintf(stderr, "\r\033[K%s", renderLine().c_str());
             drewMeter = true;
             return;
         }
-        // Non-TTY: one machine-readable line per N% step (and on the
+        // Non-TTY: one machine-readable line per 10% step (and on the
         // final flush), so logs stay bounded.
         unsigned pct = overallPct();
-        unsigned step = config.nonTtyStepPct ? config.nonTtyStepPct : 10;
-        if (!force && pct < lastLoggedPct + step)
+        if (!force && pct < lastLoggedPct + nonTtyStepPct)
             return;
         if (!force)
-            lastLoggedPct = pct - pct % step;
-        std::fprintf(out(),
+            lastLoggedPct = pct - pct % nonTtyStepPct;
+        std::fprintf(stderr,
                      "progress: done=%zu/%zu pct=%u active=%zu "
                      "kips=%.0f failed=%zu retries=%" PRIu64
                      " timeouts=%" PRIu64 " stale=%" PRIu64 "\n",
                      done, config.totalRuns, pct, active.size(),
                      aggregateKips(), failed, retries, timeouts,
                      staleKills);
-        std::fflush(out());
     }
 
     void
@@ -441,9 +408,7 @@ struct Meter::Impl
         if (config.jsonPath.empty())
             return;
         uint64_t now = nowNs();
-        if (!force &&
-            now - lastJsonNs <
-                (uint64_t)config.jsonIntervalMs * 1000000ull)
+        if (!force && now - lastJsonNs < jsonIntervalMs * msToNs)
             return;
         lastJsonNs = now;
         // Best-effort: losing a progress snapshot must not kill a sweep.
@@ -454,8 +419,7 @@ struct Meter::Impl
 Meter::Meter(Config config) : impl_(new Impl)
 {
     impl_->config = std::move(config);
-    impl_->tty = impl_->config.forceTty ||
-                 isatty(fileno(impl_->out())) == 1;
+    impl_->tty = isatty(STDERR_FILENO) == 1;
     impl_->startNs = nowNs();
     impl_->lastJsonNs = 0;
     std::lock_guard<std::mutex> lock(impl_->mutex);
@@ -473,9 +437,7 @@ Meter::update(const Sample &sample)
     std::lock_guard<std::mutex> lock(impl_->mutex);
     if (impl_->finished)
         return;
-    Impl::SlotState &state = impl_->active[sample.slot];
-    state.sample = sample;
-    state.updatedNs = nowNs();
+    impl_->active[sample.slot] = sample;
     impl_->draw(false);
     impl_->writeJson(false);
 }
@@ -511,10 +473,8 @@ Meter::finish()
     if (impl_->finished)
         return;
     impl_->draw(true);
-    if (impl_->tty && impl_->drewMeter && !impl_->config.quiet) {
-        std::fprintf(impl_->out(), "\n");
-        std::fflush(impl_->out());
-    }
+    if (impl_->tty && impl_->drewMeter && !impl_->config.quiet)
+        std::fprintf(stderr, "\n");
     impl_->writeJson(true);
     impl_->finished = true;
 }

@@ -37,7 +37,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -78,11 +77,15 @@ bool enabled();
 
 extern std::atomic<bool> sinkInstalled_;
 
+/** A worker thread emits at most one sample per this many ms. */
+constexpr unsigned sampleIntervalMs = 250;
+
 /**
  * Report progress from the simulation loop: @p instsDone instructions
  * retired in the current phase. No-op unless a sink is installed and a
- * task was begun on this thread; rate-limited per thread by the sink's
- * interval. Cheap enough to call every pipeline iteration.
+ * task was begun on this thread; rate-limited per thread to one sample
+ * per sampleIntervalMs (a task's first tick always passes). Cheap
+ * enough to call every pipeline iteration.
  */
 inline void
 tick(uint64_t instsDone)
@@ -111,17 +114,16 @@ void endTask();
 
 /**
  * Install a pipe sink: samples are written to @p fd as typed 'P'
- * frames (proc::encodeFrame("P" + encodeSample(...))), at most one per
- * @p intervalMs per thread. Used by forked sweep workers.
+ * frames (proc::encodeFrame("P" + encodeSample(...))). Used by forked
+ * sweep workers.
  */
-void setFrameSink(int fd, unsigned intervalMs);
+void setFrameSink(int fd);
 
 /**
  * Install a callback sink (thread-pool / in-process runs). @p fn is
  * called from worker threads and must be thread-safe.
  */
-void setCallbackSink(std::function<void(const Sample &)> fn,
-                     unsigned intervalMs);
+void setCallbackSink(std::function<void(const Sample &)> fn);
 
 /** Remove the sink; tick() returns to the disabled fast path. */
 void clearSink();
@@ -133,15 +135,16 @@ void clearSink();
  * Thread-safe: update() may be called from pool threads or the broker
  * poll loop.
  *
- * TTY output (stderr is a terminal): one carriage-return-redrawn line
- *     [ 12/36] 33%  4 active  2841 KIPS  mcf_like 41%  retries 1
- * Non-TTY: one machine-readable line per `nonTtyStepPct` of overall
- * completed-run progress:
- *     progress: done=12/36 pct=33 active=4 kips=2841 retries=1 skips=0
+ * TTY output (stderr is a terminal): one carriage-return-redrawn line,
+ * at most every 100 ms,
+ *     [12/36] 33%  4 active  2841 KIPS  mcf_like 41%  retries 1
+ * Non-TTY: one machine-readable line per 10% of overall completed-run
+ * progress:
+ *     progress: done=12/36 pct=33 active=4 kips=2841 failed=0 ...
  *
  * progress.json (when a path is configured) is rewritten atomically at
- * most every jsonIntervalMs and always on finish(): strict JSON with
- * totals, per-active-slot detail, and farm-health counters.
+ * most every 200 ms and always on finish(): strict JSON with totals,
+ * per-active-slot detail, and farm-health counters.
  */
 class Meter
 {
@@ -149,13 +152,8 @@ class Meter
     struct Config
     {
         size_t totalRuns = 0;
-        std::string jsonPath;      ///< empty = no progress.json
-        FILE *out = nullptr;       ///< nullptr = stderr
-        unsigned jsonIntervalMs = 200;
-        unsigned drawIntervalMs = 100;
-        unsigned nonTtyStepPct = 10;
-        bool forceTty = false;     ///< tests: render as if a TTY
-        bool quiet = false;        ///< suppress terminal output entirely
+        std::string jsonPath; ///< empty = no progress.json
+        bool quiet = false;   ///< suppress terminal output entirely
     };
 
     explicit Meter(Config config);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Statistics package: named counters, averages, histograms and derived
- * ratios collected into StatGroups, a hierarchical StatRegistry with text
- * and JSON renderers, and the geometric-mean helpers the paper's figures
+ * Statistics package: named values, histograms and derived ratios
+ * collected into StatGroups, a hierarchical StatRegistry with text and
+ * JSON renderers, and the geometric-mean helpers the paper's figures
  * use.
  */
 
@@ -17,48 +17,6 @@
 
 namespace pubs
 {
-
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(uint64_t n) { value_ += n; return *this; }
-    void reset() { value_ = 0; }
-    uint64_t value() const { return value_; }
-
-  private:
-    uint64_t value_ = 0;
-};
-
-/** Mean of a stream of samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    /** Record @p v as if sampled @p n times (bulk idle-cycle account). */
-    void
-    sample(double v, uint64_t n)
-    {
-        sum_ += v * (double)n;
-        count_ += n;
-    }
-
-    void reset() { sum_ = 0; count_ = 0; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-  private:
-    double sum_ = 0;
-    uint64_t count_ = 0;
-};
 
 /** How a Histogram maps sample values to buckets. */
 enum class BucketScale

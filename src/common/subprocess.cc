@@ -61,6 +61,8 @@ nextFrame(std::string &buffer, std::string &payload)
         return FrameStatus::Corrupt;
     uint32_t length = header.u32();
     uint32_t crc = header.u32();
+    if (length > frameMaxPayload)
+        return FrameStatus::Corrupt;
     if (buffer.size() < frameHeaderBytes + (size_t)length)
         return FrameStatus::Truncated;
     if (crc32(buffer.data() + frameHeaderBytes, (size_t)length) != crc)
@@ -99,6 +101,21 @@ spawnChild(const std::function<void(int writeFd)> &fn)
     }
     ::close(fds[1]);
     return Child{pid, fds[0]};
+}
+
+void
+writeAll(int fd, const std::string &bytes)
+{
+    size_t off = 0;
+    while (off < bytes.size()) {
+        ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return;
+        }
+        off += (size_t)n;
+    }
 }
 
 std::string

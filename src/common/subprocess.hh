@@ -43,6 +43,13 @@ constexpr uint32_t frameMagic = 0x46534250u;
 /** Bytes before the payload: magic, length, CRC32. */
 constexpr size_t frameHeaderBytes = 12;
 
+/**
+ * Longest payload a frame may declare. A sweep row, the largest, holds
+ * at most three histograms of 2^20 buckets (about 24 MiB); any longer
+ * length field is corrupt, not a frame still arriving.
+ */
+constexpr uint32_t frameMaxPayload = 64u << 20;
+
 /** Encode @p payload as one frame (header + payload). */
 std::string encodeFrame(const std::string &payload);
 
@@ -80,6 +87,13 @@ struct Child
  * ProcError if fork or pipe creation fails.
  */
 Child spawnChild(const std::function<void(int writeFd)> &fn);
+
+/**
+ * Write all of @p bytes to @p fd, retrying short writes and EINTR.
+ * Gives up silently on any other error: a worker whose reader is gone
+ * has no one left to tell.
+ */
+void writeAll(int fd, const std::string &bytes);
 
 /**
  * Human-readable description of a waitpid() status: "exited 3",

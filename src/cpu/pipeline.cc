@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/hints.hh"
 #include "common/logging.hh"
-#include "common/profiler.hh"
 #include "common/progress.hh"
 #include "cpu/audit.hh"
 #include "cpu/telemetry.hh"
@@ -682,20 +681,6 @@ Pipeline::resetStats()
 void
 Pipeline::cycle()
 {
-    // Host-phase profiling is sampled: most cycles pay one predictable
-    // branch, and every sampleInterval()-th cycle times each stage.
-    // The lambda indirection inlines; the timed and untimed paths run
-    // the same stage code, so profiling cannot perturb simulation.
-    const bool sampled = prof::sampleCycle(now_);
-    auto stage = [sampled](const char *name, auto &&body) {
-        if (sampled) {
-            prof::Scope span(name);
-            body();
-        } else {
-            body();
-        }
-    };
-
     // The cycle is unattributed until the end-of-cycle CPI-stack
     // classification below; the auditor accounts for the gap when it
     // runs mid-cycle (post-squash).
@@ -707,17 +692,15 @@ Pipeline::cycle()
     // Deliver this cycle's wakeup events before any stage runs, so the
     // ready bitmaps the select logic reads match what a full rescan of
     // regReadyCycle would conclude at this cycle.
-    stage("sim/wakeup", [&] {
-        wheel_.drain(now_, [this](const EventWheel::Event &event) {
-            onWheelEvent(event.kind, event.a, event.b);
-        });
-        applyConfEvents();
-        processSquashes();
+    wheel_.drain(now_, [this](const EventWheel::Event &event) {
+        onWheelEvent(event.kind, event.a, event.b);
     });
-    stage("sim/commit", [&] { doCommit(); });
-    stage("sim/select", [&] { doIssue(); });
-    stage("sim/rename", [&] { doDispatch(); });
-    stage("sim/fetch", [&] { doFetch(); });
+    applyConfEvents();
+    processSquashes();
+    doCommit();
+    doIssue();
+    doDispatch();
+    doFetch();
 
     // Top-down attribution: a correct-path dispatch makes the cycle
     // useful; wrong-path-only dispatch is misspeculation work; anything

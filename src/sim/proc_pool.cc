@@ -41,22 +41,6 @@ envDouble(const char *name, double fallback)
     return parsed;
 }
 
-/** Write all of @p data to @p fd, tolerating EINTR and short writes. */
-void
-writeAll(int fd, const char *data, size_t len)
-{
-    size_t written = 0;
-    while (written < len) {
-        ssize_t n = ::write(fd, data + written, len - written);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // parent gone (EPIPE) or pipe broken: nothing to do
-        }
-        written += (size_t)n;
-    }
-}
-
 /** A task waiting to (re)start. */
 struct Ready
 {
@@ -155,7 +139,7 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                     ::pause();
             }
             if (config_.onProgress)
-                progress::setFrameSink(wfd, config_.progressIntervalMs);
+                progress::setFrameSink(wfd);
             std::string payload = fn(task.index, task.attempt);
             // Stop heartbeats before the result frame so nothing
             // interleaves after it.
@@ -169,7 +153,7 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                                     (frame.size() - proc::frameHeaderBytes);
                 frame[victim] = (char)(frame[victim] ^ 0x20);
             }
-            writeAll(wfd, frame.data(), frame.size());
+            proc::writeAll(wfd, frame);
             ::close(wfd);
         });
         Running r;

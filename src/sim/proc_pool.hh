@@ -92,7 +92,6 @@ class ProcPool
          * set.
          */
         std::function<void(const progress::Sample &)> onProgress;
-        unsigned progressIntervalMs = 250; ///< per-worker sample period
 
         /**
          * A worker whose pipe stays silent this long (after its first

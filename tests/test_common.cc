@@ -127,27 +127,6 @@ TEST(Rng, UniformInUnitInterval)
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 4;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, AverageBasics)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(2.0);
-    a.sample(4.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(Stats, HistogramBuckets)
 {
     Histogram h(8);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability-plane tests: the strict RFC 8259 JSON referee, the
- * hierarchical host-phase profiler (nesting, self-time, trace export),
+ * host-phase span recorder (nesting, the per-thread cap, trace export),
  * the progress sample codec and its frame-CRC protection, the
  * incremental frame splitter, the broker Meter, the dashboard renderer
  * (data block strict-parses back out of the HTML), and the plane's
@@ -20,7 +20,7 @@
 #include "common/profiler.hh"
 #include "common/progress.hh"
 #include "common/report.hh"
-#include "common/stats.hh"
+#include "common/serialize.hh"
 #include "common/subprocess.hh"
 #include "sim/config.hh"
 #include "workloads/suite.hh"
@@ -80,7 +80,30 @@ TEST(StrictJson, ErrorsCarryLineAndColumn)
 
 // --- profiler --------------------------------------------------------
 
-TEST(Profiler, NestedScopesAggregateSelfTime)
+/** The recorded spans, strict-parsed out of traceEventsJson(). */
+json::Value
+traceDocument()
+{
+    json::Value doc;
+    std::string error;
+    EXPECT_TRUE(json::parse(prof::traceEventsJson(), doc, error)) << error;
+    return doc;
+}
+
+/** The trace's events named @p name. */
+std::vector<json::Value>
+spansNamed(const json::Value &doc, const std::string &name)
+{
+    std::vector<json::Value> out;
+    if (const json::Value *events = doc.find("traceEvents")) {
+        for (const json::Value &event : events->array())
+            if (event.stringOr("name", "") == name)
+                out.push_back(event);
+    }
+    return out;
+}
+
+TEST(Profiler, NestedScopesShareATidAndNest)
 {
     prof::reset();
     prof::enable();
@@ -95,23 +118,20 @@ TEST(Profiler, NestedScopesAggregateSelfTime)
     }
     prof::disable();
 
-    const std::vector<prof::PhaseStats> phases = prof::aggregate();
-    const prof::PhaseStats *outer = nullptr, *inner = nullptr;
-    for (const auto &p : phases) {
-        if (p.path == "test/outer")
-            outer = &p;
-        if (p.path == "test/outer/test/inner")
-            inner = &p;
+    const json::Value doc = traceDocument();
+    const std::vector<json::Value> outer = spansNamed(doc, "test/outer");
+    const std::vector<json::Value> inner = spansNamed(doc, "test/inner");
+    ASSERT_EQ(outer.size(), 1u);
+    ASSERT_EQ(inner.size(), 3u);
+    const double begin = outer[0].numberOr("ts", -1.0);
+    const double end = begin + outer[0].numberOr("dur", -1.0);
+    for (const json::Value &span : inner) {
+        EXPECT_EQ(span.numberOr("tid", -1.0), outer[0].numberOr("tid", -2.0));
+        const double ts = span.numberOr("ts", -1.0);
+        EXPECT_GE(ts, begin);
+        // Timestamps are whole nanoseconds printed in microseconds.
+        EXPECT_LE(ts + span.numberOr("dur", -1.0), end + 1e-6);
     }
-    ASSERT_NE(outer, nullptr);
-    ASSERT_NE(inner, nullptr);
-    EXPECT_EQ(outer->count, 1u);
-    EXPECT_EQ(inner->count, 3u);
-    // The child's time is excluded from the parent's self time.
-    EXPECT_GE(outer->totalSeconds, inner->totalSeconds);
-    EXPECT_LE(outer->selfSeconds,
-              outer->totalSeconds - inner->totalSeconds + 1e-9);
-    EXPECT_GT(inner->maxSeconds, 0.0);
     prof::reset();
 }
 
@@ -122,8 +142,10 @@ TEST(Profiler, DisabledScopesRecordNothing)
     {
         prof::Scope scope("test/should_not_exist");
     }
-    for (const auto &p : prof::aggregate())
-        EXPECT_EQ(p.path.find("should_not_exist"), std::string::npos);
+    const json::Value doc = traceDocument();
+    const json::Value *events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    EXPECT_TRUE(events->array().empty());
 }
 
 TEST(Profiler, TraceEventsJsonIsStrictAndRoundTrips)
@@ -136,10 +158,7 @@ TEST(Profiler, TraceEventsJsonIsStrictAndRoundTrips)
     }
     prof::disable();
 
-    const std::string doc = prof::traceEventsJson();
-    json::Value v;
-    std::string error;
-    ASSERT_TRUE(json::parse(doc, v, error)) << error;
+    const json::Value v = traceDocument();
     const json::Value *events = v.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
@@ -152,23 +171,36 @@ TEST(Profiler, TraceEventsJsonIsStrictAndRoundTrips)
             sawAlpha = true;
     }
     EXPECT_TRUE(sawAlpha);
+    const json::Value *dropped = v.find("otherData", "dropped_spans");
+    ASSERT_NE(dropped, nullptr);
+    EXPECT_EQ(dropped->number(), 0.0);
     prof::reset();
 }
 
-TEST(Profiler, FillRegistryPublishesPhases)
+TEST(Profiler, SpansPastTheCapAreCountedAsDropped)
 {
     prof::reset();
     prof::enable();
-    {
-        prof::Scope scope("test/registry_phase");
-    }
+    for (size_t i = 0; i <= prof::traceCapacity; ++i)
+        prof::Scope span("test/capped");
     prof::disable();
-    StatRegistry registry;
-    prof::fillRegistry(registry);
-    const std::string doc = registry.renderJson();
-    EXPECT_NE(doc.find("registry_phase"), std::string::npos);
+
+    // A DOM of 2^17 events is large; count the spans in the text and
+    // parse only the trailing otherData object.
+    const std::string doc = prof::traceEventsJson();
+    size_t spans = 0;
+    for (size_t at = doc.find("\"test/capped\""); at != std::string::npos;
+         at = doc.find("\"test/capped\"", at + 1))
+        ++spans;
+    EXPECT_EQ(spans, prof::traceCapacity);
+    const size_t other = doc.rfind("{\"dropped_spans\"");
+    ASSERT_NE(other, std::string::npos);
+    json::Value otherData;
     std::string error;
-    EXPECT_TRUE(json::validate(doc, error)) << error;
+    ASSERT_TRUE(json::parse(doc.substr(other, doc.size() - other - 2),
+                            otherData, error))
+        << error;
+    EXPECT_EQ(otherData.numberOr("dropped_spans", -1.0), 1.0);
     prof::reset();
 }
 
@@ -246,6 +278,22 @@ TEST(FrameSplitter, ConsumesMultipleFramesFromOneBuffer)
               proc::FrameStatus::Truncated);
 }
 
+TEST(FrameSplitter, ImpossibleLengthIsCorruptFromTheHeaderAlone)
+{
+    for (uint32_t length : {0xffffffffu, proc::frameMaxPayload + 1}) {
+        std::string buffer = proc::encodeFrame("");
+        ASSERT_EQ(buffer.size(), proc::frameHeaderBytes);
+        Serializer field;
+        field.u32(length);
+        buffer.replace(4, 4, field.data());
+        std::string payload;
+        EXPECT_EQ(proc::nextFrame(buffer, payload),
+                  proc::FrameStatus::Corrupt)
+            << length;
+        EXPECT_EQ(buffer.size(), proc::frameHeaderBytes);
+    }
+}
+
 TEST(FrameSplitter, PartialFrameWaitsForMoreBytes)
 {
     const std::string whole = proc::encodeFrame("partial test");
@@ -262,7 +310,7 @@ TEST(ProgressSink, CallbackSinkDeliversTaskSamples)
 {
     std::vector<progress::Sample> seen;
     progress::setCallbackSink(
-        [&](const progress::Sample &s) { seen.push_back(s); }, 0);
+        [&](const progress::Sample &s) { seen.push_back(s); });
     progress::beginTask(3, "unit_workload", 1000);
     progress::tick(250);
     progress::phaseDone();
@@ -302,6 +350,36 @@ TEST(ProgressMeter, JsonIsStrictAndTracksRuns)
     EXPECT_EQ(v.numberOr("retries", 0), 2.0);
     EXPECT_EQ(v.numberOr("timeouts", 0), 1.0);
     EXPECT_EQ(v.numberOr("stale_kills", 0), 1.0);
+}
+
+TEST(ProgressMeter, LineShowsDoneActiveKipsAndLaggard)
+{
+    progress::Meter::Config config;
+    config.totalRuns = 4;
+    config.quiet = true;
+    progress::Meter meter(config);
+
+    progress::Sample ahead = sampleFixture();
+    ahead.slot = 1;
+    ahead.insts = 900;
+    ahead.totalInsts = 1000;
+    ahead.kips = 1000.0;
+    ahead.label = "sjeng_like";
+    progress::Sample behind = ahead;
+    behind.slot = 2;
+    behind.insts = 250;
+    behind.kips = 500.0;
+    behind.label = "mcf_like";
+    meter.update(ahead);
+    meter.update(behind);
+    meter.runFinished(0, true);
+
+    EXPECT_EQ(meter.line(), "[1/4] 25%  2 active  1500 KIPS  mcf_like 25%");
+    meter.runFinished(3, false);
+    meter.setFarmTotals(2, 0, 0);
+    EXPECT_EQ(meter.line(), "[2/4] 50%  2 active  1500 KIPS  mcf_like 25%"
+                            "  failed 1  retries 2");
+    meter.finish();
 }
 
 // --- dashboard -------------------------------------------------------
@@ -414,13 +492,13 @@ TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
     const std::string plain = bench::runSweep(buildSpec()).statsJson();
 
     prof::reset();
-    prof::enable(64);
+    prof::enable();
     progress::Meter::Config mc;
     mc.totalRuns = 2;
     mc.quiet = true;
     progress::Meter meter(mc);
     progress::setCallbackSink(
-        [&](const progress::Sample &s) { meter.update(s); }, 0);
+        [&](const progress::Sample &s) { meter.update(s); });
     const std::string observed = bench::runSweep(buildSpec()).statsJson();
     progress::clearSink();
     meter.finish();
