@@ -49,14 +49,8 @@ class Rng
         return result;
     }
 
-    /** Uniform value in [0, bound); bound must be non-zero. */
-    uint64_t
-    below(uint64_t bound)
-    {
-        // Lemire-style rejection-free-enough reduction; the slight
-        // modulo bias is irrelevant for workload synthesis.
-        return next() % bound;
-    }
+    /** Uniform value in [0, bound) from one draw; bound must be non-zero. */
+    uint64_t below(uint64_t bound) { return belowOf(next(), bound); }
 
     /** Uniform value in [lo, hi] inclusive. */
     uint64_t
@@ -75,17 +69,31 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform() { return toDouble(next()); }
 
+    /**
+     * What below(@p bound) returns when next() returns @p draw: the low
+     * bits when @p bound is a power of two (the same value as the
+     * remainder, without the division), else the remainder. The slight
+     * modulo bias is irrelevant for workload synthesis.
+     */
+    static uint64_t
+    belowOf(uint64_t draw, uint64_t bound)
+    {
+        return (bound & (bound - 1)) == 0 ? draw & (bound - 1)
+                                           : draw % bound;
+    }
+
+    /** What uniform() returns when next() returns @p v. */
+    static double
+    toDouble(uint64_t v)
+    {
+        return (v >> 11) * (1.0 / 9007199254740992.0);
+    }
+
   private:
     static uint64_t
     rotl(uint64_t x, int k)
     {
         return (x << k) | (x >> (64 - k));
-    }
-
-    static double
-    toDouble(uint64_t v)
-    {
-        return (v >> 11) * (1.0 / 9007199254740992.0);
     }
 
     uint64_t state_[4];

@@ -41,10 +41,27 @@ Program::Image::Image(const Image &other)
     for (const Run &run : other.runs_) {
         Run &copy = runs_.emplace_back();
         copy.firstPage = run.firstPage;
-        copy.pages.reserve(run.pages.size());
-        for (const auto &page : run.pages)
-            copy.pages.push_back(std::make_unique<Page>(*page));
+        copy.pages = std::vector<Slot>(run.pages.size());
+        copy.states = run.states;
+        copy.word = run.word;
+        if (!run.states.empty())
+            continue;
+        for (size_t i = 0; i < run.pages.size(); ++i) {
+            const Page &page = *run.pages[i].get();
+            copy.pages[i] = Slot(std::make_unique<Page>(page));
+        }
     }
+}
+
+const Program::Page *
+Program::Image::Slot::publish(std::unique_ptr<Page> page) const
+{
+    Page *expected = nullptr;
+    if (std::atomic_ref<Page *>(page_).compare_exchange_strong(
+            expected, page.get(), std::memory_order_acq_rel,
+            std::memory_order_acquire))
+        return page.release();
+    return expected; // another reader's, with the same bytes
 }
 
 size_t
@@ -56,62 +73,141 @@ Program::Image::pageCount() const
     return count;
 }
 
-Program::Image::Run &
-Program::Image::cover(Addr first, Addr last, Addr rawFirst, Addr rawEnd)
+size_t
+Program::Image::publishedPages() const
 {
-    // [lo, hi): the runs that overlap or abut pages [first, last].
+    size_t count = 0;
+    for (const Run &run : runs_)
+        if (!run.states.empty())
+            for (const Slot &slot : run.pages)
+                count += slot.get() != nullptr;
+    return count;
+}
+
+void
+Program::Image::writeGenerated(const Run &run, size_t i, Page &page)
+{
+    Rng rng = run.states[i];
+    for (size_t at = 0; at < pageBytes; at += 8)
+        storeLe64(page.data() + at, run.word(rng.next()));
+}
+
+const Program::Page *
+Program::Image::publish(const Run &run, size_t i)
+{
+    auto page = std::make_unique_for_overwrite<Page>();
+    writeGenerated(run, i, *page);
+    return run.pages[i].publish(std::move(page));
+}
+
+void
+Program::Image::materialize(Run &run)
+{
+    for (size_t i = 0; i < run.pages.size(); ++i)
+        if (!run.pages[i].get())
+            publish(run, i);
+    run.states.clear();
+    run.word = nullptr;
+}
+
+std::pair<std::vector<Program::Image::Run>::iterator,
+          std::vector<Program::Image::Run>::iterator>
+Program::Image::touching(Addr first, Addr last)
+{
     auto lo = std::partition_point(
         runs_.begin(), runs_.end(), [first](const Run &run) {
             return run.firstPage + run.pages.size() < first;
         });
-    if (lo != runs_.end() && lo->firstPage <= first &&
-        last < lo->firstPage + lo->pages.size())
-        return *lo;
     auto hi = lo;
     while (hi != runs_.end() && hi->firstPage <= last + 1)
         ++hi;
+    return {lo, hi};
+}
+
+Program::Image::Run &
+Program::Image::cover(Addr first, Addr last)
+{
+    auto [lo, hi] = touching(first, last);
+    for (auto it = lo; it != hi; ++it)
+        materialize(*it);
+    if (lo != hi && lo->firstPage <= first &&
+        last < lo->firstPage + lo->pages.size())
+        return *lo;
 
     Addr begin = first, end = last + 1;
     if (lo != hi) {
         begin = std::min(begin, lo->firstPage);
         end = std::max(end, (hi - 1)->firstPage + (hi - 1)->pages.size());
     }
-    Run merged{begin, std::vector<std::unique_ptr<Page>>(end - begin)};
+    Run merged{begin, std::vector<Slot>(end - begin), {}, nullptr};
     for (auto it = lo; it != hi; ++it)
         std::move(it->pages.begin(), it->pages.end(),
                   merged.pages.begin() + (it->firstPage - begin));
-    for (Addr num = begin; num < end; ++num) {
-        std::unique_ptr<Page> &page = merged.pages[num - begin];
-        if (page)
-            continue;
-        if (num >= rawFirst && num < rawEnd)
-            page = std::make_unique_for_overwrite<Page>();
-        else
-            page = std::make_unique<Page>(); // value-initialised: zeros
-    }
+    for (Slot &slot : merged.pages)
+        if (!slot.get())
+            slot = Slot(std::make_unique<Page>()); // value-initialised
     return *runs_.insert(runs_.erase(lo, hi), std::move(merged));
 }
 
+void
+Program::Image::generate(Addr first, size_t count, Rng &rng, WordFn word)
+{
+    Run run{first, std::vector<Slot>(count), {}, std::move(word)};
+    run.states.reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+        run.states.push_back(rng);
+        for (size_t w = 0; w < pageBytes / 8; ++w)
+            rng.next();
+    }
+    auto [lo, hi] = touching(first, first + count - 1);
+    if (lo == hi) {
+        runs_.insert(lo, std::move(run));
+        return;
+    }
+    // Data already installed overlaps or abuts the range: write the
+    // pages now, over that data, so that no two runs touch.
+    materialize(run);
+    Run &into = cover(first, first + count - 1);
+    std::move(run.pages.begin(), run.pages.end(),
+              into.pages.begin() + (first - into.firstPage));
+}
+
+Program::Image &
+Program::writableImage()
+{
+    if (!image_)
+        image_ = std::make_shared<Image>();
+    else if (image_.use_count() > 1)
+        image_ = std::make_shared<Image>(*image_); // unshare before writing
+    return *image_;
+}
+
 Program::DataRegion
-Program::region(Addr base, size_t bytes, bool overwritten)
+Program::dataRegion(Addr base, size_t bytes)
 {
     fatal_if(bytes == 0 || base + bytes - 1 < base,
              "data region of %zu bytes at %#llx is empty or wraps the "
              "address space",
              bytes, (unsigned long long)base);
-    if (!image_)
-        image_ = std::make_shared<Image>();
-    else if (image_.use_count() > 1)
-        image_ = std::make_shared<Image>(*image_); // unshare before writing
-    const Addr first = base / pageBytes;
-    const Addr last = (base + bytes - 1) / pageBytes;
-    // [rawFirst, rawEnd): the pages the range covers whole, which an
-    // overwriting caller fills, so they need no zeroing.
-    const Addr rawFirst = first + (base % pageBytes != 0);
-    Addr rawEnd = rawFirst;
-    if (overwritten)
-        rawEnd = std::max(rawFirst, last + ((base + bytes) % pageBytes == 0));
-    return DataRegion(image_->cover(first, last, rawFirst, rawEnd), base);
+    Image &image = writableImage();
+    return DataRegion(
+        image.cover(base / pageBytes, (base + bytes - 1) / pageBytes), base);
+}
+
+void
+Program::fillRandom64(Addr base, size_t count, Rng &rng,
+                      Image::WordFn word)
+{
+    constexpr size_t pageWords = pageBytes / 8;
+    constexpr Addr lastPage = ~(Addr)0 / pageBytes;
+    fatal_if(count == 0 || count % pageWords != 0 ||
+                 base % pageBytes != 0 ||
+                 count / pageWords - 1 > lastPage - base / pageBytes,
+             "generated range of %zu words at %#llx does not cover "
+             "whole pages of the address space",
+             count, (unsigned long long)base);
+    writableImage().generate(base / pageBytes, count / pageWords, rng,
+                             std::move(word));
 }
 
 void

@@ -80,22 +80,33 @@ validatedPayload(const std::string &bytes)
     return d;
 }
 
-void
-checkIdentity(const CheckpointMeta &stored, const emu::Emulator &emu,
-              const cpu::Pipeline &pipeline)
+/**
+ * Restore the payload @p d holds into @p emu and @p pipeline, whose
+ * program has fingerprint @p programCrc.
+ */
+CheckpointMeta
+restorePayload(Deserializer &d, uint32_t programCrc, emu::Emulator &emu,
+               cpu::Pipeline &pipeline)
 {
-    uint32_t liveProgram = programFingerprint(emu.program());
-    if (stored.programCrc != liveProgram) {
+    d.beginObject("checkpoint");
+    CheckpointMeta meta = readMeta(d);
+    // Reject a wrong-program / wrong-machine restore before touching any
+    // live state: identity failures must leave the target untouched.
+    if (meta.programCrc != programCrc) {
         throw CheckpointError("checkpoint was taken on a different "
                               "program (workload '" +
-                              stored.workload + "')");
+                              meta.workload + "')");
     }
-    uint32_t liveParams = paramsFingerprint(pipeline.params());
-    if (stored.paramsFp != liveParams) {
+    if (meta.paramsFp != paramsFingerprint(pipeline.params())) {
         throw CheckpointError("checkpoint was taken on a different "
                               "machine configuration (label '" +
-                              stored.machine + "')");
+                              meta.machine + "')");
     }
+    emu.unserialize(d);
+    pipeline.unserialize(d);
+    d.endObject("checkpoint");
+    d.expectEnd();
+    return meta;
 }
 
 } // namespace
@@ -148,16 +159,8 @@ decodeCheckpoint(const std::string &bytes, emu::Emulator &emu,
                  cpu::Pipeline &pipeline)
 {
     Deserializer d = validatedPayload(bytes);
-    d.beginObject("checkpoint");
-    CheckpointMeta meta = readMeta(d);
-    // Reject a wrong-program / wrong-machine restore before touching any
-    // live state: identity failures must leave the target untouched.
-    checkIdentity(meta, emu, pipeline);
-    emu.unserialize(d);
-    pipeline.unserialize(d);
-    d.endObject("checkpoint");
-    d.expectEnd();
-    return meta;
+    return restorePayload(d, programFingerprint(emu.program()), emu,
+                          pipeline);
 }
 
 CheckpointMeta
@@ -166,6 +169,22 @@ readCheckpointMeta(const std::string &bytes)
     Deserializer d = validatedPayload(bytes);
     d.beginObject("checkpoint");
     return readMeta(d);
+}
+
+ValidatedCheckpoint
+validateCheckpoint(std::string bytes)
+{
+    CheckpointMeta meta = readCheckpointMeta(bytes);
+    return ValidatedCheckpoint(std::move(bytes), std::move(meta));
+}
+
+void
+decodeCheckpoint(const ValidatedCheckpoint &checkpoint, uint32_t programCrc,
+                 emu::Emulator &emu, cpu::Pipeline &pipeline)
+{
+    const std::string &bytes = checkpoint.bytes();
+    Deserializer d(bytes.data() + headerBytes, bytes.size() - headerBytes);
+    restorePayload(d, programCrc, emu, pipeline);
 }
 
 std::string
@@ -202,21 +221,28 @@ CheckpointStore::save(const CheckpointMeta &meta,
         warn("cannot cache checkpoint: %s", error.c_str());
 }
 
-bool
-CheckpointStore::load(const CheckpointMeta &meta, std::string &bytes) const
+std::optional<ValidatedCheckpoint>
+CheckpointStore::load(const CheckpointMeta &meta) const
 {
     std::string path = pathFor(meta);
+    std::string bytes;
     if (!readWholeFile(path, bytes))
-        return false;
+        return std::nullopt;
     try {
-        (void)readCheckpointMeta(bytes);
-        return true;
+        return validateCheckpoint(std::move(bytes));
     } catch (const SimError &error) {
         warn("ignoring corrupt cached checkpoint %s: %s", path.c_str(),
              error.what());
-        bytes.clear();
-        return false;
+        return std::nullopt;
     }
+}
+
+bool
+CheckpointStore::load(const CheckpointMeta &meta, std::string &bytes) const
+{
+    std::optional<ValidatedCheckpoint> hit = load(meta);
+    bytes = hit ? std::move(*hit).bytes() : std::string();
+    return hit.has_value();
 }
 
 } // namespace pubs::sim

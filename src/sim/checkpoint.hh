@@ -24,6 +24,7 @@
 #define PUBS_SIM_CHECKPOINT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "cpu/pipeline.hh"
@@ -89,6 +90,40 @@ CheckpointMeta decodeCheckpoint(const std::string &bytes,
 CheckpointMeta readCheckpointMeta(const std::string &bytes);
 
 /**
+ * Container bytes whose framing and CRCs have been checked, with the
+ * metadata they hold. Only validateCheckpoint() makes one, so a restore
+ * from one checks neither again.
+ */
+class ValidatedCheckpoint
+{
+  public:
+    const std::string &bytes() const & { return bytes_; }
+    std::string bytes() && { return std::move(bytes_); }
+    const CheckpointMeta &meta() const { return meta_; }
+
+  private:
+    friend ValidatedCheckpoint validateCheckpoint(std::string bytes);
+    ValidatedCheckpoint(std::string bytes, CheckpointMeta meta)
+        : bytes_(std::move(bytes)), meta_(std::move(meta))
+    {}
+
+    std::string bytes_;
+    CheckpointMeta meta_;
+};
+
+/** Check @p bytes as readCheckpointMeta() does; throws the same. */
+ValidatedCheckpoint validateCheckpoint(std::string bytes);
+
+/**
+ * decodeCheckpoint() for bytes already validated, against @p programCrc,
+ * the programFingerprint() of the live program, which the caller holds:
+ * neither the CRCs nor the fingerprint is computed again.
+ */
+void decodeCheckpoint(const ValidatedCheckpoint &checkpoint,
+                      uint32_t programCrc, emu::Emulator &emu,
+                      cpu::Pipeline &pipeline);
+
+/**
  * Content-addressed checkpoint artifacts in one directory, keyed on
  * workload x machine configuration x skip distance x container format
  * version, so sweep workers (and --resume reruns) reuse each other's
@@ -111,10 +146,16 @@ class CheckpointStore
     void save(const CheckpointMeta &meta, const std::string &bytes) const;
 
     /**
-     * Fetch the cached container bytes for @p meta's identity if one
-     * exists and its framing validates.
-     * @return true on a hit; false when absent or corrupt (corrupt
+     * Fetch the cached container for @p meta's identity if one exists
+     * and its framing validates; nothing when absent or corrupt (corrupt
      * artifacts warn and count as a miss, never as an error).
+     */
+    std::optional<ValidatedCheckpoint>
+    load(const CheckpointMeta &meta) const;
+
+    /**
+     * load() into @p bytes, emptied on a miss.
+     * @return true on a hit.
      */
     bool load(const CheckpointMeta &meta, std::string &bytes) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hh"
@@ -162,9 +163,10 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
 
         Simulator window(params, program);
         if (target > 0) {
-            std::string bytes;
-            bool hit = store && store->load(meta, bytes);
-            if (!hit) {
+            std::optional<ValidatedCheckpoint> checkpoint;
+            if (store)
+                checkpoint = store->load(meta);
+            if (!checkpoint) {
                 uint64_t need = target - warming.fastForwarded();
                 if (warming.fastForward(need) < need) {
                     // The program ended before this window's start;
@@ -176,11 +178,12 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
                          w, ipcs.size());
                     break;
                 }
-                bytes = warming.saveCheckpoint(machineLabel);
+                std::string bytes = warming.saveCheckpoint(machineLabel);
                 if (store)
                     store->save(meta, bytes);
+                checkpoint = validateCheckpoint(std::move(bytes));
             }
-            window.restoreCheckpoint(bytes);
+            window.restoreCheckpoint(*checkpoint, meta.programCrc);
         }
 
         RunResult wr = window.run(plan.warmupInsts, plan.measureInsts);

@@ -180,6 +180,16 @@ Simulator::restoreCheckpoint(const std::string &bytes)
 }
 
 void
+Simulator::restoreCheckpoint(const ValidatedCheckpoint &checkpoint,
+                             uint32_t programCrc)
+{
+    PhaseScope phase(SimPhase::CheckpointIo);
+    decodeCheckpoint(checkpoint, programCrc, *emulator_, *pipeline_);
+    pipeline_->resyncChecker(*emulator_);
+    fastForwarded_ = checkpoint.meta().skipInsts;
+}
+
+void
 Simulator::restoreCheckpointFile(const std::string &path)
 {
     std::string bytes;

@@ -21,6 +21,8 @@
 namespace pubs::sim
 {
 
+class ValidatedCheckpoint;
+
 /**
  * Which part of a (possibly sampled) run is executing, tracked
  * per-thread so a SimError escaping a sweep run can be attributed to
@@ -175,6 +177,15 @@ class Simulator
      * CheckpointError on corruption or identity mismatch.
      */
     void restoreCheckpoint(const std::string &bytes);
+
+    /**
+     * Restore from a checkpoint already validated, whose program
+     * fingerprint must equal @p programCrc, the caller's
+     * programFingerprint() of this simulator's program: neither is
+     * computed again.
+     */
+    void restoreCheckpoint(const ValidatedCheckpoint &checkpoint,
+                           uint32_t programCrc);
 
     /** Read @p path and restoreCheckpoint(). */
     void restoreCheckpointFile(const std::string &path);

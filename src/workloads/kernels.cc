@@ -43,20 +43,29 @@ thresholdFor(double takenBias)
     return (int64_t)(takenBias * (double)valueRange);
 }
 
-/** Append a random uint64 array as program data. */
+/**
+ * Install a random uint64 array as program data, each word one draw
+ * reduced as Rng::below(@p limit) reduces it; the image writes a page
+ * when it is first read.
+ */
 void
 installRandomWords(isa::Program &prog, Addr base, size_t count,
                    uint64_t limit, Rng &rng)
 {
-    prog.fillData64(base, count, [&] { return rng.below(limit); });
+    prog.fillRandom64(base, count, rng, [limit](uint64_t draw) {
+        return Rng::belowOf(draw, limit);
+    });
 }
 
-/** Append a random double array (values in [0,2)) as program data. */
+/**
+ * Install a random double array (values in [0,2), each word one draw as
+ * Rng::uniform() maps it) as program data.
+ */
 void
 installRandomDoubles(isa::Program &prog, Addr base, size_t count, Rng &rng)
 {
-    prog.fillData64(base, count, [&rng] {
-        double v = rng.uniform() * 2.0;
+    prog.fillRandom64(base, count, rng, [](uint64_t draw) {
+        double v = Rng::toDouble(draw) * 2.0;
         uint64_t bits;
         __builtin_memcpy(&bits, &v, sizeof(bits));
         return bits;

@@ -1,12 +1,15 @@
 /**
  * @file
  * Unit tests for the common substrate: bit utilities, RNG determinism,
- * statistics containers.
+ * CRC32, statistics containers.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bits.hh"
+#include "common/checksum.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -102,6 +105,60 @@ TEST(Rng, BelowInRange)
     Rng rng(7);
     for (int i = 0; i < 10000; ++i)
         ASSERT_LT(rng.below(13), 13u);
+}
+
+TEST(Rng, BelowIsTheRemainderOfOneDraw)
+{
+    // Powers of two take the mask, other bounds the remainder; either
+    // way one draw per call and the value next() % bound gives.
+    Rng rng(5), twin(5);
+    for (unsigned k = 0; k <= 40; ++k) {
+        const uint64_t bound = 1ull << k;
+        ASSERT_EQ(rng.below(bound), twin.next() % bound) << "2^" << k;
+    }
+    for (uint64_t bound : {3ull, 13ull, 1000ull, (1ull << 30) + 1})
+        ASSERT_EQ(rng.below(bound), twin.next() % bound) << bound;
+    EXPECT_EQ(rng.next(), twin.next());
+}
+
+/** CRC32 one byte at a time: the definition the fast path must meet. */
+uint32_t
+crc32Bytewise(const uint8_t *bytes, size_t len, uint32_t seed)
+{
+    uint32_t c = seed ^ 0xffffffffu;
+    for (size_t i = 0; i < len; ++i) {
+        c ^= bytes[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+TEST(Crc32, MatchesTheBytewiseDefinition)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u); // the check value
+    Rng rng(9);
+    std::vector<uint8_t> buffer(300);
+    for (uint8_t &byte : buffer)
+        byte = (uint8_t)rng.next();
+    // Every length to 99 at every alignment 0..7, from chained seeds.
+    uint32_t seed = 0;
+    for (size_t align = 0; align < 8; ++align) {
+        for (size_t len = 0; len < 100; ++len) {
+            const uint8_t *at = buffer.data() + align;
+            const uint32_t expected = crc32Bytewise(at, len, seed);
+            ASSERT_EQ(crc32(at, len, seed), expected)
+                << "align " << align << " len " << len;
+            seed = expected;
+        }
+    }
+    // Chaining splits anywhere.
+    const uint32_t whole = crc32(buffer.data(), buffer.size());
+    for (size_t cut = 0; cut <= buffer.size(); cut += 37)
+        ASSERT_EQ(crc32(buffer.data() + cut, buffer.size() - cut,
+                        crc32(buffer.data(), cut)),
+                  whole)
+            << cut;
 }
 
 TEST(Rng, ChanceApproximatesProbability)

@@ -11,8 +11,10 @@
 #include <cstdint>
 #include <iterator>
 #include <thread>
+#include <vector>
 
 #include "common/checksum.hh"
+#include "common/rng.hh"
 #include "common/serialize.hh"
 #include "emu/emulator.hh"
 #include "isa/assembler.hh"
@@ -500,6 +502,53 @@ TEST(EmulatorImage, SharedProgramAcrossThreads)
     EXPECT_EQ(sumB, expected);
     Emulator fresh(prog);
     EXPECT_EQ(fresh.memory().read64(0x4000 + 8 * 1023), 1023u);
+}
+
+TEST(EmulatorImage, GeneratedPagesPublishOnceAcrossThreads)
+{
+    constexpr size_t pages = 64;
+    constexpr size_t pageWords = isa::Program::pageBytes / 8;
+    constexpr Addr base = 0x100000;
+    ProgramBuilder b("t");
+    b.halt();
+    isa::Program prog = b.build();
+    Rng rng(21);
+    prog.fillRandom64(base, pages * pageWords, rng,
+                      [](uint64_t draw) { return draw >> 1; });
+    uint64_t expected = 0;
+    Rng twin(21);
+    for (size_t i = 0; i < pages * pageWords; ++i)
+        expected += twin.next() >> 1;
+
+    // Four emulators on one program read every page, each starting at
+    // a different page, and note the image page each read came from.
+    constexpr size_t readers = 4;
+    using Page = isa::Program::Page;
+    std::vector<std::vector<const Page *>> seen(
+        readers, std::vector<const Page *>(pages));
+    std::vector<uint64_t> sums(readers);
+    auto read = [&](size_t t) {
+        Emulator emu(prog);
+        for (size_t k = 0; k < pages; ++k) {
+            const size_t p = (k + t * 17) % pages;
+            const Addr at = base + p * isa::Program::pageBytes;
+            for (size_t w = 0; w < pageWords; ++w)
+                sums[t] += emu.memory().read64(at + w * 8);
+            seen[t][p] = prog.image()->page(at / isa::Program::pageBytes);
+        }
+    };
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < readers; ++t)
+        threads.emplace_back(read, t);
+    for (std::thread &thread : threads)
+        thread.join();
+    for (size_t t = 0; t < readers; ++t) {
+        EXPECT_EQ(sums[t], expected) << "reader " << t;
+        for (size_t p = 0; p < pages; ++p)
+            ASSERT_EQ(seen[t][p], seen[0][p]) << "reader " << t << " page "
+                                              << p;
+    }
+    EXPECT_EQ(prog.image()->publishedPages(), pages);
 }
 
 TEST(Emulator, DeterministicAcrossRuns)

@@ -224,9 +224,9 @@ TEST(Program, RegionWritersMatchWordByWordData)
     for (uint64_t &value : values)
         value = rng.next();
 
-    // Freed page-sized blocks full of ones, for the fills' new pages to
-    // reuse: a page left unzeroed that the words do not cover whole then
-    // shows. (Sanitizer builds fill new blocks with garbage anyway.)
+    // Freed page-sized blocks full of ones, for new pages to reuse: a
+    // page left unzeroed then shows. (Sanitizer builds fill new blocks
+    // with garbage anyway.)
     {
         std::vector<std::unique_ptr<Program::Page>> dirty(64);
         for (auto &page : dirty) {
@@ -235,32 +235,36 @@ TEST(Program, RegionWritersMatchWordByWordData)
         }
     }
 
-    Program region("t"), filled("t"), byWord("t");
+    Program region("t"), byWord("t");
     Program::DataRegion writer = region.dataRegion(base, words * 8);
-    size_t next = 0;
-    filled.fillData64(base, words, [&] { return values[next++]; });
     for (size_t i = 0; i < words; ++i) {
         writer.put64(i * 8, values[i]);
         byWord.addData64(base + i * 8, values[i]);
     }
-    EXPECT_EQ(next, words);
     // Scattered words: one on a page of its own, one on the page below
     // the range (its run absorbs the range's); then a region over the
-    // lone page, which must keep its word, and a fill that covers pages
-    // 12 and 13 whole and page 14 in part, which must read zero after.
-    for (Program *prog : {&region, &filled, &byWord}) {
+    // lone page, which must keep its word, and generated pages 12 and
+    // 13 with a word on page 14 after them, which writes them out and
+    // joins them to page 14, whose other words must read zero.
+    Rng twin(11);
+    std::vector<uint64_t> drawn(2 * Program::pageBytes / 8);
+    for (uint64_t &draw : drawn)
+        draw = twin.next();
+    for (Program *prog : {&region, &byWord}) {
         prog->addData64(0x9000, 0x99);
         prog->addData64(0x1ff8, 0x11);
         prog->dataRegion(0x8000, 3 * Program::pageBytes).put64(8, 0x88);
-        uint64_t count = 0;
-        prog->fillData64(0xc000, 2 * Program::pageBytes / 8 + 1,
-                         [&] { return ++count; });
+        Rng gen(11);
+        prog->fillRandom64(0xc000, drawn.size(), gen,
+                           [](uint64_t draw) { return draw; });
+        prog->addData64(0xe000, 1025);
         expectMaximalRuns(*prog);
         EXPECT_EQ(prog->image()->runs().size(), 3u);
         EXPECT_EQ(imageWord(*prog, 0x9000), 0x99u);
         EXPECT_EQ(imageWord(*prog, 0x1ff8), 0x11u);
         EXPECT_EQ(imageWord(*prog, 0x8008), 0x88u);
-        EXPECT_EQ(imageWord(*prog, 0xd000), 513u);
+        EXPECT_EQ(imageWord(*prog, 0xc000), drawn[0]);
+        EXPECT_EQ(imageWord(*prog, 0xdff8), drawn.back());
         EXPECT_EQ(imageWord(*prog, 0xe000), 1025u);
         for (Addr at = 0xe008; at < 0xf000; at += 8)
             ASSERT_EQ(imageWord(*prog, at), 0u) << at;
@@ -272,7 +276,6 @@ TEST(Program, RegionWritersMatchWordByWordData)
     EXPECT_EQ(pages, (std::vector<Addr>{1, 2, 3, 4, 8, 9, 10, 12, 13, 14}));
     EXPECT_EQ(imageWord(region, base), values[0]);
     expectSameImage(region, byWord);
-    expectSameImage(filled, byWord);
 }
 
 TEST(Program, DataRegionAfterACopyUnsharesTheImage)
@@ -306,6 +309,104 @@ TEST(Program, EmptyOrWrappingDataRegionIsFatal)
     Program prog("t");
     EXPECT_THROW(prog.dataRegion(0x2000, 0), SimError);
     EXPECT_THROW(prog.addData64(~(Addr)3, 1), SimError); // past 2^64
+    EXPECT_EQ(prog.image(), nullptr);
+}
+
+constexpr size_t pageWords = Program::pageBytes / 8;
+
+/** A generated word: the draw reduced as Rng::below(1000) reduces it. */
+uint64_t
+below1000(uint64_t draw)
+{
+    return Rng::belowOf(draw, 1000);
+}
+
+/** @p prog's words from @p base equal @p oracle's, read last page first. */
+void
+expectWords(const Program &prog, Addr base,
+            const std::vector<uint64_t> &oracle)
+{
+    for (size_t p = oracle.size() / pageWords; p-- > 0;)
+        for (size_t w = p * pageWords; w < (p + 1) * pageWords; ++w)
+            ASSERT_EQ(imageWord(prog, base + w * 8), oracle[w]) << w;
+}
+
+TEST(Program, GeneratedPagesMatchAWordByWordOracle)
+{
+    constexpr Addr base = 0x40000;
+    for (size_t pages : {1, 2, 5, 64}) {
+        SCOPED_TRACE(pages);
+        Program prog("t"), written("t");
+        Rng rng(pages), twin(pages);
+        prog.fillRandom64(base, pages * pageWords, rng, below1000);
+        std::vector<uint64_t> oracle(pages * pageWords);
+        Program::DataRegion writer =
+            written.dataRegion(base, oracle.size() * 8);
+        for (size_t w = 0; w < oracle.size(); ++w) {
+            oracle[w] = twin.below(1000);
+            writer.put64(w * 8, oracle[w]);
+        }
+        EXPECT_EQ(rng.next(), twin.next()); // stepped past every draw
+        ASSERT_EQ(prog.image()->pageCount(), pages);
+        ASSERT_EQ(prog.image()->runs().size(), 1u);
+        EXPECT_EQ(prog.image()->runs()[0].states.size(), pages);
+
+        // Walks see the words and publish nothing.
+        expectSameImage(prog, written);
+        EXPECT_EQ(prog.image()->publishedPages(), 0u);
+
+        // A copy that unshares the image copies the page states; the
+        // words are the same read from either.
+        Program copy = prog;
+        copy.addData64(0x1000, 7);
+        ASSERT_NE(copy.image(), prog.image());
+        expectWords(copy, base, oracle);
+        expectWords(prog, base, oracle);
+        EXPECT_EQ(prog.image()->publishedPages(), pages);
+
+        // A word written into the run writes the run out first.
+        copy.addData64(base + 8 * (oracle.size() - 1), 0xabc);
+        EXPECT_EQ(copy.image()->publishedPages(), 0u);
+        EXPECT_TRUE(copy.image()->runs().back().states.empty());
+        std::vector<uint64_t> changed = oracle;
+        changed.back() = 0xabc;
+        expectWords(copy, base, changed);
+    }
+}
+
+TEST(Program, GeneratedPagesOverInstalledDataAreWrittenAtOnce)
+{
+    constexpr Addr base = 0x40000;
+    Rng twin(3);
+    std::vector<uint64_t> oracle(2 * pageWords);
+    for (uint64_t &word : oracle)
+        word = twin.below(1000);
+    // A word on the page below the range, and one inside it that the
+    // generated words replace.
+    Program prog("t");
+    prog.addData64(base - 8, 0x11);
+    prog.addData64(base + 16, 0x22);
+    Rng rng(3);
+    prog.fillRandom64(base, oracle.size(), rng, below1000);
+    expectMaximalRuns(prog);
+    ASSERT_EQ(prog.image()->runs().size(), 1u);
+    EXPECT_TRUE(prog.image()->runs()[0].states.empty());
+    EXPECT_EQ(imageWord(prog, base - 8), 0x11u);
+    expectWords(prog, base, oracle);
+}
+
+TEST(Program, GeneratedRangeMustCoverWholePages)
+{
+    Program prog("t");
+    Rng rng(1);
+    EXPECT_THROW(prog.fillRandom64(0x1008, pageWords, rng, below1000),
+                 SimError); // not page-aligned
+    EXPECT_THROW(prog.fillRandom64(0x1000, pageWords + 1, rng, below1000),
+                 SimError); // part of a page
+    EXPECT_THROW(prog.fillRandom64(0x1000, 0, rng, below1000), SimError);
+    EXPECT_THROW(prog.fillRandom64(~(Addr)0 - 0xfff, 2 * pageWords, rng,
+                                   below1000),
+                 SimError); // past 2^64
     EXPECT_EQ(prog.image(), nullptr);
 }
 

@@ -120,6 +120,20 @@ TEST(Simulator, WarmupIsExcludedFromStats)
     EXPECT_EQ(warm.instructions, 50000u);
 }
 
+TEST(Simulator, StreamRunWritesFewOfItsGeneratedPages)
+{
+    // A default-budget bwaves_like run reads about 300 of the 4,104
+    // pages its arrays span; the image writes only those.
+    wl::Workload w = wl::makeWorkload("bwaves_like");
+    simulate(makeConfig(Machine::Base), w.program, 200000, 1000000);
+    size_t generated = 0;
+    for (const isa::Program::Image::Run &run : w.program.image()->runs())
+        generated += run.states.empty() ? 0 : run.pages.size();
+    EXPECT_EQ(generated, 4104u);
+    EXPECT_GT(w.program.image()->publishedPages(), 0u);
+    EXPECT_LE(w.program.image()->publishedPages() * 10, generated);
+}
+
 TEST(Simulator, PubsAgeCombinationRuns)
 {
     wl::Workload w = wl::makeWorkload("gobmk_like");
