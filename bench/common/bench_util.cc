@@ -463,22 +463,22 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
     const RunOptions &options = spec.options;
     std::unique_ptr<sim::ProcPool> pool;
     if (options.procs) {
-        sim::ProcPool::Config config =
-            sim::ProcPool::configFromEnv(sim::ProcPool::Config{});
+        sim::ProcPool::Config config;
         config.procs = options.procs;
+        config.maxAttempts = options.procRetries;
+        config.timeoutSeconds = options.procTimeout;
+        config.backoffBaseMs = options.procBackoffMs;
+        config.faults = options.faults;
         config.verbose = spec.verbose;
         if (meter) {
             // Workers interleave progress heartbeats with the result
             // frame, and a heartbeat stream that goes quiet gets the
             // worker SIGKILLed + retried well before the coarse per-run
-            // timeout. PUBS_PROC_STALE overrides; negative disables.
-            if (config.staleSeconds == 0.0)
-                config.staleSeconds = 30.0;
+            // timeout.
+            config.staleSeconds = options.procStale;
             config.onProgress = [meter](const progress::Sample &sample) {
                 meter->update(sample);
             };
-        } else {
-            config.staleSeconds = 0.0;
         }
         pool = std::make_unique<sim::ProcPool>(config);
         result.jobs = pool->procs();
@@ -598,7 +598,7 @@ runSweep(const SweepSpec &spec)
     if (!options.journal.empty()) {
         journal = std::make_unique<SweepJournal>(
             options.journal, sweepKey(spec), spec.items.size(),
-            options.resume);
+            options.resume, options.faults.killAfter);
     }
     for (size_t i = 0; i < spec.items.size(); ++i) {
         if (journal && journal->has(i) &&

@@ -26,6 +26,13 @@ assign(const OptionRow &row, const std::string &name,
       case OptionType::Text:
         *std::get<std::string *>(row.target) = text;
         return "";
+      case OptionType::Faults: {
+        std::string error;
+        if (!proc::parseFaultPlan(
+                text, *std::get<proc::FaultPlan *>(row.target), error))
+            return name + ": " + error;
+        return "";
+      }
       case OptionType::Count:
       case OptionType::Number:
         break;
@@ -114,6 +121,24 @@ runOptionRows(RunOptions &o)
         {nullptr, "PUBS_PROGRESS_JSON", T::Text,
          "where --progress writes its document (default progress.json)",
          &o.progressJson},
+        {nullptr, "PUBS_PROC_TIMEOUT", T::Number,
+         "seconds a --procs worker may run before it is killed and "
+         "retried; 0 = no limit (default 900)",
+         &o.procTimeout},
+        {nullptr, "PUBS_PROC_RETRIES", T::Count,
+         "attempts per run under --procs, the first included (default 5)",
+         &o.procRetries},
+        {nullptr, "PUBS_PROC_BACKOFF_MS", T::Number,
+         "delay before a --procs retry, doubled per attempt (default 100)",
+         &o.procBackoffMs},
+        {nullptr, "PUBS_PROC_STALE", T::Number,
+         "seconds a --procs worker may stay silent under --progress; "
+         "0 = no limit (default 30)",
+         &o.procStale},
+        {nullptr, "PUBS_FAULT", T::Faults,
+         "inject worker crashes, hangs, corrupt frames or a kill of the "
+         "sweep (crash|hang|corrupt[:rate[:seed]], killafter:N)",
+         &o.faults},
     };
 }
 
@@ -161,9 +186,10 @@ optionUsage(const char *argv0, const std::vector<OptionRow> &rows)
 {
     std::string out = std::string("usage: ") + argv0 + " [options]\n";
     for (const OptionRow &row : rows) {
-        std::string value = row.type == OptionType::Switch ? ""
-                            : row.type == OptionType::Text ? "VALUE"
-                                                           : "N";
+        std::string value = row.type == OptionType::Switch   ? ""
+                            : row.type == OptionType::Text   ? "VALUE"
+                            : row.type == OptionType::Faults ? "SPEC"
+                                                             : "N";
         std::string left =
             row.flag ? row.flag + (value.empty() ? "" : " " + value)
                      : "$" + std::string(row.env) + "=" +

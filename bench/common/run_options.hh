@@ -19,6 +19,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/subprocess.hh"
 #include "sim/sampling.hh"
 
 namespace pubs::bench
@@ -57,6 +58,18 @@ struct RunOptions
     std::string checkpointDir;  ///< shared checkpoint cache; empty = off
     std::string csvDir;         ///< CSV output directory; empty = off
 
+    // The --procs worker pool (sim/proc_pool.hh).
+    unsigned procTimeout = 900;   ///< seconds per attempt; 0 = no limit
+    unsigned procRetries = 5;     ///< attempts per run, the first included
+    unsigned procBackoffMs = 100; ///< retry delay: base << (attempt - 1)
+    /**
+     * Seconds a worker's pipe may stay silent under --progress; 0 = no
+     * limit. Without --progress workers send no heartbeats, so silence
+     * is normal and the check is off.
+     */
+    unsigned procStale = 30;
+    proc::FaultPlan faults; ///< injected faults (common/subprocess.hh)
+
     /**
      * The sampling plan runs use: the measurement and warmup budgets
      * split evenly across sampleWindows. Disabled unless windows > 0.
@@ -71,12 +84,13 @@ enum class OptionType
     Count,  ///< a positive integer
     Number, ///< a non-negative integer
     Text,   ///< any string
+    Faults, ///< a fault-injection plan (proc::parseFaultPlan)
 };
 
 /**
  * One setting: a flag and/or an environment variable, and the variable
  * the parsed value lands in (bool for Switch, std::string for Text,
- * either integer for Count/Number).
+ * either integer for Count/Number, proc::FaultPlan for Faults).
  */
 struct OptionRow
 {
@@ -84,7 +98,9 @@ struct OptionRow
     const char *env;  ///< "PUBS_BENCH_JOBS"; nullptr = flag only
     OptionType type;
     const char *help;
-    std::variant<bool *, unsigned *, uint64_t *, std::string *> target;
+    std::variant<bool *, unsigned *, uint64_t *, std::string *,
+                 proc::FaultPlan *>
+        target;
 };
 
 /** The harness table, bound to the fields of @p options. */

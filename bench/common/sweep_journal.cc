@@ -41,10 +41,9 @@ headerMatches(const char (&header)[headerBytes], uint64_t specKey,
 } // namespace
 
 SweepJournal::SweepJournal(std::string path, uint64_t specKey,
-                           uint64_t slots, bool resume)
+                           uint64_t slots, bool resume, uint64_t killAfter)
     : path_(std::move(path)), specKey_(specKey), slots_(slots),
-      payloads_(slots), present_(slots, false),
-      faults_(proc::faultPlanFromEnv())
+      payloads_(slots), present_(slots, false), killAfter_(killAfter)
 {
     load(resume);
 }
@@ -193,7 +192,7 @@ SweepJournal::record(size_t slot, const std::string &payload)
     ::fdatasync(::fileno(file_));
 
     ++commits_;
-    if (faults_.killAfter && commits_ >= faults_.killAfter) {
+    if (killAfter_ && commits_ >= killAfter_) {
         // Deterministic mid-sweep kill -9 for tests and CI: the record
         // just committed survives, everything in flight is lost.
         ::raise(SIGKILL);

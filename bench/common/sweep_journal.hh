@@ -33,8 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "common/subprocess.hh"
-
 namespace pubs::bench
 {
 
@@ -46,10 +44,11 @@ class SweepJournal
      * with @p slots runs. With @p resume, existing valid records for
      * this exact (key, slots) pair are loaded and served via has() /
      * payload(); otherwise the file is recreated empty. Throws SimError
-     * (Kind::Fatal) if the file cannot be created.
+     * (Kind::Fatal) if the file cannot be created. A nonzero
+     * @p killAfter is a fault plan's killafter:N (see record()).
      */
     SweepJournal(std::string path, uint64_t specKey, uint64_t slots,
-                 bool resume);
+                 bool resume, uint64_t killAfter = 0);
     ~SweepJournal();
 
     SweepJournal(const SweepJournal &) = delete;
@@ -69,7 +68,7 @@ class SweepJournal
      * append degrade to a warning: the sweep still completes, it just
      * loses resumability from this point.
      *
-     * Honours the PUBS_FAULT killafter:N directive: after the Nth
+     * Honours the fault plan's killafter:N directive: after the Nth
      * commit to this journal the parent SIGKILLs itself, giving tests
      * and CI a deterministic mid-sweep kill -9.
      */
@@ -88,7 +87,7 @@ class SweepJournal
     std::vector<bool> present_;
     size_t loaded_ = 0;
     std::mutex mutex_;
-    proc::FaultPlan faults_;
+    uint64_t killAfter_;
     uint64_t commits_ = 0;
 };
 

@@ -230,15 +230,6 @@ StatRegistry::find(const std::string &name) const
     return it == index_.end() ? nullptr : groups_[it->second].get();
 }
 
-std::string
-StatRegistry::renderText() const
-{
-    std::ostringstream out;
-    for (const auto &group : groups_)
-        out << group->format();
-    return out.str();
-}
-
 namespace
 {
 

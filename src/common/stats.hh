@@ -204,9 +204,6 @@ class StatRegistry
     const std::vector<std::unique_ptr<StatGroup>> &groups() const
         { return groups_; }
 
-    /** All groups rendered as aligned text, in registration order. */
-    std::string renderText() const;
-
     /** The whole registry as a single JSON object. */
     std::string renderJson() const;
 

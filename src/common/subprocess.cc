@@ -11,7 +11,6 @@
 
 #include "common/checksum.hh"
 #include "common/error.hh"
-#include "common/logging.hh"
 #include "common/serialize.hh"
 
 namespace pubs::proc
@@ -229,22 +228,6 @@ parseFaultPlan(const std::string &spec, FaultPlan &out, std::string &error)
         }
     }
     return true;
-}
-
-FaultPlan
-faultPlanFromEnv()
-{
-    const char *value = std::getenv("PUBS_FAULT");
-    if (!value || !*value)
-        return FaultPlan{};
-    FaultPlan plan;
-    std::string error;
-    if (!parseFaultPlan(value, plan, error)) {
-        warn_once("ignoring malformed PUBS_FAULT '%s': %s", value,
-                  error.c_str());
-        return FaultPlan{};
-    }
-    return plan;
 }
 
 } // namespace pubs::proc

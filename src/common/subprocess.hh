@@ -148,12 +148,6 @@ struct FaultPlan
 bool parseFaultPlan(const std::string &spec, FaultPlan &out,
                     std::string &error);
 
-/**
- * The plan requested by the PUBS_FAULT environment variable (empty plan
- * when unset). A malformed value warns once and injects nothing.
- */
-FaultPlan faultPlanFromEnv();
-
 } // namespace pubs::proc
 
 #endif // PUBS_COMMON_SUBPROCESS_HH

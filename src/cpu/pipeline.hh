@@ -273,8 +273,6 @@ class Pipeline
     const mem::MemorySystem &memory() const { return *mem_; }
     const pubs::SliceUnit *sliceUnit() const { return sliceUnit_.get(); }
     const pubs::ModeSwitch *modeSwitch() const { return modeSwitch_.get(); }
-    const iq::IssueQueue &issueQueue() const { return *iqs_[0]; }
-    size_t issueQueueCount() const { return iqs_.size(); }
 
     /** Summarise into a stat group for reporting. */
     void fillStats(StatGroup &group) const;

@@ -263,14 +263,8 @@ class CoreTelemetry
         { return committedUnconfidentTrue_; }
 
     const Histogram &priorityOccupancy() const { return priorityOccupancy_; }
-    const Histogram &prioritySliceLatency() const
-        { return prioritySliceLatency_; }
-    const Histogram &normalSliceLatency() const
-        { return normalSliceLatency_; }
     const std::vector<HeartbeatSample> &heartbeats() const
         { return heartbeats_; }
-    const std::vector<ModeTransition> &modeTransitions() const
-        { return transitions_; }
     uint64_t modeTransitionCount() const { return modeTransitionCount_; }
     const std::unordered_map<Pc, BranchSiteStats> &branchSites() const
         { return sites_; }

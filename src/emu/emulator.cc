@@ -120,36 +120,16 @@ void
 SparseMemory::serialize(Serializer &s) const
 {
     s.beginObject("sparse_memory");
-    // The owned pages in order, merged into the image's run order; an
-    // owned page takes the place of the image's page of its number.
-    std::vector<std::pair<Addr, const Page *>> owned;
-    owned.reserve(owned_.size());
-    size_t count = image_ ? image_->pageCount() : 0;
-    for (const auto &[num, page] : owned_) {
-        owned.emplace_back(num, page.get());
-        count += imagePage(num) ? 0 : 1;
-    }
-    std::sort(owned.begin(), owned.end());
-    s.u64(count);
-    auto next = owned.begin();
-    auto put = [&s](Addr num, const Page &page) {
+    std::vector<std::pair<Addr, const Page *>> pages;
+    pages.reserve(owned_.size());
+    for (const auto &[num, page] : owned_)
+        pages.emplace_back(num, page.get());
+    std::sort(pages.begin(), pages.end());
+    s.u64(pages.size());
+    for (const auto &[num, page] : pages) {
         s.u64(num);
-        s.bytes(page.data(), pageBytes);
-    };
-    auto putOwnedBelow = [&](Addr limit) {
-        for (; next != owned.end() && next->first < limit; ++next)
-            put(next->first, *next->second);
-    };
-    if (image_) {
-        image_->forEachPage([&](Addr num, const Page &page) {
-            putOwnedBelow(num);
-            if (next != owned.end() && next->first == num)
-                put(num, *(next++)->second);
-            else
-                put(num, page);
-        });
+        s.bytes(page->data(), pageBytes);
     }
-    putOwnedBelow(~(Addr)0);
     s.endObject("sparse_memory");
 }
 
@@ -157,7 +137,6 @@ void
 SparseMemory::unserialize(Deserializer &d)
 {
     d.beginObject("sparse_memory");
-    image_.reset();
     owned_.clear();
     memoPageNum_ = ~(Addr)0;
     memoPage_ = memoOwned_ = nullptr;

@@ -27,7 +27,8 @@ namespace pubs::emu
  * zeros); the first store to a page copies it from the image, or
  * allocates it zeroed, and this memory owns it from then on. Memories
  * share an image, which nothing writes, so building one costs nothing
- * per image byte.
+ * per image byte. A checkpoint holds only the owned pages: the state is
+ * a delta over the image, and restoring it keeps sharing the image.
  */
 class SparseMemory
 {
@@ -56,13 +57,17 @@ class SparseMemory
     size_t pagesOwned() const { return owned_.size(); }
 
     /**
-     * Checkpoint the page set: the image's pages and the owned ones, an
-     * owned page in place of the image's, in page-number order, so the
-     * byte stream is independent of hash-map iteration order, of the
-     * access pattern that allocated the pages and of which were copied.
+     * Checkpoint the owned pages in page-number order, so the byte
+     * stream is independent of hash-map iteration order and of the
+     * access pattern that allocated them. The image is not written: a
+     * restore reads it from the program, which the checkpoint's program
+     * fingerprint pins.
      */
     void serialize(Serializer &s) const;
-    /** Restore a checkpoint's pages, all owned; the image is dropped. */
+    /**
+     * Restore a checkpoint's pages as the owned ones, in place of those
+     * owned now, and keep the image for every other page.
+     */
     void unserialize(Deserializer &d);
 
     /** Share @p other's image and deep-copy its owned pages. */
@@ -125,7 +130,10 @@ class Emulator : public trace::InstSource
     SparseMemory &memory() { return mem_; }
     const SparseMemory &memory() const { return mem_; }
 
-    /** Checkpoint the full architectural state (regs + PC + memory). */
+    /**
+     * Checkpoint the architectural state: registers, PC and the owned
+     * memory pages (SparseMemory::serialize).
+     */
     void serialize(Serializer &s) const;
     void unserialize(Deserializer &d);
 

@@ -13,7 +13,6 @@ FreeList::FreeList(uint32_t first, uint32_t count)
     // Push in reverse so that pop() initially hands out ascending indices.
     for (uint32_t i = 0; i < count; ++i)
         entries_.push_back(first + count - 1 - i);
-    initialSize_ = count;
 }
 
 uint32_t

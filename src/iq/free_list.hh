@@ -26,7 +26,6 @@ class FreeList
 
     bool empty() const { return entries_.empty(); }
     size_t size() const { return entries_.size(); }
-    size_t initialSize() const { return initialSize_; }
 
     /** Pop a free index; panics when empty. */
     uint32_t pop();
@@ -47,7 +46,6 @@ class FreeList
 
   private:
     std::vector<uint32_t> entries_;
-    size_t initialSize_ = 0;
 };
 
 } // namespace pubs::iq

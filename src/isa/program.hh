@@ -324,7 +324,6 @@ class Program
     std::shared_ptr<const Image> image() const { return image_; }
 
     const std::string &name() const { return name_; }
-    void setName(std::string name) { name_ = std::move(name); }
 
     /** Full listing (one disassembled line per instruction, with labels). */
     std::string listing() const;

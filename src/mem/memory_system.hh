@@ -62,7 +62,6 @@ class MemorySystem
     const Cache &l1i() const { return *l1i_; }
     const Cache &l1d() const { return *l1d_; }
     const Cache &l2() const { return *l2_; }
-    const MainMemory &mainMemory() const { return *mem_; }
     const StreamPrefetcher *prefetcher() const { return prefetcher_.get(); }
 
     uint64_t llcMisses() const { return llcMisses_; }

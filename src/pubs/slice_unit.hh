@@ -59,8 +59,6 @@ class SliceUnit
                    : (double)unconfidentBranches_ / (double)dynamicBranches_;
     }
 
-    DefTab &defTab() { return defTab_; }
-    BrsliceTab &brsliceTab() { return brsliceTab_; }
     ConfTab &confTab() { return confTab_; }
     const ConfTab &confTab() const { return confTab_; }
 

@@ -80,35 +80,6 @@ validatedPayload(const std::string &bytes)
     return d;
 }
 
-/**
- * Restore the payload @p d holds into @p emu and @p pipeline, whose
- * program has fingerprint @p programCrc.
- */
-CheckpointMeta
-restorePayload(Deserializer &d, uint32_t programCrc, emu::Emulator &emu,
-               cpu::Pipeline &pipeline)
-{
-    d.beginObject("checkpoint");
-    CheckpointMeta meta = readMeta(d);
-    // Reject a wrong-program / wrong-machine restore before touching any
-    // live state: identity failures must leave the target untouched.
-    if (meta.programCrc != programCrc) {
-        throw CheckpointError("checkpoint was taken on a different "
-                              "program (workload '" +
-                              meta.workload + "')");
-    }
-    if (meta.paramsFp != paramsFingerprint(pipeline.params())) {
-        throw CheckpointError("checkpoint was taken on a different "
-                              "machine configuration (label '" +
-                              meta.machine + "')");
-    }
-    emu.unserialize(d);
-    pipeline.unserialize(d);
-    d.endObject("checkpoint");
-    d.expectEnd();
-    return meta;
-}
-
 } // namespace
 
 uint32_t
@@ -155,15 +126,6 @@ encodeCheckpoint(const CheckpointMeta &meta, const emu::Emulator &emu,
 }
 
 CheckpointMeta
-decodeCheckpoint(const std::string &bytes, emu::Emulator &emu,
-                 cpu::Pipeline &pipeline)
-{
-    Deserializer d = validatedPayload(bytes);
-    return restorePayload(d, programFingerprint(emu.program()), emu,
-                          pipeline);
-}
-
-CheckpointMeta
 readCheckpointMeta(const std::string &bytes)
 {
     Deserializer d = validatedPayload(bytes);
@@ -183,8 +145,28 @@ decodeCheckpoint(const ValidatedCheckpoint &checkpoint, uint32_t programCrc,
                  emu::Emulator &emu, cpu::Pipeline &pipeline)
 {
     const std::string &bytes = checkpoint.bytes();
+    const CheckpointMeta &meta = checkpoint.meta();
+    // Reject a wrong-program / wrong-machine restore before touching any
+    // live state: identity failures must leave the target untouched.
+    // The payload holds no image pages, so the program check is also
+    // what ties the restored memory to the image it reads.
+    if (meta.programCrc != programCrc) {
+        throw CheckpointError("checkpoint was taken on a different "
+                              "program (workload '" +
+                              meta.workload + "')");
+    }
+    if (meta.paramsFp != paramsFingerprint(pipeline.params())) {
+        throw CheckpointError("checkpoint was taken on a different "
+                              "machine configuration (label '" +
+                              meta.machine + "')");
+    }
     Deserializer d(bytes.data() + headerBytes, bytes.size() - headerBytes);
-    restorePayload(d, programCrc, emu, pipeline);
+    d.beginObject("checkpoint");
+    (void)readMeta(d); // checkpoint.meta(), read when it was validated
+    emu.unserialize(d);
+    pipeline.unserialize(d);
+    d.endObject("checkpoint");
+    d.expectEnd();
 }
 
 std::string

@@ -2,14 +2,21 @@
  * @file
  * Versioned, CRC-guarded architectural checkpoints.
  *
- * v1 (current) container: 28-byte header — 8-byte magic "PUBSCKP1",
- * u32 format version, u64 payload length, u32 payload CRC32, u32 header
+ * Container format 2: 28-byte header — 8-byte magic "PUBSCKP1", u32
+ * format version, u64 payload length, u32 payload CRC32, u32 header
  * CRC32 — followed by the payload, a common/serialize.hh stream holding
  * the checkpoint metadata, the emulator's architectural state, and the
  * pipeline's warm microarchitectural state. Header and payload are both
- * written and read through common/serialize.hh. The header is designed
- * to evolve: readers reject unknown versions with a typed
- * CheckpointError instead of misdecoding.
+ * written and read through common/serialize.hh. Readers reject any other
+ * version with a typed CheckpointError instead of misdecoding.
+ *
+ * The payload is a delta over the program: the emulator's memory holds
+ * only the pages the guest stored to (emu::SparseMemory::serialize),
+ * not the program's image. The metadata's program fingerprint covers
+ * the listing and every image page, and a restore checks it before it
+ * reads anything, so a checkpoint restores only onto the image it was
+ * taken over; the restored memory shares that image as a fresh
+ * emulator does. Format 1 carried the whole image and is not read.
  *
  * Every corruption mode — truncated tail, bit flip, stale version,
  * mismatched machine geometry — surfaces as CheckpointError; a loader
@@ -34,12 +41,12 @@
 namespace pubs::sim
 {
 
-/** Magic bytes at the start of every v1 checkpoint. */
+/** Magic bytes at the start of every checkpoint. */
 constexpr char checkpointMagic[8] = {'P', 'U', 'B', 'S', 'C', 'K', 'P',
                                      '1'};
 
 /** Container format version written by encodeCheckpoint(). */
-constexpr uint32_t checkpointFormatVersion = 1;
+constexpr uint32_t checkpointFormatVersion = 2;
 
 /**
  * Identity of a checkpoint: what was running, where it was cut, and
@@ -68,23 +75,13 @@ uint32_t paramsFingerprint(const cpu::CoreParams &params);
 
 /**
  * Serialize @p emu (architectural state) + @p pipeline (warm
- * microarchitectural state) under @p meta into v1 container bytes.
+ * microarchitectural state) under @p meta into container bytes.
  * Throws CheckpointError unless the pipeline is pristine (see
  * Pipeline::functionalFastForward).
  */
 std::string encodeCheckpoint(const CheckpointMeta &meta,
                              const emu::Emulator &emu,
                              const cpu::Pipeline &pipeline);
-
-/**
- * Validate @p bytes (magic, version, CRCs) and restore into @p emu and
- * @p pipeline. The stored program and machine fingerprints must match
- * the live ones. Throws CheckpointError on any mismatch or corruption.
- * @return the stored metadata.
- */
-CheckpointMeta decodeCheckpoint(const std::string &bytes,
-                                emu::Emulator &emu,
-                                cpu::Pipeline &pipeline);
 
 /** Validate the container and return the metadata without restoring. */
 CheckpointMeta readCheckpointMeta(const std::string &bytes);
@@ -115,9 +112,11 @@ class ValidatedCheckpoint
 ValidatedCheckpoint validateCheckpoint(std::string bytes);
 
 /**
- * decodeCheckpoint() for bytes already validated, against @p programCrc,
- * the programFingerprint() of the live program, which the caller holds:
- * neither the CRCs nor the fingerprint is computed again.
+ * Restore @p checkpoint into @p emu and @p pipeline. Its program
+ * fingerprint must equal @p programCrc, the programFingerprint() of the
+ * live program, which the caller holds, and its machine fingerprint the
+ * live machine's; both are checked before any live state changes.
+ * Throws CheckpointError on a mismatch or a malformed payload.
  */
 void decodeCheckpoint(const ValidatedCheckpoint &checkpoint,
                       uint32_t programCrc, emu::Emulator &emu,

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <thread>
@@ -25,21 +24,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-double
-envDouble(const char *name, double fallback)
-{
-    const char *value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    char *end = nullptr;
-    double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0') {
-        warn_once("ignoring malformed %s value '%s'", name, value);
-        return fallback;
-    }
-    return parsed;
-}
 
 /** A task waiting to (re)start. */
 struct Ready
@@ -68,21 +52,6 @@ struct Running
 
 } // namespace
 
-ProcPool::Config
-ProcPool::configFromEnv(Config base)
-{
-    double timeout = envDouble("PUBS_PROC_TIMEOUT", base.timeoutSeconds);
-    base.timeoutSeconds = timeout;
-    double retries = envDouble("PUBS_PROC_RETRIES", base.maxAttempts);
-    if (retries >= 1.0)
-        base.maxAttempts = (unsigned)retries;
-    double backoff = envDouble("PUBS_PROC_BACKOFF_MS", base.backoffBaseMs);
-    if (backoff >= 0.0)
-        base.backoffBaseMs = (unsigned)backoff;
-    base.staleSeconds = envDouble("PUBS_PROC_STALE", base.staleSeconds);
-    return base;
-}
-
 FarmStats &
 FarmStats::operator+=(const FarmStats &other)
 {
@@ -102,8 +71,6 @@ FarmStats::operator+=(const FarmStats &other)
 ProcPool::ProcPool(Config config) : config_(std::move(config))
 {
     procs_ = config_.procs ? config_.procs : hardwareThreads();
-    if (config_.faultsFromEnv)
-        config_.faults = proc::faultPlanFromEnv();
 }
 
 std::vector<ProcResult>

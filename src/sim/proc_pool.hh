@@ -21,8 +21,8 @@
  *    ProcResult (the caller records a machine-readable skip row) and
  *    the batch continues.
  *
- * Fault injection: the PUBS_FAULT environment variable (see
- * subprocess.hh) makes workers crash, hang, or corrupt their frames
+ * Fault injection: Config::faults (see subprocess.hh; the harness reads
+ * it from PUBS_FAULT) makes workers crash, hang, or corrupt their frames
  * with a seeded per-(task, attempt) coin, so tests and CI can exercise
  * every recovery path deterministically.
  */
@@ -81,9 +81,7 @@ class ProcPool
         double timeoutSeconds = 900.0; ///< per attempt; <=0 disables
         unsigned backoffBaseMs = 100;  ///< retry delay: base << (attempt-1)
         bool verbose = false;       ///< report failures/retries on stderr
-        /** Injected faults; defaults to faultPlanFromEnv() in run(). */
-        proc::FaultPlan faults;
-        bool faultsFromEnv = true;  ///< overwrite `faults` from PUBS_FAULT
+        proc::FaultPlan faults;     ///< injected faults; none by default
 
         /**
          * Parent-side callback for each decoded 'P' progress sample,
@@ -102,13 +100,6 @@ class ProcPool
          */
         double staleSeconds = 0.0;
     };
-
-    /**
-     * Apply the PUBS_PROC_TIMEOUT (seconds), PUBS_PROC_RETRIES
-     * (attempts), PUBS_PROC_BACKOFF_MS and PUBS_PROC_STALE (seconds)
-     * environment overrides to @p base.
-     */
-    static Config configFromEnv(Config base);
 
     explicit ProcPool(Config config);
 

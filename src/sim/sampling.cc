@@ -149,7 +149,7 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
     CheckpointMeta meta;
     meta.workload = program.name();
     meta.machine = machineLabel;
-    meta.programCrc = programFingerprint(program);
+    meta.programCrc = warming.programCrc();
     meta.paramsFp = paramsFingerprint(params);
 
     RunResult total;

@@ -145,16 +145,23 @@ Simulator::fastForward(uint64_t insts)
     return consumed;
 }
 
+uint32_t
+Simulator::programCrc() const
+{
+    if (!programCrc_)
+        programCrc_ = programFingerprint(emulator_->program());
+    return *programCrc_;
+}
+
 std::string
 Simulator::saveCheckpoint(const std::string &machineLabel) const
 {
     PhaseScope phase(SimPhase::CheckpointIo);
-    const isa::Program &program = emulator_->program();
     CheckpointMeta meta;
-    meta.workload = program.name();
+    meta.workload = emulator_->program().name();
     meta.machine = machineLabel;
     meta.skipInsts = fastForwarded_;
-    meta.programCrc = programFingerprint(program);
+    meta.programCrc = programCrc();
     meta.paramsFp = paramsFingerprint(pipeline_->params());
     return encodeCheckpoint(meta, *emulator_, *pipeline_);
 }
@@ -174,9 +181,7 @@ void
 Simulator::restoreCheckpoint(const std::string &bytes)
 {
     PhaseScope phase(SimPhase::CheckpointIo);
-    CheckpointMeta meta = decodeCheckpoint(bytes, *emulator_, *pipeline_);
-    pipeline_->resyncChecker(*emulator_);
-    fastForwarded_ = meta.skipInsts;
+    restoreCheckpoint(validateCheckpoint(bytes), programCrc());
 }
 
 void

@@ -9,6 +9,7 @@
 #define PUBS_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,6 +162,12 @@ class Simulator
     uint64_t fastForwarded() const { return fastForwarded_; }
 
     /**
+     * programFingerprint() of the program, computed on the first call
+     * and kept: every save and restore of this simulator checks it.
+     */
+    uint32_t programCrc() const;
+
+    /**
      * Serialize the current state as checkpoint container bytes under
      * @p machineLabel. Requires a pristine pipeline; throws
      * CheckpointError otherwise.
@@ -180,9 +187,8 @@ class Simulator
 
     /**
      * Restore from a checkpoint already validated, whose program
-     * fingerprint must equal @p programCrc, the caller's
-     * programFingerprint() of this simulator's program: neither is
-     * computed again.
+     * fingerprint must equal @p programCrc, the caller's programCrc()
+     * of a simulator of this program: neither is computed again.
      */
     void restoreCheckpoint(const ValidatedCheckpoint &checkpoint,
                            uint32_t programCrc);
@@ -196,6 +202,7 @@ class Simulator
     std::unique_ptr<emu::Emulator> emulator_;
     std::unique_ptr<cpu::Pipeline> pipeline_;
     uint64_t fastForwarded_ = 0;
+    mutable std::optional<uint32_t> programCrc_;
 };
 
 /** One-call convenience used by the benches. */

@@ -8,8 +8,11 @@
  *
  * Also covers the container framing (bad magic, stale version,
  * truncation, payload corruption, wrong-program / wrong-machine
- * restores all throw CheckpointError) and the content-addressed
- * CheckpointStore (miss/hit, corrupt artifact degrades to a miss).
+ * restores all throw CheckpointError), the payload's delta over the
+ * program image (a restore owns only the saved pages and shares the
+ * image; one changed image word is a different program) and the
+ * content-addressed CheckpointStore (miss/hit, corrupt artifact
+ * degrades to a miss).
  */
 
 #include <gtest/gtest.h>
@@ -271,24 +274,27 @@ TEST(Checkpoint, RejectsBadMagic)
 
 TEST(Checkpoint, RejectsStaleFormatVersion)
 {
-    // A structurally valid container claiming a future format version:
-    // both CRCs recomputed, so only the version check can reject it.
-    std::string bytes = makeCheckpointBytes();
-    const uint32_t future = 99;
-    for (int i = 0; i < 4; ++i)
-        bytes[8 + i] = (char)((future >> (8 * i)) & 0xff);
-    uint32_t headerCrc = crc32(bytes.data(), 24);
-    for (int i = 0; i < 4; ++i)
-        bytes[24 + i] = (char)((headerCrc >> (8 * i)) & 0xff);
-
+    // A structurally valid container claiming format 1 (which carried
+    // the whole program image) or a future format: both CRCs
+    // recomputed, so only the version check can reject it.
     wl::Workload w = wl::makeWorkload("sjeng_like");
     sim::Simulator victim(checkedParams(sim::Machine::Pubs), w.program);
-    try {
-        victim.restoreCheckpoint(bytes);
-        FAIL() << "future format version accepted";
-    } catch (const CheckpointError &error) {
-        EXPECT_NE(std::string(error.what()).find("version 99"),
-                  std::string::npos);
+    for (uint32_t version : {1u, 99u}) {
+        std::string bytes = makeCheckpointBytes();
+        for (int i = 0; i < 4; ++i)
+            bytes[8 + i] = (char)((version >> (8 * i)) & 0xff);
+        uint32_t headerCrc = crc32(bytes.data(), 24);
+        for (int i = 0; i < 4; ++i)
+            bytes[24 + i] = (char)((headerCrc >> (8 * i)) & 0xff);
+        try {
+            victim.restoreCheckpoint(bytes);
+            FAIL() << "format version " << version << " accepted";
+        } catch (const CheckpointError &error) {
+            EXPECT_NE(std::string(error.what())
+                          .find("unsupported checkpoint format version " +
+                                std::to_string(version)),
+                      std::string::npos);
+        }
     }
 }
 
@@ -316,17 +322,84 @@ TEST(Checkpoint, RejectsPayloadBitFlip)
 
 TEST(Checkpoint, RejectsWrongProgram)
 {
+    // Another workload, and the same listing over an image with one word
+    // changed: a checkpoint holds no image pages, so the program
+    // fingerprint is all that ties it to the image a restore reads.
     std::string bytes = makeCheckpointBytes("sjeng_like");
     wl::Workload other = wl::makeWorkload("mcf_like");
-    sim::Simulator victim(checkedParams(sim::Machine::Pubs),
-                          other.program);
-    try {
-        victim.restoreCheckpoint(bytes);
-        FAIL() << "wrong-program restore accepted";
-    } catch (const CheckpointError &error) {
-        EXPECT_NE(std::string(error.what()).find("different program"),
-                  std::string::npos);
+    wl::Workload sjeng = wl::makeWorkload("sjeng_like");
+    isa::Program edited = sjeng.program;
+    const Addr at = sjeng.program.image()->runs().front().firstPage *
+                    isa::Program::pageBytes;
+    edited.addData64(at, ~emu::SparseMemory(sjeng.program.image()).read64(at));
+    ASSERT_EQ(edited.listing(), sjeng.program.listing());
+    for (const isa::Program *program : {&other.program, &edited}) {
+        SCOPED_TRACE(program == &edited ? "one data word" : "mcf_like");
+        sim::Simulator victim(checkedParams(sim::Machine::Pubs), *program);
+        try {
+            victim.restoreCheckpoint(bytes);
+            FAIL() << "wrong-program restore accepted";
+        } catch (const CheckpointError &error) {
+            EXPECT_NE(std::string(error.what()).find("different program"),
+                      std::string::npos);
+        }
     }
+}
+
+TEST(Checkpoint, RestoreOwnsOnlyTheSavedPagesAndSharesTheImage)
+{
+    // After 600K steps bwaves_like has stored to 74 pages and mcf_like
+    // to none, while their images hold 4,104 and 4,096: a restore owns
+    // the stored pages and reads every other one from the image.
+    const std::pair<const char *, size_t> cases[] = {{"bwaves_like", 74},
+                                                     {"mcf_like", 0}};
+    for (auto [name, owned] : cases) {
+        SCOPED_TRACE(name);
+        wl::Workload w = wl::makeWorkload(name, 1);
+        emu::Emulator saved(w.program);
+        trace::DynInst di;
+        for (int i = 0; i < 600000; ++i)
+            ASSERT_TRUE(saved.step(di));
+        Serializer state;
+        saved.serialize(state);
+
+        emu::Emulator restored(w.program);
+        Deserializer d(state.data());
+        restored.unserialize(d);
+        EXPECT_EQ(saved.memory().pagesOwned(), owned);
+        EXPECT_EQ(restored.memory().pagesOwned(), owned);
+        Serializer again;
+        restored.serialize(again);
+        EXPECT_EQ(again.data(), state.data());
+
+        // Each image page reads alike through both memories: the owned
+        // ones as saved, every other one as the image holds it.
+        const emu::SparseMemory image(w.program.image());
+        size_t pagesAsImage = 0, pagesDiffering = 0;
+        w.program.image()->forEachPage([&](Addr num, const auto &) {
+            bool asImage = true, same = true;
+            for (Addr at = num * isa::Program::pageBytes;
+                 at < (num + 1) * isa::Program::pageBytes; at += 8) {
+                uint64_t word = restored.memory().read64(at);
+                same = same && word == saved.memory().read64(at);
+                asImage = asImage && word == image.read64(at);
+            }
+            pagesAsImage += asImage;
+            pagesDiffering += !same;
+        });
+        EXPECT_EQ(pagesDiffering, 0u);
+        EXPECT_GE(pagesAsImage, w.program.image()->pageCount() - owned);
+    }
+}
+
+TEST(Checkpoint, CarriesNoImagePages)
+{
+    // mcf_like's image is 16 MB of nodes; a format-1 checkpoint at 600K
+    // fast-forwarded instructions carried all of it (17,651,474 B).
+    wl::Workload w = wl::makeWorkload("mcf_like");
+    sim::Simulator simulator(sim::makeConfig(sim::Machine::Pubs), w.program);
+    ASSERT_EQ(simulator.fastForward(600000), 600000u);
+    EXPECT_LT(simulator.saveCheckpoint("pubs").size(), 1u << 20);
 }
 
 /**

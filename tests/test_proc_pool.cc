@@ -172,7 +172,6 @@ quietConfig(unsigned procs, unsigned maxAttempts)
     config.maxAttempts = maxAttempts;
     config.backoffBaseMs = 1; // keep retries fast under test
     config.timeoutSeconds = 120.0;
-    config.faultsFromEnv = false; // ignore any ambient PUBS_FAULT
     return config;
 }
 

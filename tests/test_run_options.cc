@@ -59,6 +59,11 @@ TEST(RunOptions, DefaultsWithoutEnvOrFlags)
     EXPECT_TRUE(options.journal.empty());
     EXPECT_TRUE(options.csvDir.empty());
     EXPECT_FALSE(options.samplePlan().enabled());
+    EXPECT_EQ(options.procTimeout, 900u);
+    EXPECT_EQ(options.procRetries, 5u);
+    EXPECT_EQ(options.procBackoffMs, 100u);
+    EXPECT_EQ(options.procStale, 30u);
+    EXPECT_FALSE(options.faults.any());
 }
 
 TEST(RunOptions, FlagBeatsEnvVarWhichBeatsDefault)
@@ -68,10 +73,22 @@ TEST(RunOptions, FlagBeatsEnvVarWhichBeatsDefault)
         ScopedEnv jobs("PUBS_BENCH_JOBS", "3");
         ScopedEnv journal("PUBS_BENCH_JOURNAL", "env.jnl");
         ScopedEnv progress("PUBS_PROGRESS", "0");
+        ScopedEnv timeout("PUBS_PROC_TIMEOUT", "0");
+        ScopedEnv retries("PUBS_PROC_RETRIES", "8");
+        ScopedEnv backoff("PUBS_PROC_BACKOFF_MS", "1");
+        ScopedEnv stale("PUBS_PROC_STALE", "7");
+        ScopedEnv fault("PUBS_FAULT", "crash:0.25:7,killafter:12");
         RunOptions fromEnv = parse({});
         EXPECT_EQ(fromEnv.jobs, 3u);
         EXPECT_EQ(fromEnv.journal, "env.jnl");
         EXPECT_FALSE(fromEnv.progress);
+        EXPECT_EQ(fromEnv.procTimeout, 0u); // 0 disables the timeout
+        EXPECT_EQ(fromEnv.procRetries, 8u);
+        EXPECT_EQ(fromEnv.procBackoffMs, 1u);
+        EXPECT_EQ(fromEnv.procStale, 7u);
+        EXPECT_EQ(fromEnv.faults.crashRate, 0.25);
+        EXPECT_EQ(fromEnv.faults.seed, 7u);
+        EXPECT_EQ(fromEnv.faults.killAfter, 12u);
 
         RunOptions fromFlags =
             parse({"--jobs", "5", "--journal", "flag.jnl", "--progress"});
@@ -155,6 +172,11 @@ TEST(RunOptions, KeepsEveryHarnessSpelling)
         {"", "PUBS_BENCH_WARMUP"},
         {"", "PUBS_BENCH_CSV"},
         {"", "PUBS_PROGRESS_JSON"},
+        {"", "PUBS_PROC_TIMEOUT"},
+        {"", "PUBS_PROC_RETRIES"},
+        {"", "PUBS_PROC_BACKOFF_MS"},
+        {"", "PUBS_PROC_STALE"},
+        {"", "PUBS_FAULT"},
     };
     RunOptions options;
     std::vector<OptionRow> rows = runOptionRows(options);
@@ -205,6 +227,24 @@ TEST(RunOptions, MalformedEnvVarExitsTwoWithUsage)
     EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
                 "\\$PUBS_BENCH_INSTS wants a positive integer, "
                 "got '12k'.*usage:");
+}
+
+TEST(RunOptions, MalformedProcPoolEnvVarExitsTwoWithUsage)
+{
+    // None may fall back to its default: a sweep under a misspelt fault
+    // plan would inject nothing and still pass.
+    const std::pair<const char *, const char *> malformed[] = {
+        {"PUBS_PROC_TIMEOUT", "abc"},   {"PUBS_PROC_TIMEOUT", "-1"},
+        {"PUBS_PROC_RETRIES", "abc"},   {"PUBS_PROC_RETRIES", "0"},
+        {"PUBS_PROC_BACKOFF_MS", "1.5"}, {"PUBS_PROC_STALE", "30s"},
+        {"PUBS_FAULT", "bogus"},        {"PUBS_FAULT", "crash:2"},
+    };
+    for (auto [name, value] : malformed) {
+        SCOPED_TRACE(std::string(name) + "=" + value);
+        ScopedEnv env(name, value);
+        EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
+                    std::string("\\$") + name + ".*usage:");
+    }
 }
 
 TEST(RunOptions, ResumeWithoutJournalExitsTwoWithUsage)

@@ -80,13 +80,6 @@ makeSpec()
     return spec;
 }
 
-/** Reset the process-wide sweep configuration this file mutates. */
-void
-cleanSweepConfig()
-{
-    ::unsetenv("PUBS_FAULT");
-}
-
 /** @p spec journaling to @p path, resuming from it if @p resume. */
 SweepSpec
 journaled(SweepSpec spec, const std::string &path, bool resume)
@@ -168,7 +161,6 @@ TEST(SweepResume, FieldListsCoverEveryField)
 
 TEST(SweepResume, JournalRoundTrip)
 {
-    cleanSweepConfig();
     std::string path = tempPath("pubs_journal_rt.jnl");
     std::remove(path.c_str());
     std::string payload = encodeSweepRow(simulatedRow());
@@ -194,7 +186,6 @@ TEST(SweepResume, JournalRoundTrip)
 
 TEST(SweepResume, JournalDiscardsTornTail)
 {
-    cleanSweepConfig();
     std::string path = tempPath("pubs_journal_torn.jnl");
     std::remove(path.c_str());
     {
@@ -228,7 +219,6 @@ TEST(SweepResume, JournalDiscardsTornTail)
 
 TEST(SweepResume, JournalRejectsBitFlippedRecord)
 {
-    cleanSweepConfig();
     std::string path = tempPath("pubs_journal_flip.jnl");
     std::remove(path.c_str());
     {
@@ -253,7 +243,6 @@ TEST(SweepResume, JournalRejectsBitFlippedRecord)
 
 TEST(SweepResume, JournalRejectsMismatchedSweep)
 {
-    cleanSweepConfig();
     std::string path = tempPath("pubs_journal_stale.jnl");
     std::remove(path.c_str());
     {
@@ -298,23 +287,30 @@ inChild(const std::function<void()> &fn)
     return status;
 }
 
+/** @p spec under the fault plan @p fault, in PUBS_FAULT's grammar. */
+SweepSpec
+faulted(SweepSpec spec, const char *fault)
+{
+    std::string error;
+    EXPECT_TRUE(proc::parseFaultPlan(fault, spec.options.faults, error))
+        << error;
+    return spec;
+}
+
 /**
- * Fork a child that starts @p spec with journaling at @p path and a
- * PUBS_FAULT plan, and wait for it. @return the child's wait status.
+ * Fork a child that starts @p spec with journaling at @p path under the
+ * fault plan @p fault, and wait for it. @return the child's wait status.
  */
 int
 runInterruptedSweep(const SweepSpec &spec, const std::string &path,
                     const char *fault)
 {
-    return inChild([&] {
-        ::setenv("PUBS_FAULT", fault, 1);
-        runSweep(journaled(spec, path, false));
-    });
+    return inChild(
+        [&] { runSweep(journaled(faulted(spec, fault), path, false)); });
 }
 
 TEST(SweepResume, KilledSweepResumesByteIdentical)
 {
-    cleanSweepConfig();
     SweepSpec spec = makeSpec();
     std::string reference = runSweep(spec).statsJson();
 
@@ -336,7 +332,6 @@ TEST(SweepResume, KilledSweepResumesByteIdentical)
 
 TEST(SweepResume, CrashyProcSweepResumesByteIdentical)
 {
-    cleanSweepConfig();
     SweepSpec spec = makeSpec();
     std::string reference = runSweep(spec).statsJson();
 
@@ -348,26 +343,22 @@ TEST(SweepResume, CrashyProcSweepResumesByteIdentical)
     // that no task exhausts them at rate 0.3.
     SweepSpec procSpec = spec;
     procSpec.options.procs = 2;
-    ::setenv("PUBS_PROC_RETRIES", "10", 1);
-    ::setenv("PUBS_PROC_BACKOFF_MS", "1", 1);
+    procSpec.options.procRetries = 10;
+    procSpec.options.procBackoffMs = 1;
     int status =
         runInterruptedSweep(procSpec, path, "crash:0.3:7,killafter:2");
     ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
         << proc::describeStatus(status);
 
     // Resume under the same crash plan, minus the kill.
-    ::setenv("PUBS_FAULT", "crash:0.3:7", 1);
-    SweepResult resumed = runSweep(journaled(procSpec, path, true));
-    cleanSweepConfig();
-    ::unsetenv("PUBS_PROC_RETRIES");
-    ::unsetenv("PUBS_PROC_BACKOFF_MS");
+    SweepResult resumed =
+        runSweep(journaled(faulted(procSpec, "crash:0.3:7"), path, true));
 
     EXPECT_EQ(resumed.statsJson(), reference);
 }
 
 TEST(SweepResume, AnotherMachineUnderTheSameLabelIsNotServed)
 {
-    cleanSweepConfig();
     // A small PUBS sweep, and the blind model of Fig. 11 (no conf_tab)
     // under the same "pubs" label. describe() prints the same text for
     // both; only the machine key tells them apart.
@@ -406,7 +397,6 @@ TEST(SweepResume, AnotherMachineUnderTheSameLabelIsNotServed)
 
 TEST(SweepResume, CheckOverrideFromTheEnvironmentIsKeyed)
 {
-    cleanSweepConfig();
     // PUBS_CHECK turns the checker on inside the Pipeline, so its rows
     // carry checker commits a run without it would not produce.
     SweepSpec spec;
@@ -442,7 +432,6 @@ TEST(SweepResume, CheckOverrideFromTheEnvironmentIsKeyed)
 
 TEST(SweepResume, ProcModeMatchesThreadMode)
 {
-    cleanSweepConfig();
     SweepSpec threads = makeSpec();
     SweepSpec procs = makeSpec();
     procs.options.procs = 3;
