@@ -5,9 +5,6 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
-#include "common/json.hh"
-#include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace pubs::bench
 {
@@ -90,17 +87,12 @@ ReportBuilder::addRun(const Run &run)
 }
 
 void
-ReportBuilder::setStatsJson(std::string statsJson)
+ReportBuilder::setStats(const StatRegistry &stats)
 {
-    json::Value parsed;
-    std::string error;
-    if (!json::parse(statsJson, parsed, error)) {
-        warn("dropping invalid stats JSON from the dashboard: %s",
-             error.c_str());
-        return;
-    }
+    std::string json = stats.renderJson();
+    json.pop_back(); // the trailing newline
     std::lock_guard<std::mutex> lock(reportMutex);
-    statsJson_ = std::move(statsJson);
+    statsJson_ = std::move(json);
 }
 
 std::string
@@ -166,14 +158,8 @@ ReportBuilder::dataJson() const
         << ", \"retries\": " << farm_.retries
         << ", \"skips\": " << farm_.permanentFailures
         << ", \"journal_served\": " << farm_.journalServed << "}";
-    if (!statsJson_.empty()) {
-        // Already validated by setStatsJson(); spliced in verbatim.
-        std::string stats = statsJson_;
-        while (!stats.empty() &&
-               (stats.back() == '\n' || stats.back() == ' '))
-            stats.pop_back();
-        out << ",\n\"stats\": " << stats;
-    }
+    if (!statsJson_.empty())
+        out << ",\n\"stats\": " << statsJson_;
     out << "\n}\n";
     return out.str();
 }

@@ -4,10 +4,10 @@
  *
  * A ReportBuilder accumulates per-run rows (IPC, KIPS, MPKIs) and
  * farm-health counters across every runSweep() a driver performs, plus
- * an optional raw stats-JSON document (pubs_sim_cli embeds its full
- * StatRegistry). renderDashboardHtml() turns the composite data into
- * one static HTML file — all CSS and JS inline, no CDN, no fetches —
- * that renders per-workload KIPS bars, base-vs-pubs IPC speedups,
+ * optionally a run's full StatRegistry (pubs_sim_cli embeds its own).
+ * renderDashboardHtml() turns the composite data into one static HTML
+ * file — all CSS and JS inline, no CDN, no fetches — that renders
+ * per-workload KIPS bars, base-vs-pubs IPC speedups,
  * slice-telemetry coverage/accuracy (when the stats document carries
  * them), and the pool/retry/skip telemetry.
  *
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bench_util.hh"
+#include "common/stats.hh"
 #include "cpu/cpi_stack.hh"
 
 namespace pubs::bench
@@ -75,12 +76,8 @@ class ReportBuilder
     /** Append a single run row (pubs_sim_cli). */
     void addRun(const Run &run);
 
-    /**
-     * Embed a raw stats-JSON document (a StatRegistry::renderJson()
-     * dump) under "stats". Must be valid JSON; an invalid document is
-     * dropped with a warning rather than corrupting the dashboard.
-     */
-    void setStatsJson(std::string statsJson);
+    /** Embed @p stats (StatRegistry::renderJson()) under "stats". */
+    void setStats(const StatRegistry &stats);
 
     /** The composite data document (strict JSON). */
     std::string dataJson() const;

@@ -205,7 +205,8 @@ optionUsage(const char *argv0, const std::vector<OptionRow> &rows)
 
 void
 parseRunOptions(int argc, char **argv, RunOptions &options,
-                const std::vector<OptionRow> &extraRows)
+                const std::vector<OptionRow> &extraRows,
+                const std::function<std::string()> &conflict)
 {
     std::vector<OptionRow> rows = extraRows;
     for (const OptionRow &row : runOptionRows(options))
@@ -216,6 +217,8 @@ parseRunOptions(int argc, char **argv, RunOptions &options,
         options.journal.empty()) {
         error = "--resume needs --journal PATH (or $PUBS_BENCH_JOURNAL)";
     }
+    if (error.empty() && !help && conflict)
+        error = conflict();
     std::string usage = optionUsage(argc > 0 ? argv[0] : "pubs", rows);
     if (help) {
         std::fputs(usage.c_str(), stdout);

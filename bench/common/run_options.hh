@@ -15,6 +15,7 @@
 #define PUBS_BENCH_COMMON_RUN_OPTIONS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -120,14 +121,17 @@ std::string optionUsage(const char *argv0,
 
 /**
  * Fill @p options from the environment and command line, then check it
- * for consistency (--resume needs a journal). @p extraRows are the
- * program's own flags, listed before the harness rows; they may point
- * into @p options. --help prints the usage on stdout and exits 0; any
- * error prints it with the complaint on stderr and exits 2. A
- * trace-events path switches the host-phase profiler on.
+ * for consistency: --resume needs a journal, and @p conflict, when
+ * given, names a combination of flags the program would not honour ("",
+ * none). @p extraRows are the program's own flags, listed before the
+ * harness rows; they may point into @p options. --help prints the usage
+ * on stdout and exits 0; any error prints it with the complaint on
+ * stderr and exits 2. A trace-events path switches the host-phase
+ * profiler on.
  */
 void parseRunOptions(int argc, char **argv, RunOptions &options,
-                     const std::vector<OptionRow> &extraRows);
+                     const std::vector<OptionRow> &extraRows,
+                     const std::function<std::string()> &conflict = {});
 
 /** The options of a driver that has no flags of its own. */
 RunOptions parseRunOptions(int argc, char **argv);

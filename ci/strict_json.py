@@ -1,9 +1,9 @@
 """Strict JSON loading for the CI checks.
 
 Python's json module accepts NaN, Infinity and duplicate keys; the
-repo's own parser rejects all three, so every CI step that checks a JSON
-artifact loads it through load() or loads(), which make each an error.
-Steps import it with PYTHONPATH=ci.
+tests' parser (tests/json.hh) rejects all three, so every CI step that
+checks a JSON artifact loads it through load() or loads(), which make
+each an error. Steps import it with PYTHONPATH=ci.
 """
 
 import json

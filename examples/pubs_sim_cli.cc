@@ -15,11 +15,13 @@
  * divergence under --check throw) print "error: ..." and exit 1 instead
  * of aborting; so does --check lockstep when a workload fails,
  * including a worker process that fails beyond retry under --procs.
- * Malformed flags print the usage and exit 2.
+ * Malformed flags print the usage and exit 2, and so does a flag that
+ * --check lockstep or --sample would not honour.
  */
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/bench_util.hh"
 #include "common/error.hh"
@@ -182,6 +184,28 @@ run(int argc, char **argv)
          &restoreCkptPath},
         {"--list", nullptr, T::Switch, "list suite workloads and exit",
          &list},
+    }, [&]() -> std::string {
+        // The lockstep sweep and the sampled run are not one Simulator:
+        // the flags below would be dropped there, so they are refused.
+        const bool lockstep = checkArg == "lockstep";
+        if (!lockstep && !options.sampleWindows)
+            return "";
+        const std::pair<bool, const char *> ignored[] = {
+            {!pipeviewPath.empty(), "--pipeview"},
+            {skip != 0, "--skip"},
+            {!saveCkptPath.empty(), "--save-checkpoint"},
+            {!restoreCkptPath.empty(), "--restore-checkpoint"},
+            {lockstep && !statsJsonPath.empty(), "--stats-json"},
+            {!lockstep && !options.report.empty(), "--report"},
+            {!lockstep && options.progress, "--progress"},
+        };
+        for (const auto &[set, flag] : ignored) {
+            if (set) {
+                return std::string(flag) + " does not apply to " +
+                       (lockstep ? "--check lockstep" : "--sample");
+            }
+        }
+        return "";
     });
     if (list) {
         for (const auto &name : wl::suiteNames())
@@ -394,7 +418,7 @@ run(int argc, char **argv)
             row.result.workload = workload;
             row.result.machine = sim::machineName(machine);
             report.addRun(bench::ReportBuilder::runRow(row, options));
-            report.setStatsJson(registry.renderJson());
+            report.setStats(registry);
             std::string error = report.writeHtml(options.report);
             if (!error.empty()) {
                 warn("cannot write dashboard %s: %s",

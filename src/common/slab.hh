@@ -74,9 +74,6 @@ class SlabPool
     /** Records currently allocated (for leak auditing). */
     size_t live() const { return live_; }
 
-    /** Records ever created (capacity high-water mark). */
-    size_t allocated() const { return allocated_; }
-
   private:
     static constexpr size_t chunkSize = 64;
 

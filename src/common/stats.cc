@@ -159,13 +159,6 @@ StatGroup::get(const std::string &key) const
     return entries_[it->second].value;
 }
 
-double
-StatGroup::getOr(const std::string &key, double fallback) const
-{
-    auto it = index_.find(key);
-    return it == index_.end() ? fallback : entries_[it->second].value;
-}
-
 std::string
 StatGroup::format() const
 {

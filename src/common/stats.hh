@@ -141,9 +141,6 @@ class StatGroup
     /** Value for @p key; panics if missing. */
     double get(const std::string &key) const;
 
-    /** Value for @p key or @p fallback if missing. */
-    double getOr(const std::string &key, double fallback) const;
-
     /** Render as aligned "name  value  # desc" lines. */
     std::string format() const;
 

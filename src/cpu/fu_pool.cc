@@ -29,18 +29,6 @@ fuTypeOf(isa::OpClass cls)
     }
 }
 
-const char *
-fuTypeName(FuType type)
-{
-    switch (type) {
-      case FuType::IntAlu: return "iALU";
-      case FuType::IntMulDiv: return "iMULT/DIV";
-      case FuType::LdSt: return "Ld/St";
-      case FuType::Fpu: return "FPU";
-      default: panic("bad FU type %d", (int)type);
-    }
-}
-
 FuPool::FuPool(unsigned intAlu, unsigned intMulDiv, unsigned ldSt,
                unsigned fpu)
     : intAlu_(intAlu, 0), intMulDiv_(intMulDiv, 0), ldSt_(ldSt, 0),

@@ -30,8 +30,6 @@ enum class FuType : uint8_t
 /** Which FU group executes @p cls. */
 FuType fuTypeOf(isa::OpClass cls);
 
-const char *fuTypeName(FuType type);
-
 class FuPool
 {
   public:

@@ -265,7 +265,6 @@ class CoreTelemetry
     const Histogram &priorityOccupancy() const { return priorityOccupancy_; }
     const std::vector<HeartbeatSample> &heartbeats() const
         { return heartbeats_; }
-    uint64_t modeTransitionCount() const { return modeTransitionCount_; }
     const std::unordered_map<Pc, BranchSiteStats> &branchSites() const
         { return sites_; }
 

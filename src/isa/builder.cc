@@ -147,16 +147,6 @@ ProgramBuilder::data64(Addr addr, uint64_t value)
     return *this;
 }
 
-ProgramBuilder &
-ProgramBuilder::dataF64(Addr addr, double value)
-{
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(value));
-    __builtin_memcpy(&bits, &value, sizeof(bits));
-    prog_.addData64(addr, bits);
-    return *this;
-}
-
 Program
 ProgramBuilder::build()
 {

@@ -129,7 +129,6 @@ class ProgramBuilder
 
     /** Install initial data. */
     ProgramBuilder &data64(Addr addr, uint64_t value);
-    ProgramBuilder &dataF64(Addr addr, double value);
 
     /** Number of instructions appended so far. */
     size_t size() const { return prog_.size(); }

@@ -68,11 +68,6 @@ const std::array<OpInfo, numOps> opTable = {{
     {"halt",  OpClass::Nop, 1, false, None, None, false},
 }};
 
-const char *const classNames[(size_t)OpClass::NumClasses] = {
-    "IntAlu", "IntMul", "IntDiv", "FpAlu", "FpMul", "FpDiv",
-    "Load", "Store", "Branch", "Nop",
-};
-
 } // namespace
 
 const OpInfo &
@@ -92,13 +87,6 @@ const char *
 mnemonic(Opcode op)
 {
     return opInfo(op).mnemonic;
-}
-
-const char *
-opClassName(OpClass cls)
-{
-    panic_if((size_t)cls >= (size_t)OpClass::NumClasses, "bad opclass");
-    return classNames[(size_t)cls];
 }
 
 RegClass

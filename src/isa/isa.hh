@@ -102,9 +102,6 @@ OpClass opClass(Opcode op);
 /** Human-readable mnemonic. */
 const char *mnemonic(Opcode op);
 
-/** Human-readable name of an OpClass. */
-const char *opClassName(OpClass cls);
-
 inline bool
 isBranch(Opcode op)
 {

@@ -1,4 +1,4 @@
-#include "common/json.hh"
+#include "json.hh"
 
 #include <cmath>
 #include <cstdio>

@@ -1,14 +1,13 @@
 /**
  * @file
- * A strict RFC 8259 JSON parser and validator.
+ * A strict RFC 8259 JSON parser and validator, compiled into the test
+ * binary only.
  *
  * Every JSON document this repo emits (stats registry exports, sweep
  * statsJson, progress.json, Chrome trace events, the dashboard data
  * block) is consumed by tools that hard-fail on invalid JSON —
- * Perfetto, browsers, python json.load. This parser is the in-repo
- * referee: tests strict-parse every emitted document through it, and
- * the dashboard reads its embedded stats document with it instead of
- * ad-hoc scanning.
+ * Perfetto, browsers, python json.load. This parser is the tests'
+ * referee: they strict-parse every emitted document through it.
  *
  * Strictness: exactly one top-level value, no trailing input, no
  * comments, no trailing commas, no NaN/Infinity literals, strings must
@@ -18,8 +17,8 @@
  * duplicate-free and a duplicate always indicates an emitter bug).
  */
 
-#ifndef PUBS_COMMON_JSON_HH
-#define PUBS_COMMON_JSON_HH
+#ifndef PUBS_TESTS_JSON_HH
+#define PUBS_TESTS_JSON_HH
 
 #include <map>
 #include <memory>
@@ -102,4 +101,4 @@ bool validate(const std::string &text, std::string &error);
 
 } // namespace pubs::json
 
-#endif // PUBS_COMMON_JSON_HH
+#endif // PUBS_TESTS_JSON_HH

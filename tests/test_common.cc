@@ -214,7 +214,6 @@ TEST(Stats, StatGroupRoundTrip)
     EXPECT_TRUE(g.has("ipc"));
     EXPECT_FALSE(g.has("nope"));
     EXPECT_DOUBLE_EQ(g.get("ipc"), 1.5);
-    EXPECT_DOUBLE_EQ(g.getOr("nope", -1.0), -1.0);
     // Re-adding overwrites.
     g.add("ipc", 2.0);
     EXPECT_DOUBLE_EQ(g.get("ipc"), 2.0);

@@ -15,10 +15,10 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/json.hh"
 #include "common/stats.hh"
 #include "cpu/telemetry.hh"
 #include "isa/builder.hh"
+#include "json.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
 #include "trace/pipeview.hh"

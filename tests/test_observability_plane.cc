@@ -16,12 +16,12 @@
 
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
-#include "common/json.hh"
 #include "common/profiler.hh"
 #include "common/progress.hh"
 #include "common/report.hh"
 #include "common/serialize.hh"
 #include "common/subprocess.hh"
+#include "json.hh"
 #include "sim/config.hh"
 #include "workloads/suite.hh"
 
@@ -422,9 +422,11 @@ TEST(Dashboard, DataBlockStrictParsesBackOutOfHtml)
     // A workload name with a script terminator must not break the page.
     run.workload = "evil</script>name";
     report.addRun(run);
-    report.setStatsJson("{\"pubs\": {\"telemetry\": "
-                        "{\"slice_coverage\": 0.82, "
-                        "\"slice_accuracy\": 0.91}}}");
+    StatRegistry stats;
+    StatGroup &telemetry = stats.group("pubs.telemetry");
+    telemetry.add("slice_coverage", 0.82);
+    telemetry.add("slice_accuracy", 0.91);
+    report.setStats(stats);
 
     const std::string html = report.html();
     EXPECT_EQ(html.find("https://"), std::string::npos)
@@ -445,16 +447,6 @@ TEST(Dashboard, DataBlockStrictParsesBackOutOfHtml)
         v.find("stats")->find("pubs", "telemetry");
     ASSERT_NE(coverage, nullptr);
     EXPECT_DOUBLE_EQ(coverage->numberOr("slice_coverage", 0), 0.82);
-}
-
-TEST(Dashboard, InvalidStatsJsonIsDroppedNotEmbedded)
-{
-    bench::ReportBuilder report;
-    report.setStatsJson("{broken");
-    json::Value v;
-    std::string error;
-    ASSERT_TRUE(json::parse(report.dataJson(), v, error)) << error;
-    EXPECT_EQ(v.find("stats"), nullptr);
 }
 
 TEST(Dashboard, WriteHtmlIsAtomicAndComplete)
