@@ -5,6 +5,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/profiler.hh"
 
@@ -213,9 +214,18 @@ parseRunOptions(int argc, char **argv, RunOptions &options,
         rows.push_back(row);
     bool help = false;
     std::string error = parseOptionRows(rows, argc, argv, help);
-    if (error.empty() && !help && options.resume &&
-        options.journal.empty()) {
-        error = "--resume needs --journal PATH (or $PUBS_BENCH_JOURNAL)";
+    const bool sampled = options.sampleWindows;
+    const std::pair<bool, const char *> unmet[] = {
+        {options.resume && options.journal.empty(),
+         "--resume needs --journal PATH (or $PUBS_BENCH_JOURNAL)"},
+        {options.samplePeriod && !sampled,
+         "--sample-period needs --sample N (or $PUBS_BENCH_SAMPLE)"},
+        {!options.checkpointDir.empty() && !sampled,
+         "--checkpoint-dir needs --sample N (or $PUBS_BENCH_SAMPLE)"},
+    };
+    for (const auto &[set, complaint] : unmet) {
+        if (error.empty() && !help && set)
+            error = complaint;
     }
     if (error.empty() && !help && conflict)
         error = conflict();

@@ -121,9 +121,10 @@ std::string optionUsage(const char *argv0,
 
 /**
  * Fill @p options from the environment and command line, then check it
- * for consistency: --resume needs a journal, and @p conflict, when
- * given, names a combination of flags the program would not honour ("",
- * none). @p extraRows are the program's own flags, listed before the
+ * for consistency: --resume needs a journal, --sample-period and
+ * --checkpoint-dir need --sample, and @p conflict, when given, names a
+ * combination of flags the program would not honour ("", none).
+ * @p extraRows are the program's own flags, listed before the
  * harness rows; they may point into @p options. --help prints the usage
  * on stdout and exits 0; any error prints it with the complaint on
  * stderr and exits 2. A trace-events path switches the host-phase

@@ -1,9 +1,9 @@
-"""Strict JSON loading for the CI checks.
+"""Strict JSON loading for the contract tests' checks (checks.py).
 
 Python's json module accepts NaN, Infinity and duplicate keys; the
-tests' parser (tests/json.hh) rejects all three, so every CI step that
-checks a JSON artifact loads it through load() or loads(), which make
-each an error. Steps import it with PYTHONPATH=ci.
+tests' parser (tests/json.hh) rejects all three, so every check of a
+JSON artifact loads it through load() or loads(), which make each an
+error.
 """
 
 import json

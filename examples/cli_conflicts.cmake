@@ -1,7 +1,8 @@
-# pubs_sim_cli (BIN) with each flag that --check lockstep or --sample
-# would drop. Every combination must exit 2 with the usage and a
-# complaint naming the flag, and leave its working directory (DIR)
-# empty.
+# pubs_sim_cli (BIN) with each setting its mode would drop: a sweep's
+# (--jobs, --procs, --journal, PUBS_BENCH_CSV, PUBS_FAULT) on a single
+# or sampled run, and one Simulator's under --check lockstep or --sample.
+# Every combination must exit 2 with the usage and a complaint naming
+# the setting, and leave its working directory (DIR) empty.
 function(expect_refused mode flag)
     file(REMOVE_RECURSE ${DIR})
     file(MAKE_DIRECTORY ${DIR})
@@ -34,4 +35,21 @@ expect_refused("--check lockstep" --save-checkpoint
     --check lockstep --save-checkpoint s.ckpt)
 expect_refused("--check lockstep" --restore-checkpoint
     --check lockstep --restore-checkpoint /nonexistent.ckpt)
+expect_refused(--sample --branch-profile --sample 2 --branch-profile)
+expect_refused(--sample --telemetry --sample 2 --telemetry)
+# Each of the sweep's settings, on a run in MODE given the flags ARGN.
+function(expect_sweep_settings_refused mode)
+    expect_refused(${mode} --jobs ${ARGN} --jobs 3)
+    expect_refused(${mode} --procs ${ARGN} --procs 2)
+    expect_refused(${mode} --journal ${ARGN} --journal j.jnl)
+    expect_refused(${mode} --journal ${ARGN} --journal j.jnl --resume)
+    set(ENV{PUBS_BENCH_CSV} .)
+    expect_refused(${mode} PUBS_BENCH_CSV ${ARGN})
+    unset(ENV{PUBS_BENCH_CSV})
+    set(ENV{PUBS_FAULT} crash:0.5)
+    expect_refused(${mode} PUBS_FAULT ${ARGN})
+    unset(ENV{PUBS_FAULT})
+endfunction()
+expect_sweep_settings_refused("a single run")
+expect_sweep_settings_refused(--sample --sample 2)
 file(REMOVE_RECURSE ${DIR})

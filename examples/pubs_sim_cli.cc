@@ -15,8 +15,8 @@
  * divergence under --check throw) print "error: ..." and exit 1 instead
  * of aborting; so does --check lockstep when a workload fails,
  * including a worker process that fails beyond retry under --procs.
- * Malformed flags print the usage and exit 2, and so does a flag that
- * --check lockstep or --sample would not honour.
+ * Malformed flags print the usage and exit 2, and so does a setting the
+ * chosen mode would drop (a sweep's --jobs on a single run, say).
  */
 
 #include <cstdio>
@@ -185,24 +185,34 @@ run(int argc, char **argv)
         {"--list", nullptr, T::Switch, "list suite workloads and exit",
          &list},
     }, [&]() -> std::string {
-        // The lockstep sweep and the sampled run are not one Simulator:
-        // the flags below would be dropped there, so they are refused.
+        // The lockstep sweep and the sampled run are not one Simulator,
+        // and only the lockstep sweep is a sweep: the flags below would
+        // be dropped, so they are refused.
         const bool lockstep = checkArg == "lockstep";
-        if (!lockstep && !options.sampleWindows)
-            return "";
+        const bool sampled = !lockstep && options.sampleWindows;
+        const bool single = !lockstep && !sampled;
         const std::pair<bool, const char *> ignored[] = {
-            {!pipeviewPath.empty(), "--pipeview"},
-            {skip != 0, "--skip"},
-            {!saveCkptPath.empty(), "--save-checkpoint"},
-            {!restoreCkptPath.empty(), "--restore-checkpoint"},
+            {!single && !pipeviewPath.empty(), "--pipeview"},
+            {!single && skip != 0, "--skip"},
+            {!single && !saveCkptPath.empty(), "--save-checkpoint"},
+            {!single && !restoreCkptPath.empty(), "--restore-checkpoint"},
             {lockstep && !statsJsonPath.empty(), "--stats-json"},
-            {!lockstep && !options.report.empty(), "--report"},
-            {!lockstep && options.progress, "--progress"},
+            {sampled && !options.report.empty(), "--report"},
+            {sampled && options.progress, "--progress"},
+            {sampled && options.branchProfile, "--branch-profile"},
+            {sampled && telemetry, "--telemetry"},
+            {!lockstep && options.jobs, "--jobs"},
+            {!lockstep && options.procs, "--procs"},
+            {!lockstep && !options.journal.empty(), "--journal"},
+            {!lockstep && !options.csvDir.empty(), "PUBS_BENCH_CSV"},
+            {!lockstep && options.faults.any(), "PUBS_FAULT"},
         };
         for (const auto &[set, flag] : ignored) {
             if (set) {
                 return std::string(flag) + " does not apply to " +
-                       (lockstep ? "--check lockstep" : "--sample");
+                       (lockstep  ? "--check lockstep"
+                        : sampled ? "--sample"
+                                  : "a single run");
             }
         }
         return "";

@@ -257,6 +257,26 @@ TEST(RunOptions, ResumeWithoutJournalExitsTwoWithUsage)
     EXPECT_TRUE(parse({"--journal", "x.jnl"}).resume);
 }
 
+TEST(RunOptions, SamplingSettingsWithoutSampleExitTwoWithUsage)
+{
+    // Without --sample no run reads them: the store would never fill.
+    EXPECT_EXIT(parse({"--checkpoint-dir", "d"}),
+                ::testing::ExitedWithCode(2),
+                "--checkpoint-dir needs --sample.*usage:");
+    EXPECT_EXIT(parse({"--sample-period", "1000"}),
+                ::testing::ExitedWithCode(2),
+                "--sample-period needs --sample.*usage:");
+    {
+        ScopedEnv dir("PUBS_CHECKPOINT_DIR", "d");
+        EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
+                    "--checkpoint-dir needs --sample.*usage:");
+        EXPECT_EQ(parse({"--sample", "2"}).checkpointDir, "d");
+    }
+    ScopedEnv sample("PUBS_BENCH_SAMPLE", "3");
+    RunOptions options = parse({"--sample-period", "1000"});
+    EXPECT_EQ(options.samplePeriod, 1000u);
+}
+
 TEST(RunOptions, UnknownFlagExitsTwoWithUsage)
 {
     EXPECT_EXIT(parse({"--jbos", "4"}), ::testing::ExitedWithCode(2),
