@@ -259,22 +259,21 @@ appendPoolCsv(const SweepSpec &spec, const SweepResult &result)
     char line[288];
     std::snprintf(line, sizeof(line),
                   "%zu,%zu,%u,%.4f,%.4f,%.3f,%llu,%llu,%llu,%llu,%llu,"
-                  "%llu,%llu,%llu\n",
+                  "%llu,%llu\n",
                   result.rows.size(), result.failed(), result.jobs,
                   farm.wallSeconds, farm.busySeconds,
                   result.utilization(),
                   (unsigned long long)farm.launches,
                   (unsigned long long)farm.crashes,
                   (unsigned long long)farm.timeouts,
-                  (unsigned long long)farm.staleKills,
                   (unsigned long long)farm.corruptFrames,
                   (unsigned long long)farm.retries,
                   (unsigned long long)farm.permanentFailures,
                   (unsigned long long)farm.journalServed);
     appendCsvAtomic(spec.options.csvDir, "sweep_pool.csv",
                     "runs,failed,jobs,wall_seconds,busy_seconds,"
-                    "utilization,launches,crashes,timeouts,stale_kills,"
-                    "corrupt_frames,retries,skips,journal_served\n",
+                    "utilization,launches,crashes,timeouts,corrupt_frames,"
+                    "retries,skips,journal_served\n",
                     line);
 }
 
@@ -458,7 +457,7 @@ secondsSince(Clock::time_point start)
 void
 runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
          SweepResult &result, SweepJournal *journal,
-         progress::Meter *meter)
+         ProgressMeter *meter)
 {
     const RunOptions &options = spec.options;
     std::unique_ptr<sim::ProcPool> pool;
@@ -470,16 +469,6 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
         config.backoffBaseMs = options.procBackoffMs;
         config.faults = options.faults;
         config.verbose = spec.verbose;
-        if (meter) {
-            // Workers interleave progress heartbeats with the result
-            // frame, and a heartbeat stream that goes quiet gets the
-            // worker SIGKILLed + retried well before the coarse per-run
-            // timeout.
-            config.staleSeconds = options.procStale;
-            config.onProgress = [meter](const progress::Sample &sample) {
-                meter->update(sample);
-            };
-        }
         pool = std::make_unique<sim::ProcPool>(config);
         result.jobs = pool->procs();
     } else {
@@ -489,16 +478,11 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
     // Worker side: simulate and encode the row — including a SimError
     // skip row, which is a result, not a worker failure.
     auto runSlot = [&](size_t index) {
-        size_t slot = todo[index];
-        const SweepItem &item = spec.items[slot];
-        progress::beginTask(slot, item.workload->name,
-                            options.warmup + options.insts);
-        std::string payload = encodeSweepRow(runSweepItem(item, options));
-        progress::endTask();
-        return payload;
+        return encodeSweepRow(runSweepItem(spec.items[todo[index]], options));
     };
 
-    // The one result hook, in completion order: decode, journal, report.
+    // The one result hook, in completion order: decode, journal, count,
+    // report.
     std::mutex hookMutex;
     size_t completed = 0;
     auto onResult = [&](size_t index, const sim::ProcResult &outcome) {
@@ -527,10 +511,9 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
         if (meter) {
             if (pool) {
                 meter->setFarmTotals(pool->stats().retries,
-                                     pool->stats().timeouts,
-                                     pool->stats().staleKills);
+                                     pool->stats().timeouts);
             }
-            meter->runFinished(slot, row.ok());
+            meter->runFinished(row.ok(), row.result.instructions);
         }
         if (spec.verbose)
             logSweepRow(row, item, ++completed, todo.size());
@@ -544,29 +527,20 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
         const sim::FarmStats &stats = pool->stats();
         result.farm = stats;
         if (spec.verbose &&
-            (stats.retries || stats.timeouts || stats.staleKills ||
-             stats.crashes || stats.corruptFrames)) {
+            (stats.retries || stats.timeouts || stats.crashes ||
+             stats.corruptFrames)) {
             std::fprintf(stderr,
                          "  proc pool: %llu launches, %llu crashes, %llu "
-                         "timeouts, %llu stale kills, %llu corrupt "
-                         "frames, %llu retries, %llu skipped\n",
+                         "timeouts, %llu corrupt frames, %llu retries, "
+                         "%llu skipped\n",
                          (unsigned long long)stats.launches,
                          (unsigned long long)stats.crashes,
                          (unsigned long long)stats.timeouts,
-                         (unsigned long long)stats.staleKills,
                          (unsigned long long)stats.corruptFrames,
                          (unsigned long long)stats.retries,
                          (unsigned long long)stats.permanentFailures);
         }
     } else {
-        // Worker threads report straight into the meter; the sink is
-        // global (one live sweep at a time), cleared once they join.
-        if (meter) {
-            progress::setCallbackSink(
-                [meter](const progress::Sample &sample) {
-                    meter->update(sample);
-                });
-        }
         std::atomic<double> busySeconds{0.0};
         sim::parallelFor(result.jobs, todo.size(), [&](size_t index) {
             Clock::time_point begin = Clock::now();
@@ -576,8 +550,6 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
             busySeconds += secondsSince(begin);
             onResult(index, outcome);
         });
-        if (meter)
-            progress::clearSink();
         result.farm.busySeconds = busySeconds;
     }
     result.farm.wallSeconds = secondsSince(start);
@@ -615,22 +587,16 @@ runSweep(const SweepSpec &spec)
                      journal->path().c_str());
     }
 
-    // Live progress plane: per-worker heartbeats -> one meter.
-    std::unique_ptr<progress::Meter> meter;
+    std::unique_ptr<ProgressMeter> meter;
     if (options.progress) {
-        progress::Meter::Config meterConfig;
-        meterConfig.totalRuns = todo.size();
-        meterConfig.jsonPath = options.progressJson;
-        meter = std::make_unique<progress::Meter>(meterConfig);
+        meter = std::make_unique<ProgressMeter>(todo.size(),
+                                                options.progressJson);
     }
 
     runSlots(spec, todo, result, journal.get(), meter.get());
     result.farm.journalServed = served;
-    if (meter) {
-        meter->setFarmTotals(result.farm.retries, result.farm.timeouts,
-                             result.farm.staleKills);
+    if (meter)
         meter->finish();
-    }
 
     if (size_t n = result.failed()) {
         warn("%zu of %zu sweep runs failed and were skipped", n,

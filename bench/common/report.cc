@@ -153,7 +153,6 @@ ReportBuilder::dataJson() const
     out << "\"farm\": {\"launches\": " << farm_.launches
         << ", \"crashes\": " << farm_.crashes
         << ", \"timeouts\": " << farm_.timeouts
-        << ", \"stale_kills\": " << farm_.staleKills
         << ", \"corrupt_frames\": " << farm_.corruptFrames
         << ", \"retries\": " << farm_.retries
         << ", \"skips\": " << farm_.permanentFailures
@@ -479,9 +478,8 @@ if (DATA.wall_seconds > 0 && DATA.jobs > 0)
   const head = el("tr");
   const body = el("tr");
   for (const [key, cls] of [["launches", ""], ["crashes", "fail"],
-       ["timeouts", "fail"], ["stale_kills", "fail"],
-       ["corrupt_frames", "fail"], ["retries", ""], ["skips", "fail"],
-       ["journal_served", ""]]) {
+       ["timeouts", "fail"], ["corrupt_frames", "fail"], ["retries", ""],
+       ["skips", "fail"], ["journal_served", ""]]) {
     head.appendChild(el("th", "", key.replace("_", " ")));
     body.appendChild(el("td", farm[key] > 0 ? cls : "",
                         String(farm[key])));

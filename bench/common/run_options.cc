@@ -95,7 +95,8 @@ runOptionRows(RunOptions &o)
         {"--report", "PUBS_BENCH_REPORT", T::Text,
          "self-contained HTML dashboard", &o.report},
         {"--progress", "PUBS_PROGRESS", T::Switch,
-         "live progress meter + progress.json", &o.progress},
+         "count finished runs on stderr and in progress.json",
+         &o.progress},
         {"--cpi-stack", "PUBS_CPI_STACK", T::Switch,
          "top-down CPI stack per run (cpi_stack.csv, dashboard)",
          &o.cpiStack},
@@ -132,10 +133,6 @@ runOptionRows(RunOptions &o)
         {nullptr, "PUBS_PROC_BACKOFF_MS", T::Number,
          "delay before a --procs retry, doubled per attempt (default 100)",
          &o.procBackoffMs},
-        {nullptr, "PUBS_PROC_STALE", T::Number,
-         "seconds a --procs worker may stay silent under --progress; "
-         "0 = no limit (default 30)",
-         &o.procStale},
         {nullptr, "PUBS_FAULT", T::Faults,
          "inject worker crashes, hangs, corrupt frames or a kill of the "
          "sweep (crash|hang|corrupt[:rate[:seed]], killafter:N)",
@@ -242,11 +239,27 @@ parseRunOptions(int argc, char **argv, RunOptions &options,
         prof::enable();
 }
 
+std::string
+unwrittenSweepOutput(const RunOptions &options)
+{
+    if (!options.report.empty() || !options.csvDir.empty())
+        return "";
+    const char *flag = options.cpiStack        ? "--cpi-stack"
+                       : options.branchProfile ? "--branch-profile"
+                                               : nullptr;
+    if (!flag)
+        return "";
+    return std::string(flag) +
+           " needs --report PATH or $PUBS_BENCH_CSV: a sweep writes it "
+           "nowhere else";
+}
+
 RunOptions
 parseRunOptions(int argc, char **argv)
 {
     RunOptions options;
-    parseRunOptions(argc, argv, options, {});
+    parseRunOptions(argc, argv, options, {},
+                    [&options] { return unwrittenSweepOutput(options); });
     return options;
 }
 

@@ -41,7 +41,7 @@ struct RunOptions
     bool resume = false;     ///< serve journaled runs of a killed sweep
     std::string traceEvents; ///< Chrome trace-event JSON; empty = off
     std::string report;      ///< HTML dashboard; empty = off
-    bool progress = false;   ///< live meter + progressJson
+    bool progress = false;   ///< count finished runs (common/progress.hh)
     std::string progressJson = "progress.json";
     /**
      * Emit per-run top-down CPI stacks (cpi_stack.csv + dashboard).
@@ -63,12 +63,6 @@ struct RunOptions
     unsigned procTimeout = 900;   ///< seconds per attempt; 0 = no limit
     unsigned procRetries = 5;     ///< attempts per run, the first included
     unsigned procBackoffMs = 100; ///< retry delay: base << (attempt - 1)
-    /**
-     * Seconds a worker's pipe may stay silent under --progress; 0 = no
-     * limit. Without --progress workers send no heartbeats, so silence
-     * is normal and the check is off.
-     */
-    unsigned procStale = 30;
     proc::FaultPlan faults; ///< injected faults (common/subprocess.hh)
 
     /**
@@ -134,7 +128,17 @@ void parseRunOptions(int argc, char **argv, RunOptions &options,
                      const std::vector<OptionRow> &extraRows,
                      const std::function<std::string()> &conflict = {});
 
-/** The options of a driver that has no flags of its own. */
+/**
+ * The complaint when a sweep under @p options would drop an output it
+ * was asked for, "" if none: a sweep writes the --cpi-stack and
+ * --branch-profile rows only to the dashboard and to $PUBS_BENCH_CSV.
+ */
+std::string unwrittenSweepOutput(const RunOptions &options);
+
+/**
+ * The options of a program that has no flags of its own and runs only
+ * sweeps (bench_figures), so unwrittenSweepOutput() is a conflict.
+ */
 RunOptions parseRunOptions(int argc, char **argv);
 
 } // namespace pubs::bench

@@ -27,7 +27,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
-#include "common/progress.hh"
 #include "common/report.hh"
 #include "common/stats.hh"
 #include "cpu/telemetry.hh"
@@ -191,6 +190,9 @@ run(int argc, char **argv)
         const bool lockstep = checkArg == "lockstep";
         const bool sampled = !lockstep && options.sampleWindows;
         const bool single = !lockstep && !sampled;
+        if (std::string dropped = bench::unwrittenSweepOutput(options);
+            lockstep && !dropped.empty())
+            return dropped;
         const std::pair<bool, const char *> ignored[] = {
             {!single && !pipeviewPath.empty(), "--pipeview"},
             {!single && skip != 0, "--skip"},
@@ -198,7 +200,7 @@ run(int argc, char **argv)
             {!single && !restoreCkptPath.empty(), "--restore-checkpoint"},
             {lockstep && !statsJsonPath.empty(), "--stats-json"},
             {sampled && !options.report.empty(), "--report"},
-            {sampled && options.progress, "--progress"},
+            {!lockstep && options.progress, "--progress"},
             {sampled && options.branchProfile, "--branch-profile"},
             {sampled && telemetry, "--telemetry"},
             {!lockstep && options.jobs, "--jobs"},
@@ -369,23 +371,7 @@ run(int argc, char **argv)
         simulator.pipeline().attachPipeView(
             std::make_unique<trace::PipeViewWriter>(pipeviewPath));
     }
-    std::unique_ptr<progress::Meter> meter;
-    if (options.progress) {
-        progress::Meter::Config mc;
-        mc.totalRuns = 1;
-        mc.jsonPath = options.progressJson;
-        meter = std::make_unique<progress::Meter>(mc);
-        progress::setCallbackSink(
-            [&meter](const progress::Sample &s) { meter->update(s); });
-        progress::beginTask(0, workload, warmup + insts);
-    }
     sim::RunResult result = simulator.run(warmup, insts);
-    if (meter) {
-        progress::endTask();
-        progress::clearSink();
-        meter->runFinished(0, true);
-        meter->finish();
-    }
 
     StatGroup group(workload);
     simulator.pipeline().fillStats(group);

@@ -2,9 +2,9 @@
  * @file
  * Little-endian binary serialization: the one byte codec behind every
  * host-side format — checkpoint containers and payloads, sweep-row
- * payloads, sweep-journal headers and records, pipe-frame headers and
- * progress samples. Every multi-byte value is written little-endian
- * regardless of host order. Checkpoint payloads bracket objects with
+ * payloads, sweep-journal headers and records, and pipe-frame headers.
+ * Every multi-byte value is written little-endian regardless of host
+ * order. Checkpoint payloads bracket objects with
  * CRC-tagged markers so a reader that drifts out of sync fails loudly at
  * the next bracket instead of silently misdecoding. Every read is
  * bounds-checked against the input, and every malformed input surfaces

@@ -61,9 +61,9 @@ enum class FrameStatus
 };
 
 /**
- * Decode the frame at the start of @p buffer (a worker's stream of
- * progress frames and its final result) into @p payload and, on Ok,
- * consume it from @p buffer so the next call sees the following frame.
+ * Decode the frame at the start of @p buffer into @p payload and, on
+ * Ok, consume it from @p buffer: a worker's stream is one frame, so
+ * bytes left after it are an error the caller sees.
  * Truncated means @p buffer could still grow into a valid frame and
  * leaves it untouched (more bytes may arrive); Corrupt leaves it
  * untouched too — no completion of these bytes can be trusted, so

@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/hints.hh"
 #include "common/logging.hh"
-#include "common/progress.hh"
 #include "cpu/audit.hh"
 #include "cpu/telemetry.hh"
 #include "isa/program.hh"
@@ -520,12 +519,6 @@ Pipeline::run(uint64_t maxInsts)
     uint64_t lastCommitted = stats_.committed;
     Cycle lastProgress = now_;
 
-    // Progress heartbeats are strided by committed instructions so the
-    // per-cycle cost of an enabled sink stays one integer compare; the
-    // sink applies its own wall-clock rate limit on top.
-    constexpr uint64_t progressStride = 1 << 16;
-    uint64_t nextProgressAt = startCommitted + progressStride;
-
     while (stats_.committed < target && !drained()) {
         // Event-driven advance: when no stage can possibly do work next
         // cycle, jump straight to the next scheduled event, bulk-
@@ -536,11 +529,6 @@ Pipeline::run(uint64_t maxInsts)
         ++now_;
         ++stats_.cycles;
         cycle();
-
-        if (stats_.committed >= nextProgressAt) {
-            progress::tick(stats_.committed - startCommitted);
-            nextProgressAt = stats_.committed + progressStride;
-        }
 
         if (stats_.committed != lastCommitted) {
             lastCommitted = stats_.committed;

@@ -43,11 +43,6 @@ struct Running
     Clock::time_point deadline;
     bool hasDeadline;
     std::string buffer; ///< frame bytes read so far
-    Clock::time_point lastByte;  ///< heartbeat for staleness
-    bool sawBytes = false;       ///< heartbeat only arms after 1st byte
-    std::string result;          ///< decoded 'R' payload, if any
-    bool haveResult = false;
-    bool corrupt = false;        ///< stream had an untrustworthy frame
 };
 
 } // namespace
@@ -61,7 +56,6 @@ FarmStats::operator+=(const FarmStats &other)
     corruptFrames += other.corruptFrames;
     retries += other.retries;
     permanentFailures += other.permanentFailures;
-    staleKills += other.staleKills;
     journalServed += other.journalServed;
     busySeconds += other.busySeconds;
     wallSeconds += other.wallSeconds;
@@ -105,14 +99,8 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                 for (;;)
                     ::pause();
             }
-            if (config_.onProgress)
-                progress::setFrameSink(wfd);
-            std::string payload = fn(task.index, task.attempt);
-            // Stop heartbeats before the result frame so nothing
-            // interleaves after it.
-            progress::clearSink();
-            payload.insert(payload.begin(), 'R');
-            std::string frame = proc::encodeFrame(payload);
+            std::string frame =
+                proc::encodeFrame(fn(task.index, task.attempt));
             if (faults.injectCorrupt(task.index, task.attempt) &&
                 frame.size() > proc::frameHeaderBytes) {
                 size_t victim = proc::frameHeaderBytes +
@@ -128,7 +116,6 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
         r.index = task.index;
         r.attempt = task.attempt;
         r.start = Clock::now();
-        r.lastByte = r.start;
         r.hasDeadline = config_.timeoutSeconds > 0.0;
         if (r.hasDeadline) {
             r.deadline =
@@ -176,46 +163,6 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
     };
 
     /**
-     * Drain complete frames out of r.buffer, dispatching progress
-     * samples and capturing the result. A bad frame or an unknown type
-     * byte poisons the whole stream (r.corrupt) — retry is the only
-     * safe answer once framing is lost.
-     */
-    auto drainFrames = [&](Running &r) {
-        std::string payload;
-        while (!r.corrupt) {
-            proc::FrameStatus status = proc::nextFrame(r.buffer, payload);
-            if (status == proc::FrameStatus::Truncated)
-                return;
-            if (status == proc::FrameStatus::Corrupt) {
-                r.corrupt = true;
-                return;
-            }
-            if (payload.empty()) {
-                r.corrupt = true;
-                return;
-            }
-            char type = payload[0];
-            payload.erase(0, 1);
-            if (type == 'R') {
-                r.result = std::move(payload);
-                r.haveResult = true;
-            } else if (type == 'P') {
-                progress::Sample sample;
-                if (!progress::decodeSample(payload, sample)) {
-                    r.corrupt = true;
-                    return;
-                }
-                if (config_.onProgress)
-                    config_.onProgress(sample);
-            } else {
-                r.corrupt = true;
-                return;
-            }
-        }
-    };
-
-    /**
      * Wait for a worker that exited or was killed and close its pipe.
      * @return its wait status, or -1 if it could not be collected.
      */
@@ -231,40 +178,33 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
         return waited == r.child.pid ? status : -1;
     };
 
-    /** Reap a finished worker and judge its frame(s). */
+    /**
+     * Reap a finished worker and judge its stream, which must be exactly
+     * one intact frame: anything else is retried, never believed.
+     */
     auto reap = [&](Running &r) {
         prof::Scope span("sweep/reap");
         int status = collect(r);
-        bool cleanExit = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-        drainFrames(r);
-        // Leftover bytes after EOF are a partial frame the worker never
-        // finished.
-        if (cleanExit && !r.corrupt && r.haveResult && r.buffer.empty()) {
-            ProcResult outcome;
+        if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+            ++stats_.crashes;
+            fail(r, proc::describeStatus(status));
+            return;
+        }
+        ProcResult outcome;
+        proc::FrameStatus frame = proc::nextFrame(r.buffer, outcome.payload);
+        if (frame == proc::FrameStatus::Ok && r.buffer.empty()) {
             outcome.ok = true;
             outcome.attempts = r.attempt;
-            outcome.payload = std::move(r.result);
             finish(r.index, std::move(outcome));
             return;
         }
-        if (!cleanExit) {
-            ++stats_.crashes;
-            fail(r, proc::describeStatus(status));
-        } else {
-            ++stats_.corruptFrames;
-            fail(r, r.corrupt ? "corrupt frame in worker stream "
-                                "(CRC/framing mismatch)"
-                    : !r.haveResult
-                        ? "worker stream ended without a result frame"
-                        : "trailing partial frame after the result");
-        }
-    };
-
-    /** SIGKILL a live worker and send its task down the retry path. */
-    auto killWorker = [&](Running &r, const char *why) {
-        ::kill(r.child.pid, SIGKILL);
-        collect(r);
-        fail(r, why);
+        ++stats_.corruptFrames;
+        fail(r, frame == proc::FrameStatus::Corrupt
+                    ? "corrupt frame in worker stream (CRC/framing "
+                      "mismatch)"
+                : frame == proc::FrameStatus::Truncated
+                    ? "worker stream ended without a complete frame"
+                    : "bytes after the result frame");
     };
 
     while (outstanding > 0) {
@@ -325,33 +265,21 @@ ProcPool::run(size_t n, const ChildFn &fn, const ResultHook &onResult)
                 ssize_t got = ::read(r.child.fd, chunk, sizeof(chunk));
                 if (got > 0) {
                     r.buffer.append(chunk, (size_t)got);
-                    r.lastByte = now;
-                    r.sawBytes = true;
-                    drainFrames(r); // deliver progress as it lands
                 } else if (got == 0 ||
                            (got < 0 && errno != EINTR &&
                             errno != EAGAIN)) {
                     done = true; // EOF: worker closed its pipe end
                 }
             }
-            char why[80];
-            if (!done && config_.staleSeconds > 0.0 && r.sawBytes &&
-                std::chrono::duration<double>(now - r.lastByte).count() >
-                    config_.staleSeconds) {
-                // The heartbeat stream went quiet: presume the worker is
-                // wedged and recycle it through the retry machinery.
-                ++stats_.staleKills;
-                std::snprintf(why, sizeof(why),
-                              "stale heartbeat: no pipe bytes for %.1f s "
-                              "(SIGKILL)",
-                              config_.staleSeconds);
-                killWorker(r, why);
-            } else if (!done && r.hasDeadline && now >= r.deadline) {
+            if (!done && r.hasDeadline && now >= r.deadline) {
                 ++stats_.timeouts;
+                char why[80];
                 std::snprintf(why, sizeof(why),
                               "timed out after %.1f s (SIGKILL)",
                               config_.timeoutSeconds);
-                killWorker(r, why);
+                ::kill(r.child.pid, SIGKILL);
+                collect(r);
+                fail(r, why);
             } else if (done) {
                 reap(r);
             } else {

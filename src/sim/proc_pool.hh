@@ -7,11 +7,10 @@
  * or a hang in any single run takes down the whole batch. ProcPool
  * keeps the same contract — tasks are independent, results land in
  * pre-assigned slots, nothing about scheduling leaks into the output —
- * but runs every task in a forked worker process that streams typed,
- * length-prefixed, CRC-checked pipe frames (common/subprocess.hh):
- * 'P' progress heartbeats (common/progress.hh), then one 'R' result.
- * Parent and worker are the same forked binary, so there is no other
- * protocol to negotiate.
+ * but runs every task in a forked worker process that writes its result
+ * back as one length-prefixed, CRC-checked pipe frame
+ * (common/subprocess.hh). Parent and worker are the same forked binary,
+ * so there is no other protocol to negotiate.
  *
  * Recovery policy, per task:
  *  - a worker that exits nonzero, dies on a signal, or returns a
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "common/progress.hh"
 #include "common/subprocess.hh"
 
 namespace pubs::sim
@@ -62,7 +60,6 @@ struct FarmStats
     uint64_t corruptFrames = 0; ///< frames rejected by CRC/framing
     uint64_t retries = 0;
     uint64_t permanentFailures = 0; ///< tasks skipped after maxAttempts
-    uint64_t staleKills = 0;    ///< workers SIGKILLed for a silent pipe
     uint64_t journalServed = 0; ///< slots replayed from a --resume journal
     double busySeconds = 0.0;   ///< summed per-task wall time
     double wallSeconds = 0.0;
@@ -82,23 +79,6 @@ class ProcPool
         unsigned backoffBaseMs = 100;  ///< retry delay: base << (attempt-1)
         bool verbose = false;       ///< report failures/retries on stderr
         proc::FaultPlan faults;     ///< injected faults; none by default
-
-        /**
-         * Parent-side callback for each decoded 'P' progress sample,
-         * called from the run() poll loop (single-threaded). Feed a
-         * progress::Meter here. Workers send heartbeats only when it is
-         * set.
-         */
-        std::function<void(const progress::Sample &)> onProgress;
-
-        /**
-         * A worker whose pipe stays silent this long (after its first
-         * byte, so slow starts don't count) is presumed wedged —
-         * SIGKILLed and retried like a timeout. The heartbeat stream
-         * makes "alive" observable, so this can be far tighter than
-         * timeoutSeconds. <=0 disables.
-         */
-        double staleSeconds = 0.0;
     };
 
     explicit ProcPool(Config config);

@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/logging.hh"
 #include "common/profiler.hh"
-#include "common/progress.hh"
 #include "cpu/telemetry.hh"
 #include "sim/checkpoint.hh"
 
@@ -106,7 +105,6 @@ Simulator::run(uint64_t warmupInsts, uint64_t measureInsts)
         PhaseScope phase(SimPhase::Warmup);
         pipeline_->run(warmupInsts);
         pipeline_->resetStats();
-        progress::phaseDone();
     }
     auto wallStart = std::chrono::steady_clock::now();
     {
@@ -116,7 +114,6 @@ Simulator::run(uint64_t warmupInsts, uint64_t measureInsts)
     }
     std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - wallStart;
-    progress::phaseDone();
 
     RunResult result;
     result.pipeline = pipeline_->stats();

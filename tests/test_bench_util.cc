@@ -205,8 +205,8 @@ TEST(BenchUtil, SweepRecordsSkippedConfigsInCsv)
     std::getline(poolCsv, line);
     EXPECT_EQ(line,
               "runs,failed,jobs,wall_seconds,busy_seconds,utilization,"
-              "launches,crashes,timeouts,stale_kills,corrupt_frames,"
-              "retries,skips,journal_served");
+              "launches,crashes,timeouts,corrupt_frames,retries,skips,"
+              "journal_served");
     std::getline(poolCsv, line);
     EXPECT_NE(line.find("2,1,1,"), std::string::npos);
 

@@ -2,17 +2,20 @@
  * @file
  * Observability-plane tests: the strict RFC 8259 JSON referee, the
  * host-phase span recorder (nesting, the per-thread cap, trace export),
- * the progress sample codec and its frame-CRC protection, the
- * incremental frame splitter, the broker Meter, the dashboard renderer
- * (data block strict-parses back out of the HTML), and the plane's
- * byte-exactness contract: enabling profiler + progress must not change
- * a sweep's statsJson by one byte.
+ * the frame splitter, the progress meter, the dashboard renderer (data
+ * block strict-parses back out of the HTML), and the plane's
+ * byte-exactness contract: enabling the profiler and the progress meter
+ * must not change a sweep's statsJson by one byte, on threads or on
+ * worker processes.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <thread>
 
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
@@ -204,62 +207,7 @@ TEST(Profiler, SpansPastTheCapAreCountedAsDropped)
     prof::reset();
 }
 
-// --- progress sample codec + frames ----------------------------------
-
-progress::Sample
-sampleFixture()
-{
-    progress::Sample s;
-    s.slot = 7;
-    s.insts = 123456789;
-    s.totalInsts = 1200000;
-    s.kips = 2841.5;
-    s.rssBytes = 96 << 20;
-    s.label = "mcf_like";
-    return s;
-}
-
-TEST(ProgressCodec, EncodeDecodeRoundTrip)
-{
-    const progress::Sample in = sampleFixture();
-    const std::string payload = progress::encodeSample(in);
-
-    progress::Sample out;
-    ASSERT_TRUE(progress::decodeSample(payload, out));
-    EXPECT_EQ(out.slot, in.slot);
-    EXPECT_EQ(out.insts, in.insts);
-    EXPECT_EQ(out.totalInsts, in.totalInsts);
-    EXPECT_DOUBLE_EQ(out.kips, in.kips);
-    EXPECT_EQ(out.rssBytes, in.rssBytes);
-    EXPECT_EQ(out.label, in.label);
-}
-
-TEST(ProgressCodec, RejectsTruncatedAndCorruptPayloads)
-{
-    const std::string payload = progress::encodeSample(sampleFixture());
-    progress::Sample out;
-    EXPECT_FALSE(progress::decodeSample("", out));
-    EXPECT_FALSE(progress::decodeSample("PBPG", out));
-    EXPECT_FALSE(
-        progress::decodeSample(payload.substr(0, payload.size() - 1), out));
-    EXPECT_FALSE(progress::decodeSample(payload + "x", out));
-    std::string badMagic = payload;
-    badMagic[0] ^= 0x5a;
-    EXPECT_FALSE(progress::decodeSample(badMagic, out));
-}
-
-TEST(ProgressCodec, FrameCrcCatchesCorruptedSample)
-{
-    // The sample rides inside a CRC-checked pipe frame; flip a payload
-    // byte after encoding and the *frame* layer must reject it before
-    // the sample codec ever sees it.
-    const std::string payload =
-        "P" + progress::encodeSample(sampleFixture());
-    std::string framed = proc::encodeFrame(payload);
-    framed[proc::frameHeaderBytes + 4] ^= 0x01;
-    std::string decoded;
-    EXPECT_EQ(proc::nextFrame(framed, decoded), proc::FrameStatus::Corrupt);
-}
+// --- frames ----------------------------------------------------------
 
 TEST(FrameSplitter, ConsumesMultipleFramesFromOneBuffer)
 {
@@ -306,39 +254,13 @@ TEST(FrameSplitter, PartialFrameWaitsForMoreBytes)
     EXPECT_EQ(payload, "partial test");
 }
 
-TEST(ProgressSink, CallbackSinkDeliversTaskSamples)
-{
-    std::vector<progress::Sample> seen;
-    progress::setCallbackSink(
-        [&](const progress::Sample &s) { seen.push_back(s); });
-    progress::beginTask(3, "unit_workload", 1000);
-    progress::tick(250);
-    progress::phaseDone();
-    progress::tick(500);
-    progress::endTask();
-    progress::clearSink();
-
-    ASSERT_GE(seen.size(), 2u);
-    const progress::Sample &last = seen.back();
-    EXPECT_EQ(last.slot, 3u);
-    EXPECT_EQ(last.label, "unit_workload");
-    EXPECT_EQ(last.totalInsts, 1000u);
-    EXPECT_EQ(last.insts, 750u); // 250 folded by phaseDone + 500
-}
-
 TEST(ProgressMeter, JsonIsStrictAndTracksRuns)
 {
-    progress::Meter::Config config;
-    config.totalRuns = 4;
-    config.quiet = true;
-    progress::Meter meter(config);
-
-    progress::Sample s = sampleFixture();
-    s.slot = 0;
-    meter.update(s);
-    meter.runFinished(0, true);
-    meter.runFinished(1, false);
-    meter.setFarmTotals(2, 1, 1);
+    bench::ProgressMeter meter(4, "");
+    meter.runFinished(true, 1000000);
+    meter.runFinished(false, 0);
+    meter.setFarmTotals(2, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
     meter.finish();
 
     json::Value v;
@@ -347,38 +269,30 @@ TEST(ProgressMeter, JsonIsStrictAndTracksRuns)
     EXPECT_EQ(v.numberOr("total_runs", 0), 4.0);
     EXPECT_EQ(v.numberOr("done", 0), 2.0);
     EXPECT_EQ(v.numberOr("failed", 0), 1.0);
+    EXPECT_EQ(v.numberOr("pct", 0), 50.0);
     EXPECT_EQ(v.numberOr("retries", 0), 2.0);
     EXPECT_EQ(v.numberOr("timeouts", 0), 1.0);
-    EXPECT_EQ(v.numberOr("stale_kills", 0), 1.0);
+    // KIPS: the finished runs' instructions over the meter's wall time.
+    const double elapsed = v.numberOr("elapsed_seconds", 0);
+    EXPECT_GT(elapsed, 0.0);
+    EXPECT_NEAR(v.numberOr("kips", 0) * elapsed, 1000.0, 1e-3);
+    EXPECT_EQ(v.find("active"), nullptr);
+    EXPECT_EQ(v.find("stale_kills"), nullptr);
 }
 
-TEST(ProgressMeter, LineShowsDoneActiveKipsAndLaggard)
+TEST(ProgressMeter, LineShowsDoneKipsFailuresAndRetries)
 {
-    progress::Meter::Config config;
-    config.totalRuns = 4;
-    config.quiet = true;
-    progress::Meter meter(config);
-
-    progress::Sample ahead = sampleFixture();
-    ahead.slot = 1;
-    ahead.insts = 900;
-    ahead.totalInsts = 1000;
-    ahead.kips = 1000.0;
-    ahead.label = "sjeng_like";
-    progress::Sample behind = ahead;
-    behind.slot = 2;
-    behind.insts = 250;
-    behind.kips = 500.0;
-    behind.label = "mcf_like";
-    meter.update(ahead);
-    meter.update(behind);
-    meter.runFinished(0, true);
-
-    EXPECT_EQ(meter.line(), "[1/4] 25%  2 active  1500 KIPS  mcf_like 25%");
-    meter.runFinished(3, false);
-    meter.setFarmTotals(2, 0, 0);
-    EXPECT_EQ(meter.line(), "[2/4] 50%  2 active  1500 KIPS  mcf_like 25%"
-                            "  failed 1  retries 2");
+    bench::ProgressMeter meter(4, "");
+    meter.runFinished(true, 0);
+    EXPECT_EQ(meter.line(), "[1/4] 25%");
+    meter.runFinished(false, 0);
+    meter.setFarmTotals(2, 0);
+    EXPECT_EQ(meter.line(), "[2/4] 50%  failed 1  retries 2");
+    meter.runFinished(true, 5000000);
+    EXPECT_TRUE(std::regex_match(
+        meter.line(),
+        std::regex("\\[3/4\\] 75%  [1-9][0-9]* KIPS  failed 1  retries 2")))
+        << meter.line();
     meter.finish();
 }
 
@@ -467,12 +381,21 @@ TEST(Dashboard, WriteHtmlIsAtomicAndComplete)
 
 // --- byte-exactness with the plane enabled ---------------------------
 
-TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
+/**
+ * A two-run sweep on two threads (@p workers = &RunOptions::jobs) or
+ * two worker processes (&RunOptions::procs) prints the same statsJson
+ * with the plane off and on, turned on as bench_figures does:
+ * --progress into a progress.json under @p dir, and --trace-events. Its
+ * progress.json counts both runs and lists no run in flight.
+ */
+void
+expectPlaneChangesNoByte(unsigned bench::RunOptions::*workers,
+                         const std::string &dir)
 {
-    auto buildSpec = [] {
+    auto buildSpec = [&] {
         bench::SweepSpec spec;
         spec.verbose = false;
-        spec.options.jobs = 2;
+        spec.options.*workers = 2;
         spec.options.insts = 20000;
         spec.options.warmup = 2000;
         wl::Workload w = wl::makeWorkload("hmmer_like");
@@ -480,24 +403,41 @@ TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
         spec.add(w, sim::makeConfig(sim::Machine::Pubs), "pubs");
         return spec;
     };
-
     const std::string plain = bench::runSweep(buildSpec()).statsJson();
 
+    std::filesystem::create_directory(dir);
+    bench::SweepSpec spec = buildSpec();
+    spec.options.progress = true;
+    spec.options.progressJson = dir + "/progress.json";
+    spec.options.traceEvents = dir + "/trace.json";
     prof::reset();
-    prof::enable();
-    progress::Meter::Config mc;
-    mc.totalRuns = 2;
-    mc.quiet = true;
-    progress::Meter meter(mc);
-    progress::setCallbackSink(
-        [&](const progress::Sample &s) { meter.update(s); });
-    const std::string observed = bench::runSweep(buildSpec()).statsJson();
-    progress::clearSink();
-    meter.finish();
+    prof::enable(); // what parseRunOptions does for --trace-events
+    const std::string observed = bench::runSweep(spec).statsJson();
     prof::disable();
     prof::reset();
-
     EXPECT_EQ(plain, observed);
+
+    std::ifstream in(spec.options.progressJson);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    json::Value progress;
+    std::string error;
+    ASSERT_TRUE(json::parse(text, progress, error)) << error;
+    EXPECT_EQ(progress.numberOr("total_runs", 0), 2.0);
+    EXPECT_EQ(progress.numberOr("done", 0), 2.0);
+    EXPECT_EQ(progress.find("active"), nullptr);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(ObservabilityPlane, SweepStatsJsonIdenticalWithPlaneOnAndOff)
+{
+    expectPlaneChangesNoByte(&bench::RunOptions::jobs, "obs_plane_jobs_dir");
+}
+
+TEST(ObservabilityPlane, ProcSweepStatsJsonIdenticalWithPlaneOnAndOff)
+{
+    expectPlaneChangesNoByte(&bench::RunOptions::procs,
+                             "obs_plane_procs_dir");
 }
 
 } // namespace

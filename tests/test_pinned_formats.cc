@@ -2,8 +2,8 @@
  * @file
  * The bytes of every host-side format, pinned: sweep-row payloads (a
  * real run with branch-profile rows, and a skip row), a sweep journal
- * (header and two records), a pipe frame, a progress sample and the
- * container of a fast-forwarded checkpoint, plus the two content keys
+ * (header and two records), a pipe frame and the container of a
+ * fast-forwarded checkpoint, plus the two content keys
  * (a sweep's journal key and a checkpoint artifact's file name).
  * Journals and checkpoint stores an earlier build wrote are served only
  * while these hold; a deliberate format change bumps its version and
@@ -20,7 +20,6 @@
 #include "common/atomic_file.hh"
 #include "common/bench_util.hh"
 #include "common/checksum.hh"
-#include "common/progress.hh"
 #include "common/run_codec.hh"
 #include "common/subprocess.hh"
 #include "common/sweep_journal.hh"
@@ -149,27 +148,6 @@ TEST(PinnedFormats, PipeFrame)
               "09000000"            // length
               "63aa9b9c"            // payload CRC32
               "52207061796c6f6164" // payload
-    );
-}
-
-TEST(PinnedFormats, ProgressSample)
-{
-    progress::Sample sample;
-    sample.slot = 7;
-    sample.insts = 123456;
-    sample.totalInsts = 1000000;
-    sample.kips = 2841.5;
-    sample.rssBytes = 64ull << 20;
-    sample.label = "mcf_like";
-    EXPECT_EQ(hex(progress::encodeSample(sample)),
-              "50425047"                  // magic
-              "01"                        // version
-              "0700000000000000"          // slot
-              "40e2010000000000"          // insts
-              "40420f0000000000"          // total insts
-              "000000000033a640"          // kips
-              "0000000400000000"          // rss bytes
-              "08000000" "6d63665f6c696b65" // label
     );
 }
 

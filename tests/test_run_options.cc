@@ -62,7 +62,6 @@ TEST(RunOptions, DefaultsWithoutEnvOrFlags)
     EXPECT_EQ(options.procTimeout, 900u);
     EXPECT_EQ(options.procRetries, 5u);
     EXPECT_EQ(options.procBackoffMs, 100u);
-    EXPECT_EQ(options.procStale, 30u);
     EXPECT_FALSE(options.faults.any());
 }
 
@@ -76,7 +75,6 @@ TEST(RunOptions, FlagBeatsEnvVarWhichBeatsDefault)
         ScopedEnv timeout("PUBS_PROC_TIMEOUT", "0");
         ScopedEnv retries("PUBS_PROC_RETRIES", "8");
         ScopedEnv backoff("PUBS_PROC_BACKOFF_MS", "1");
-        ScopedEnv stale("PUBS_PROC_STALE", "7");
         ScopedEnv fault("PUBS_FAULT", "crash:0.25:7,killafter:12");
         RunOptions fromEnv = parse({});
         EXPECT_EQ(fromEnv.jobs, 3u);
@@ -85,7 +83,6 @@ TEST(RunOptions, FlagBeatsEnvVarWhichBeatsDefault)
         EXPECT_EQ(fromEnv.procTimeout, 0u); // 0 disables the timeout
         EXPECT_EQ(fromEnv.procRetries, 8u);
         EXPECT_EQ(fromEnv.procBackoffMs, 1u);
-        EXPECT_EQ(fromEnv.procStale, 7u);
         EXPECT_EQ(fromEnv.faults.crashRate, 0.25);
         EXPECT_EQ(fromEnv.faults.seed, 7u);
         EXPECT_EQ(fromEnv.faults.killAfter, 12u);
@@ -175,7 +172,6 @@ TEST(RunOptions, KeepsEveryHarnessSpelling)
         {"", "PUBS_PROC_TIMEOUT"},
         {"", "PUBS_PROC_RETRIES"},
         {"", "PUBS_PROC_BACKOFF_MS"},
-        {"", "PUBS_PROC_STALE"},
         {"", "PUBS_FAULT"},
     };
     RunOptions options;
@@ -236,8 +232,8 @@ TEST(RunOptions, MalformedProcPoolEnvVarExitsTwoWithUsage)
     const std::pair<const char *, const char *> malformed[] = {
         {"PUBS_PROC_TIMEOUT", "abc"},   {"PUBS_PROC_TIMEOUT", "-1"},
         {"PUBS_PROC_RETRIES", "abc"},   {"PUBS_PROC_RETRIES", "0"},
-        {"PUBS_PROC_BACKOFF_MS", "1.5"}, {"PUBS_PROC_STALE", "30s"},
-        {"PUBS_FAULT", "bogus"},        {"PUBS_FAULT", "crash:2"},
+        {"PUBS_PROC_BACKOFF_MS", "1.5"}, {"PUBS_FAULT", "bogus"},
+        {"PUBS_FAULT", "crash:2"},
     };
     for (auto [name, value] : malformed) {
         SCOPED_TRACE(std::string(name) + "=" + value);
@@ -275,6 +271,24 @@ TEST(RunOptions, SamplingSettingsWithoutSampleExitTwoWithUsage)
     ScopedEnv sample("PUBS_BENCH_SAMPLE", "3");
     RunOptions options = parse({"--sample-period", "1000"});
     EXPECT_EQ(options.samplePeriod, 1000u);
+}
+
+TEST(RunOptions, UnwrittenSweepOutputExitsTwoWithUsage)
+{
+    // A sweep writes CPI stacks and branch profiles only to the
+    // dashboard and the CSV directory.
+    EXPECT_EXIT(parse({"--cpi-stack"}), ::testing::ExitedWithCode(2),
+                "--cpi-stack needs --report PATH or \\$PUBS_BENCH_CSV"
+                ".*usage:");
+    {
+        ScopedEnv profile("PUBS_BRANCH_PROFILE", "1");
+        EXPECT_EXIT(parse({}), ::testing::ExitedWithCode(2),
+                    "--branch-profile needs --report PATH.*usage:");
+        EXPECT_TRUE(parse({"--report", "d.html"}).branchProfile);
+    }
+    ScopedEnv csv("PUBS_BENCH_CSV", "csv");
+    RunOptions options = parse({"--cpi-stack", "--branch-profile"});
+    EXPECT_TRUE(options.cpiStack && options.branchProfile);
 }
 
 TEST(RunOptions, UnknownFlagExitsTwoWithUsage)

@@ -232,6 +232,24 @@ TEST(SliceUnit, FpDataflowUsesUnifiedRegisters)
     EXPECT_FALSE(d.inBranchSlice);
 }
 
+TEST(SliceUnit, FpProducerJoinsBranchSlice)
+{
+    // fadd f3 = f4 + f5; fclt r6 = f3 < f7; blt r6, r0. The branch links
+    // the fclt through r6, then the fclt links the fadd through f3.
+    SliceUnit unit({});
+    DynInst fadd = alu(0x1000, 3, 4, 5);
+    fadd.op = Opcode::Fadd;
+    DynInst fclt = alu(0x1004, 6, 3, 7);
+    fclt.op = Opcode::Fclt;
+    std::vector<DynInst> body = {fadd, fclt, branch(0x1008, 6, 0)};
+    decodeAll(unit, body);
+    auto second = decodeAll(unit, body);
+    EXPECT_TRUE(second[1].inBranchSlice) << "fp compare";
+    EXPECT_FALSE(second[0].inBranchSlice);
+    auto third = decodeAll(unit, body);
+    EXPECT_TRUE(third[0].inBranchSlice) << "fp producer";
+}
+
 TEST(SliceUnit, CountsBranchesAndSliceInstructions)
 {
     SliceUnit unit({});
