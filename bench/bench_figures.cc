@@ -149,12 +149,13 @@ planFig8(RunSet &runs)
                 continue;
             const sim::RunResult &b = runs.at(base[i]);
             const sim::RunResult &p = runs.at(withPubs[i]);
-            bool hard = b.branchMpki > dbpThreshold;
+            bool hard = b.pipeline.branchMpki() > dbpThreshold;
             double speedup = p.speedupOver(b);
             (hard ? dbp : ebp).push_back(speedup);
             table.addRow({names[i], hard ? "D-BP" : "E-BP",
-                          num(b.branchMpki, 1), num(b.llcMpki, 1),
-                          num(b.ipc), num(p.ipc), pct(speedup)});
+                          num(b.pipeline.branchMpki(), 1),
+                          num(b.pipeline.llcMpki(), 1), num(b.pipeline.ipc()),
+                          num(p.pipeline.ipc()), pct(speedup)});
         }
         table.addRow({"GM diff", "D-BP", "", "", "", "", meanCell(dbp)});
         table.addRow({"GM easy", "E-BP", "", "", "", "", meanCell(ebp)});
@@ -211,17 +212,18 @@ planFig9(RunSet &runs)
         for (size_t i = 0; i < names.size(); ++i) {
             if (!runs.ok(base[i]) || !runs.ok(withPubs[i]))
                 continue;
-            const sim::RunResult &b = runs.at(base[i]);
-            double speedup = runs.at(withPubs[i]).speedupOver(b);
-            bool memIntensive = b.llcMpki > memIntensityThreshold;
+            const cpu::PipelineStats &b = runs.at(base[i]).pipeline;
+            double speedup =
+                runs.at(withPubs[i]).speedupOver(runs.at(base[i]));
+            bool memIntensive = b.llcMpki() > memIntensityThreshold;
             if (memIntensive) {
                 speedupMem.push_back(speedup);
             } else {
-                mpkiCompute.push_back(b.branchMpki);
+                mpkiCompute.push_back(b.branchMpki());
                 speedupCompute.push_back(speedup);
             }
-            table.addRow({names[i], num(b.branchMpki, 1),
-                          num(b.llcMpki, 1),
+            table.addRow({names[i], num(b.branchMpki(), 1),
+                          num(b.llcMpki(), 1),
                           memIntensive ? "memory (blue)" : "compute (red)",
                           pct(speedup)});
         }
@@ -376,8 +378,9 @@ planFig12(RunSet &runs, const DbpPrograms &programs)
             double sOff = runs.at(off[k]).speedupOver(base);
             onRatios.push_back(sOn);
             offRatios.push_back(sOff);
-            table.addRow({programs.workloads[k].name, num(base.llcMpki, 1),
-                          pct(sOn), pct(sOff),
+            table.addRow({programs.workloads[k].name,
+                          num(base.pipeline.llcMpki(), 1), pct(sOn),
+                          pct(sOff),
                           num(runs.at(on[k]).pubsEnabledFraction, 2)});
         }
         table.addRow({"GM diff", "", meanCell(onRatios),
@@ -436,7 +439,8 @@ planFig13(RunSet &runs, const DbpPrograms &programs)
             pubsRatios.push_back(sPubs);
             bigRatios.push_back(sBig);
             table.addRow({programs.workloads[k].name,
-                          num(base.branchMpki, 1), num(bigBp.branchMpki, 1),
+                          num(base.pipeline.branchMpki(), 1),
+                          num(bigBp.pipeline.branchMpki(), 1),
                           pct(sPubs), pct(sBig)});
         }
         table.addRow({"GM diff", "", "", meanCell(pubsRatios),
@@ -490,7 +494,7 @@ planFig15(RunSet &runs)
                              [&](const auto &of) { return runs.ok(of[i]); }))
                 continue;
             const sim::RunResult &base = at(0, i);
-            bool hard = base.branchMpki > dbpThreshold;
+            bool hard = base.pipeline.branchMpki() > dbpThreshold;
             double ratio[3];
             for (int m = 1; m < 4; ++m) {
                 ratio[m - 1] = at(m, i).speedupOver(base);
@@ -498,8 +502,9 @@ planFig15(RunSet &runs)
                     ratio[m - 1]);
             }
             // Fig 15(b): performance = IPC / cycle time.
-            double perf = delay.performance(at(1, i).ipc, false) /
-                          delay.performance(at(2, i).ipc, true);
+            double perf =
+                delay.performance(at(1, i).pipeline.ipc(), false) /
+                delay.performance(at(2, i).pipeline.ipc(), true);
             (hard ? dbpPerf : ebpPerf).push_back(perf);
             table.addRow({names[i], hard ? "D-BP" : "E-BP", pct(ratio[0]),
                           pct(ratio[1]), pct(ratio[2]), pct(perf)});
@@ -613,8 +618,9 @@ geomeanSpeedup(const RunSet &runs, const Variant &variant,
 std::string
 priorityStalls(const RunSet &runs, RunHandle run)
 {
-    return runs.ok(run) ? std::to_string(runs.at(run).priorityStallCycles)
-                        : "n/a";
+    return runs.ok(run)
+               ? std::to_string(runs.at(run).pipeline.priorityStallCycles)
+               : "n/a";
 }
 
 /** A branchy kernel (workloads/kernels.hh) outside the suite. */
@@ -954,7 +960,8 @@ main(int argc, char **argv)
 
     DbpPrograms programs; // outlives the printers that refer to it
     for (size_t i = 0; i < suite.size(); ++i) {
-        if (runs.ok(base[i]) && runs.at(base[i]).branchMpki > dbpThreshold) {
+        if (runs.ok(base[i]) &&
+            runs.at(base[i]).pipeline.branchMpki() > dbpThreshold) {
             programs.workloads.push_back(suite[i]);
             programs.base.push_back(base[i]);
         }

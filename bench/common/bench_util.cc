@@ -150,9 +150,9 @@ simSpeedCsvLine(const sim::RunResult &result,
     char line[192];
     std::snprintf(line, sizeof(line), "%s,%d,%llu,%llu,%.4f,%.1f\n",
                   result.workload.c_str(), params.usePubs ? 1 : 0,
-                  (unsigned long long)result.instructions,
-                  (unsigned long long)result.cycles, result.simSeconds,
-                  result.kips());
+                  (unsigned long long)result.pipeline.committed,
+                  (unsigned long long)result.pipeline.cycles,
+                  result.simSeconds, result.kips());
     return line;
 }
 
@@ -227,6 +227,13 @@ appendCpiStackCsv(const SweepSpec &spec, const SweepResult &result)
 void
 appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
 {
+    std::string header = "workload,machine,pc";
+    // Given no sites, the field list visits its names alone.
+    cpu::BranchSiteStats::forEachField([&header](const char *name) {
+        header += ',';
+        header += name;
+    });
+    header += '\n';
     std::ostringstream out;
     for (size_t i = 0; i < result.rows.size(); ++i) {
         const SweepRow &row = result.rows[i];
@@ -239,16 +246,12 @@ appendBranchProfileCsv(const SweepSpec &spec, const SweepResult &result)
             out << spec.items[i].workload->name << ','
                 << spec.items[i].machine << ',' << pcText;
             cpu::BranchSiteStats::forEachField(
-                [&out](uint64_t v) { out << ',' << v; }, b);
+                [&out](const char *, uint64_t v) { out << ',' << v; }, b);
             out << '\n';
         }
     }
     appendCsvAtomic(spec.options.csvDir, "branch_profile.csv",
-                    "workload,machine,pc,commits,mispredicts,"
-                    "penalty_cycles,conf_correct,conf_wrong,"
-                    "unconf_correct,unconf_wrong,slice_insts,"
-                    "slice_covered\n",
-                    out.str());
+                    header.c_str(), out.str());
 }
 
 /** Append one pool-utilization + farm-health record to sweep_pool.csv. */
@@ -289,53 +292,53 @@ SweepSpec::add(wl::Workload workload, cpu::CoreParams params,
 }
 
 std::string
-SweepResult::statsJson() const
+SweepRow::jsonMembers() const
 {
     auto quoted = [](const std::string &s) {
         return '"' + jsonEscape(s) + '"';
     };
+    const sim::RunResult &r = result;
+    std::ostringstream out;
+    out << "\"workload\": " << quoted(r.workload)
+        << ", \"machine\": " << quoted(r.machine)
+        << ", \"ok\": " << (ok() ? "true" : "false");
+    if (!ok()) {
+        out << ", \"error_kind\": " << quoted(errorKind)
+            << ", \"error\": " << quoted(error);
+        if (!phase.empty())
+            out << ", \"phase\": " << quoted(phase);
+        return out.str();
+    }
+    const cpu::PipelineStats &p = r.pipeline;
+    out << ", \"instructions\": " << p.committed
+        << ", \"cycles\": " << p.cycles
+        << ", \"ipc\": " << jsonNumber(p.ipc())
+        << ", \"branch_mpki\": " << jsonNumber(p.branchMpki())
+        << ", \"llc_mpki\": " << jsonNumber(p.llcMpki())
+        << ", \"avg_misspec_penalty\": " << jsonNumber(p.avgMisspecPenalty())
+        << ", \"avg_iq_wait\": " << jsonNumber(p.avgIqWait())
+        << ", \"unconfident_rate\": " << jsonNumber(r.unconfidentBranchRate)
+        << ", \"pubs_enabled_fraction\": "
+        << jsonNumber(r.pubsEnabledFraction)
+        << ", \"priority_stall_cycles\": " << p.priorityStallCycles;
+    if (r.sampled) {
+        out << ", \"sampled\": true, \"windows\": " << r.windows
+            << ", \"skipped_insts\": " << r.skippedInsts
+            << ", \"ipc_ci95\": " << jsonNumber(r.ipcCi95)
+            << ", \"branch_mpki_ci95\": " << jsonNumber(r.branchMpkiCi95)
+            << ", \"llc_mpki_ci95\": " << jsonNumber(r.llcMpkiCi95);
+    }
+    return out.str();
+}
+
+std::string
+SweepResult::statsJson() const
+{
     std::ostringstream out;
     out << "{\"sweep\": {\"runs\": " << rows.size()
         << ", \"failed\": " << failed() << "},\n\"runs\": [";
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const SweepRow &row = rows[i];
-        const sim::RunResult &r = row.result;
-        out << (i ? ",\n " : "\n ") << "{\"workload\": "
-            << quoted(r.workload)
-            << ", \"machine\": " << quoted(r.machine)
-            << ", \"ok\": " << (row.ok() ? "true" : "false");
-        if (row.ok()) {
-            out << ", \"instructions\": " << r.instructions
-                << ", \"cycles\": " << r.cycles
-                << ", \"ipc\": " << jsonNumber(r.ipc)
-                << ", \"branch_mpki\": " << jsonNumber(r.branchMpki)
-                << ", \"llc_mpki\": " << jsonNumber(r.llcMpki)
-                << ", \"avg_misspec_penalty\": "
-                << jsonNumber(r.avgMisspecPenalty)
-                << ", \"avg_iq_wait\": " << jsonNumber(r.avgIqWait)
-                << ", \"unconfident_rate\": "
-                << jsonNumber(r.unconfidentBranchRate)
-                << ", \"pubs_enabled_fraction\": "
-                << jsonNumber(r.pubsEnabledFraction)
-                << ", \"priority_stall_cycles\": "
-                << r.priorityStallCycles;
-            if (r.sampled) {
-                out << ", \"sampled\": true, \"windows\": " << r.windows
-                    << ", \"skipped_insts\": " << r.skippedInsts
-                    << ", \"ipc_ci95\": " << jsonNumber(r.ipcCi95)
-                    << ", \"branch_mpki_ci95\": "
-                    << jsonNumber(r.branchMpkiCi95)
-                    << ", \"llc_mpki_ci95\": "
-                    << jsonNumber(r.llcMpkiCi95);
-            }
-        } else {
-            out << ", \"error_kind\": " << quoted(row.errorKind)
-                << ", \"error\": " << quoted(row.error);
-            if (!row.phase.empty())
-                out << ", \"phase\": " << quoted(row.phase);
-        }
-        out << "}";
-    }
+    for (size_t i = 0; i < rows.size(); ++i)
+        out << (i ? ",\n " : "\n ") << '{' << rows[i].jsonMembers() << '}';
     out << "\n]}\n";
     return out.str();
 }
@@ -385,13 +388,12 @@ runSweepItem(const SweepItem &item, const RunOptions &options)
         // streams, stats); nothing is shared with siblings, so the
         // result depends only on the item, never on the schedule.
         cpu::CoreParams params = item.params;
-        if (options.branchProfile) {
-            // Telemetry is purely observational (simulated cycles are
-            // bit-identical with it on), so forcing it here changes
-            // only what the row carries, never the model results.
-            params.telemetry = true;
-            params.heartbeatToStderr = false;
-        }
+        // Telemetry is purely observational (simulated cycles are
+        // bit-identical with it on), so forcing it here changes only
+        // what the row carries, never the model results. A row carries
+        // no heartbeat series, so no run takes one.
+        params.telemetry = params.telemetry || options.branchProfile;
+        params.heartbeatInterval = 0;
         sim::SamplePlan plan = options.samplePlan();
         sim::RunResult r;
         if (plan.enabled()) {
@@ -427,9 +429,9 @@ logSweepRow(const SweepRow &row, const SweepItem &item, size_t done,
                      "  [%3zu/%zu] %-18s %-14s ipc=%.3f "
                      "brMPKI=%.1f llcMPKI=%.1f kips=%.0f\n",
                      done, total, item.workload->name.c_str(),
-                     item.machine.c_str(), row.result.ipc,
-                     row.result.branchMpki, row.result.llcMpki,
-                     row.result.kips());
+                     item.machine.c_str(), row.result.pipeline.ipc(),
+                     row.result.pipeline.branchMpki(),
+                     row.result.pipeline.llcMpki(), row.result.kips());
     } else {
         std::fprintf(stderr,
                      "  [%3zu/%zu] %-18s %-14s FAILED (%s: %s)\n", done,
@@ -513,7 +515,7 @@ runSlots(const SweepSpec &spec, const std::vector<size_t> &todo,
                 meter->setFarmTotals(pool->stats().retries,
                                      pool->stats().timeouts);
             }
-            meter->runFinished(row.ok(), row.result.instructions);
+            meter->runFinished(row.ok(), row.result.pipeline.committed);
         }
         if (spec.verbose)
             logSweepRow(row, item, ++completed, todo.size());
@@ -587,16 +589,19 @@ runSweep(const SweepSpec &spec)
                      journal->path().c_str());
     }
 
-    std::unique_ptr<ProgressMeter> meter;
-    if (options.progress) {
-        meter = std::make_unique<ProgressMeter>(todo.size(),
-                                                options.progressJson);
+    // A sweep outside a RunSet counts its runs on a meter of its own.
+    ProgressMeter *meter = spec.progress;
+    std::unique_ptr<ProgressMeter> ownMeter;
+    if (!meter && options.progress) {
+        ownMeter = std::make_unique<ProgressMeter>(options.progressJson);
+        meter = ownMeter.get();
     }
-
-    runSlots(spec, todo, result, journal.get(), meter.get());
-    result.farm.journalServed = served;
     if (meter)
-        meter->finish();
+        meter->addRuns(todo.size());
+
+    runSlots(spec, todo, result, journal.get(), meter);
+    result.farm.journalServed = served;
+    ownMeter.reset(); // its final line and progress.json
 
     if (size_t n = result.failed()) {
         warn("%zu of %zu sweep runs failed and were skipped", n,
@@ -647,6 +652,14 @@ runSweep(const SweepSpec &spec)
     return result;
 }
 
+RunSet::RunSet(RunOptions options) : options_(std::move(options))
+{
+    if (options_.progress)
+        progress_ = std::make_unique<ProgressMeter>(options_.progressJson);
+}
+
+RunSet::~RunSet() = default;
+
 RunHandle
 RunSet::add(const wl::Workload &workload, const cpu::CoreParams &params,
             const std::string &label)
@@ -681,6 +694,7 @@ RunSet::run(const std::string &journal)
         return 0;
     SweepSpec spec(options_);
     spec.options.journal = journal;
+    spec.progress = progress_.get();
     spec.items = std::move(pending_);
     pending_.clear();
     SweepResult sweep = runSweep(spec);

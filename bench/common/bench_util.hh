@@ -100,6 +100,8 @@ bool maybeWriteCsv(const RunOptions &options, const std::string &benchName,
 
 // --- parallel sweep engine -------------------------------------------
 
+class ProgressMeter;
+
 /** One independent run: a workload on a machine configuration. */
 struct SweepItem
 {
@@ -122,6 +124,8 @@ struct SweepSpec
     RunOptions options; ///< budgets, workers, journal, outputs
     std::vector<SweepItem> items;
     bool verbose = true;
+    /** A driver's meter (RunSet's); null: the sweep makes its own. */
+    ProgressMeter *progress = nullptr;
 
     /** Append one run; @return its index (== result slot). */
     size_t add(wl::Workload workload, cpu::CoreParams params,
@@ -143,6 +147,15 @@ struct SweepRow
     std::string phase;
 
     bool ok() const { return error.empty(); }
+
+    /**
+     * The members of this row's JSON object, without its braces: the
+     * labels and "ok", then the run's numbers (with its sampling fields
+     * when sampled) or its failure. Only deterministic fields, so the
+     * text is the same at any job or process count. statsJson() and
+     * the dashboard both render a row through it.
+     */
+    std::string jsonMembers() const;
 };
 
 /** Deterministically aggregated results of one sweep. */
@@ -179,9 +192,9 @@ struct SweepResult
     const sim::RunResult &at(size_t i) const { return rows[i].result; }
 
     /**
-     * The whole sweep as one JSON object containing only deterministic
-     * fields (no wall-clock / KIPS / farm counters): byte-identical at
-     * any job count.
+     * The whole sweep as one JSON object: a count of its runs and
+     * failures and each row's SweepRow::jsonMembers(), so it is
+     * byte-identical at any job count.
      */
     std::string statsJson() const;
 };
@@ -214,12 +227,14 @@ using RunHandle = size_t;
  * first label. run() sweeps the runs added since
  * the previous step as one runSweep, so a planner that needs earlier
  * results plans after a step, and its adds of runs that already ran are
- * not simulated again.
+ * not simulated again. Under --progress every step counts on one meter,
+ * which prints its last line when the set is destroyed.
  */
 class RunSet
 {
   public:
-    explicit RunSet(RunOptions options) : options_(std::move(options)) {}
+    explicit RunSet(RunOptions options);
+    ~RunSet();
 
     RunHandle add(const wl::Workload &workload, const cpu::CoreParams &params,
                   const std::string &label);
@@ -249,6 +264,7 @@ class RunSet
     std::vector<SweepItem> pending_; ///< handle = done_ + index
     std::vector<SweepRow> rows_;     ///< by handle; set below done_
     size_t done_ = 0;
+    std::unique_ptr<ProgressMeter> progress_; ///< under options_.progress
 };
 
 } // namespace pubs::bench

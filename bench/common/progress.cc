@@ -32,16 +32,25 @@ constexpr unsigned nonTtyStepPct = 10;
 
 } // namespace
 
-ProgressMeter::ProgressMeter(size_t totalRuns, std::string jsonPath)
-    : total_(totalRuns), jsonPath_(std::move(jsonPath)),
-      tty_(isatty(STDERR_FILENO) == 1), startNs_(nowNs())
+ProgressMeter::ProgressMeter(std::string jsonPath)
+    : jsonPath_(std::move(jsonPath)), tty_(isatty(STDERR_FILENO) == 1),
+      startNs_(nowNs())
 {
-    writeJson(true);
 }
 
 ProgressMeter::~ProgressMeter()
 {
     finish();
+}
+
+void
+ProgressMeter::addRuns(size_t runs)
+{
+    total_ += runs;
+    loggedPct_ = pct() - pct() % nonTtyStepPct;
+    priorRetries_ = retries_;
+    priorTimeouts_ = timeouts_;
+    writeJson(true);
 }
 
 void
@@ -61,8 +70,8 @@ ProgressMeter::runFinished(bool ok, uint64_t instructions)
 void
 ProgressMeter::setFarmTotals(uint64_t retries, uint64_t timeouts)
 {
-    retries_ = retries;
-    timeouts_ = timeouts;
+    retries_ = priorRetries_ + retries;
+    timeouts_ = priorTimeouts_ + timeouts;
 }
 
 void
@@ -142,10 +151,11 @@ ProgressMeter::draw(bool force)
         drewLine_ = true;
         return;
     }
-    // One line per 10% step keeps logs bounded, and finish() adds one
-    // unless the last line already counted every run.
+    // One line per 10% step keeps logs bounded. Only finish() writes a
+    // line that counts every run: a later sweep may still add runs.
     unsigned p = pct();
-    if (force ? loggedDone_ == done_ : p < loggedPct_ + nonTtyStepPct)
+    if (force ? loggedDone_ == done_
+              : p < loggedPct_ + nonTtyStepPct || done_ == total_)
         return;
     if (!force)
         loggedPct_ = p - p % nonTtyStepPct;

@@ -1,10 +1,11 @@
 /**
  * @file
- * The live progress readout of a sweep (--progress).
+ * The live progress readout of a driver's sweeps (--progress).
  *
- * runSweep's result hook reports each run as it finishes, on threads
- * and under --procs alike, and the meter renders those counts: one
- * carriage-return-redrawn line when stderr is a terminal, one
+ * One meter spans a driver: each sweep adds its runs to the total as it
+ * starts, and runSweep's result hook reports each run as it finishes,
+ * on threads and under --procs alike. The meter renders those counts:
+ * one carriage-return-redrawn line when stderr is a terminal, one
  * machine-readable line per 10% of finished runs otherwise, and an
  * atomically rewritten, strict-JSON progress.json. Nothing reports from
  * inside a running simulation, so the meter reads no simulated state
@@ -22,33 +23,37 @@ namespace pubs::bench
 {
 
 /**
- * Counts a sweep's finished runs. Not thread-safe: runSweep calls it
- * under its result hook's lock.
+ * Counts a driver's finished runs. Not thread-safe: runSweep calls it
+ * under its result hook's lock, and its sweeps run one at a time.
  *
  * TTY line, redrawn at most every 100 ms:
  *     [12/36] 33%  2841 KIPS  failed 1  retries 1
- * Non-TTY line, one per 10% step, and one at finish() unless the last
- * one already counted every run:
+ * Non-TTY line, one per 10% step below 100%, and one at finish() (the
+ * only one that may count every run, as a later sweep may add more):
  *     progress: done=12/36 pct=33 kips=2841 failed=0 retries=0 timeouts=0
- * KIPS is the finished runs' measured instructions per wall-clock
- * second since the meter started.
+ * When a sweep adds runs the share done drops, and the 10% steps go on
+ * from there. KIPS is the finished runs' measured instructions per
+ * wall-clock second since the meter started.
  */
 class ProgressMeter
 {
   public:
     /**
-     * @p totalRuns runs are to finish; @p jsonPath, when not empty,
-     * receives progress.json (at most every 200 ms, and on finish()).
+     * @p jsonPath, when not empty, receives progress.json (at most
+     * every 200 ms, and on addRuns() and finish()).
      */
-    ProgressMeter(size_t totalRuns, std::string jsonPath);
+    explicit ProgressMeter(std::string jsonPath);
     ~ProgressMeter();
     ProgressMeter(const ProgressMeter &) = delete;
     ProgressMeter &operator=(const ProgressMeter &) = delete;
 
+    /** A sweep of @p runs more runs starts. */
+    void addRuns(size_t runs);
+
     /** A run reached its final outcome after @p instructions. */
     void runFinished(bool ok, uint64_t instructions);
 
-    /** The --procs pool's retries and timeouts so far. */
+    /** The current sweep's --procs pool retries and timeouts so far. */
     void setFarmTotals(uint64_t retries, uint64_t timeouts);
 
     /** Final line and progress.json; idempotent. */
@@ -67,7 +72,7 @@ class ProgressMeter
     void draw(bool force);
     void writeJson(bool force);
 
-    size_t total_;
+    size_t total_ = 0;
     std::string jsonPath_;
     bool tty_;
     bool finished_ = false;
@@ -76,10 +81,12 @@ class ProgressMeter
     uint64_t instructions_ = 0;
     uint64_t retries_ = 0;
     uint64_t timeouts_ = 0;
+    uint64_t priorRetries_ = 0;  ///< of the sweeps before this one
+    uint64_t priorTimeouts_ = 0;
     uint64_t startNs_;
     uint64_t lastDrawNs_ = 0;
     uint64_t lastJsonNs_ = 0;
-    unsigned loggedPct_ = 0;       ///< the last 10% step a line named
+    unsigned loggedPct_ = 0;       ///< the 10% step last reached
     size_t loggedDone_ = SIZE_MAX; ///< done_ when that line was written
     bool drewLine_ = false;        ///< a \r line is on screen
 };

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hh"
+#include "cpu/cpi_stack.hh"
 
 namespace pubs::bench
 {
@@ -44,46 +45,25 @@ ReportBuilder::setTitle(std::string title)
     title_ = std::move(title);
 }
 
-ReportBuilder::Run
-ReportBuilder::runRow(const SweepRow &row, const RunOptions &options)
-{
-    Run run;
-    run.workload = row.result.workload;
-    run.machine = row.result.machine;
-    run.ok = row.ok();
-    run.instructions = row.result.instructions;
-    run.cycles = row.result.cycles;
-    run.ipc = row.result.ipc;
-    run.kips = row.result.kips();
-    run.branchMpki = row.result.branchMpki;
-    run.llcMpki = row.result.llcMpki;
-    run.unconfidentRate = row.result.unconfidentBranchRate;
-    run.errorKind = row.errorKind;
-    if (row.ok() && options.cpiStack) {
-        run.hasCpi = true;
-        run.cpi = row.result.pipeline.cpi.cycles;
-    }
-    if (row.ok() && options.branchProfile)
-        run.branches = row.result.branchProfile;
-    return run;
-}
-
 void
 ReportBuilder::addSweep(const SweepSpec &spec, const SweepResult &result)
 {
     std::lock_guard<std::mutex> lock(reportMutex);
-    for (const SweepRow &row : result.rows)
-        runs_.push_back(runRow(row, spec.options));
+    rows_.insert(rows_.end(), result.rows.begin(), result.rows.end());
+    cpiStack_ |= spec.options.cpiStack;
+    branchProfile_ |= spec.options.branchProfile;
     farm_ += result.farm;
     ++sweeps_;
     jobs_ = result.jobs;
 }
 
 void
-ReportBuilder::addRun(const Run &run)
+ReportBuilder::addRun(const SweepRow &row, const RunOptions &options)
 {
     std::lock_guard<std::mutex> lock(reportMutex);
-    runs_.push_back(run);
+    rows_.push_back(row);
+    cpiStack_ |= options.cpiStack;
+    branchProfile_ |= options.branchProfile;
 }
 
 void
@@ -99,51 +79,38 @@ std::string
 ReportBuilder::dataJson() const
 {
     std::lock_guard<std::mutex> lock(reportMutex);
-    auto quoted = [](const std::string &s) {
-        return '"' + jsonEscape(s) + '"';
-    };
     std::ostringstream out;
-    out << "{\n\"title\": "
-        << quoted(title_.empty() ? "PUBS sweep farm" : title_) << ",\n";
+    out << "{\n\"title\": \""
+        << jsonEscape(title_.empty() ? "PUBS sweep farm" : title_) << "\",\n";
     out << "\"sweeps\": " << sweeps_ << ",\n";
     out << "\"jobs\": " << jobs_ << ",\n";
     out << "\"wall_seconds\": " << jsonNumber(farm_.wallSeconds) << ",\n";
     out << "\"busy_seconds\": " << jsonNumber(farm_.busySeconds) << ",\n";
     out << "\"runs\": [";
-    for (size_t i = 0; i < runs_.size(); ++i) {
-        const Run &r = runs_[i];
-        out << (i ? ",\n " : "\n ") << "{\"workload\": "
-            << quoted(r.workload) << ", \"machine\": " << quoted(r.machine)
-            << ", \"ok\": " << (r.ok ? "true" : "false")
-            << ", \"instructions\": " << r.instructions
-            << ", \"cycles\": " << r.cycles
-            << ", \"ipc\": " << jsonNumber(r.ipc)
-            << ", \"kips\": " << jsonNumber(r.kips)
-            << ", \"branch_mpki\": " << jsonNumber(r.branchMpki)
-            << ", \"llc_mpki\": " << jsonNumber(r.llcMpki)
-            << ", \"unconfident_rate\": " << jsonNumber(r.unconfidentRate)
-            << ", \"error_kind\": " << quoted(r.errorKind);
-        if (r.hasCpi) {
+    for (size_t i = 0; i < rows_.size(); ++i) {
+        const SweepRow &row = rows_[i];
+        out << (i ? ",\n " : "\n ") << '{' << row.jsonMembers()
+            << ", \"kips\": " << jsonNumber(row.result.kips());
+        if (row.ok() && cpiStack_) {
             out << ", \"cpi\": {";
             for (size_t c = 0; c < cpu::numCpiComponents; ++c) {
                 out << (c ? ", " : "") << '"'
                     << cpu::cpiComponentName((cpu::CpiComponent)c)
-                    << "\": " << r.cpi[c];
+                    << "\": " << row.result.pipeline.cpi.cycles[c];
             }
             out << "}";
         }
-        if (!r.branches.empty()) {
+        const cpu::BranchSites &sites = row.result.branchProfile;
+        if (row.ok() && branchProfile_ && !sites.empty()) {
             out << ", \"branches\": [";
-            for (size_t b = 0; b < r.branches.size(); ++b) {
-                const auto &[pc, br] = r.branches[b];
-                out << (b ? ", " : "") << "{\"pc\": " << pc
-                    << ", \"commits\": " << br.commits
-                    << ", \"mispredicts\": " << br.mispredicts
-                    << ", \"penalty_cycles\": " << br.penaltySum
-                    << ", \"unconf_correct\": " << br.unconfidentCorrect
-                    << ", \"unconf_wrong\": " << br.unconfidentWrong
-                    << ", \"slice_insts\": " << br.sliceInsts
-                    << ", \"slice_covered\": " << br.sliceCovered << "}";
+            for (size_t b = 0; b < sites.size(); ++b) {
+                out << (b ? ", " : "") << "{\"pc\": " << sites[b].first;
+                cpu::BranchSiteStats::forEachField(
+                    [&out](const char *name, uint64_t v) {
+                        out << ", \"" << name << "\": " << v;
+                    },
+                    sites[b].second);
+                out << "}";
             }
             out << "]";
         }
@@ -164,12 +131,6 @@ ReportBuilder::dataJson() const
 }
 
 std::string
-ReportBuilder::html() const
-{
-    return renderDashboardHtml(dataJson());
-}
-
-std::string
 ReportBuilder::writeHtml(const std::string &path) const
 {
     return atomicWriteFile(path, html());
@@ -180,7 +141,9 @@ ReportBuilder::clear()
 {
     std::lock_guard<std::mutex> lock(reportMutex);
     title_.clear();
-    runs_.clear();
+    rows_.clear();
+    cpiStack_ = false;
+    branchProfile_ = false;
     farm_ = sim::FarmStats{};
     sweeps_ = 0;
     jobs_ = 0;
@@ -195,7 +158,7 @@ globalReport()
 }
 
 std::string
-renderDashboardHtml(const std::string &dataJson)
+ReportBuilder::html() const
 {
     // One static page: data inline, styling inline, rendering in plain
     // DOM JS. No external requests, so it works from file:// and in
@@ -421,27 +384,21 @@ if (DATA.wall_seconds > 0 && DATA.jobs > 0)
   }
   if (rows.length) {
     const box = section("Top branch sites by misprediction cost");
-    rows.sort((x, y) => y.b.mispredicts - x.b.mispredicts ||
-                        y.b.penalty_cycles - x.b.penalty_cycles ||
-                        x.b.pc - y.b.pc);
+    // Each run lists its sites ranked by mispredictions, penalty cycles
+    // and pc; the sort is stable, so that order breaks ties.
+    rows.sort((x, y) => y.b.mispredicts - x.b.mispredicts);
+    const counters = Object.keys(rows[0].b).filter(k => k !== "pc");
     const table = el("table");
     const head = el("tr");
-    for (const key of ["run", "pc", "commits", "mispredicts",
-                       "penalty cycles", "unconf %", "slice cov"])
-      head.appendChild(el("th", "", key));
+    for (const key of ["run", "pc", ...counters])
+      head.appendChild(el("th", "", key.replace(/_/g, " ")));
     table.appendChild(head);
     for (const { run, b } of rows.slice(0, 15)) {
       const tr = el("tr");
       tr.appendChild(el("td", "", run.workload + " / " + run.machine));
       tr.appendChild(el("td", "", "0x" + b.pc.toString(16)));
-      tr.appendChild(el("td", "", String(b.commits)));
-      tr.appendChild(el("td", "", String(b.mispredicts)));
-      tr.appendChild(el("td", "", String(b.penalty_cycles)));
-      const unconf = b.unconf_correct + b.unconf_wrong;
-      tr.appendChild(el("td", "", b.commits ?
-        (100 * unconf / b.commits).toFixed(1) + "%" : "-"));
-      tr.appendChild(el("td", "", b.slice_insts ?
-        (b.slice_covered / b.slice_insts).toFixed(2) : "-"));
+      for (const key of counters)
+        tr.appendChild(el("td", "", String(b[key])));
       table.appendChild(tr);
     }
     box.appendChild(table);
@@ -512,7 +469,7 @@ if (failed.length) {
 )HTML";
 
     std::string out;
-    std::string data = scriptSafe(dataJson);
+    std::string data = scriptSafe(dataJson());
     out.reserve(std::strlen(prefix) + data.size() + std::strlen(suffix));
     out += prefix;
     out += data;

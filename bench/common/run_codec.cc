@@ -18,7 +18,9 @@ namespace
 //     instructions, CI half-widths).
 // v3: + CPI-stack component cycles, + per-branch profile rows.
 // v4: misspecPenalty and iqWait histograms moved to log2 buckets.
-constexpr uint8_t codecVersion = 4;
+// v5: - the headline copies (instructions ... priority stall cycles) of
+//     values the PipelineStats counters already carry.
+constexpr uint8_t codecVersion = 5;
 
 /**
  * Fail the decode unless @p ok. Every check the decoder makes throws the
@@ -111,16 +113,8 @@ encodeSweepRow(const SweepRow &row)
     const sim::RunResult &r = row.result;
     s.str(r.workload);
     s.str(r.machine);
-    s.u64(r.instructions);
-    s.u64(r.cycles);
-    s.f64(r.ipc);
-    s.f64(r.branchMpki);
-    s.f64(r.llcMpki);
-    s.f64(r.avgMisspecPenalty);
-    s.f64(r.avgIqWait);
     s.f64(r.unconfidentBranchRate);
     s.f64(r.pubsEnabledFraction);
-    s.u64(r.priorityStallCycles);
     s.f64(r.simSeconds);
     s.boolean(r.sampled);
     s.u32(r.windows);
@@ -134,7 +128,8 @@ encodeSweepRow(const SweepRow &row)
     s.u32((uint32_t)r.branchProfile.size());
     for (const auto &[pc, site] : r.branchProfile) {
         s.u64(pc);
-        cpu::BranchSiteStats::forEachField(write, site);
+        cpu::BranchSiteStats::forEachField(
+            [&](const char *, const auto &field) { write(field); }, site);
     }
     return s.data();
 }
@@ -154,16 +149,8 @@ decodeSweepRow(const std::string &payload, SweepRow &row,
         sim::RunResult &r = row.result;
         r.workload = d.str();
         r.machine = d.str();
-        r.instructions = d.u64();
-        r.cycles = d.u64();
-        r.ipc = d.f64();
-        r.branchMpki = d.f64();
-        r.llcMpki = d.f64();
-        r.avgMisspecPenalty = d.f64();
-        r.avgIqWait = d.f64();
         r.unconfidentBranchRate = d.f64();
         r.pubsEnabledFraction = d.f64();
-        r.priorityStallCycles = d.u64();
         r.simSeconds = d.f64();
         r.sampled = d.boolean();
         r.windows = d.u32();
@@ -180,7 +167,8 @@ decodeSweepRow(const std::string &payload, SweepRow &row,
         r.branchProfile.resize(branches);
         for (auto &[pc, site] : r.branchProfile) {
             pc = (Pc)d.u64();
-            cpu::BranchSiteStats::forEachField(read, site);
+            cpu::BranchSiteStats::forEachField(
+                [&](const char *, auto &field) { read(field); }, site);
         }
         d.expectEnd();
         return true;

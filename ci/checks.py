@@ -44,6 +44,20 @@ def leaf_diffs(a, b, path=""):
         yield f"{path} ({a!r} vs {b!r})"
 
 
+QUADRANT = ("conf_correct", "conf_wrong", "unconf_correct", "unconf_wrong")
+
+
+def check_branch_quadrants(sites):
+    """Every branch site (a branch_profile.csv row or a dashboard branch
+    object) has the four confidence x outcome counters, and they sum to
+    its commits."""
+    for site in sites:
+        missing = [k for k in QUADRANT if k not in site]
+        assert not missing, f"missing {missing}: {site}"
+        quad = sum(int(site[k]) for k in QUADRANT)
+        assert quad == int(site["commits"]), site
+
+
 def check_cpi_rows(rows):
     """Every cpi_stack.csv row's components sum to its total cycles."""
     components = [c for c in rows[0]
@@ -107,15 +121,13 @@ def cpi():
     with open("branch_profile.csv") as f:
         branches = list(csv.DictReader(f))
     assert branches, "empty branch profile"
-    for row in branches:
-        quad = sum(int(row[k]) for k in ("conf_correct", "conf_wrong",
-                                         "unconf_correct", "unconf_wrong"))
-        assert quad == int(row["commits"]), row
+    check_branch_quadrants(branches)
     runs = [r for r in dashboard_data("cpi_dashboard.html")["runs"]
             if "cpi" in r]
     assert len(runs) == 36, len(runs)
     assert all(len(r["cpi"]) == CPI_COMPONENTS for r in runs)
     assert any(r.get("branches") for r in runs)
+    check_branch_quadrants(b for r in runs for b in r.get("branches", []))
     for name in ("simspeed.csv", "sweep_pool.csv"):
         assert os.path.getsize(name), f"empty {name}"
 

@@ -55,5 +55,29 @@ class CpiRows(unittest.TestCase):
                 checks.check_cpi_rows([self.row("120"), self.row(total)])
 
 
+class BranchQuadrants(unittest.TestCase):
+    def site(self, **counters):
+        site = {"pc": 4096, "commits": 10, "mispredicts": 2,
+                "conf_correct": 3, "conf_wrong": 0, "unconf_correct": 5,
+                "unconf_wrong": 2}
+        site.update(counters)
+        return site
+
+    def test_quadrant_that_sums_to_commits_passes(self):
+        checks.check_branch_quadrants([self.site(), self.site()])
+
+    def test_quadrant_off_by_one_fails(self):
+        with self.assertRaises(AssertionError):
+            checks.check_branch_quadrants([self.site(conf_correct=4)])
+
+    def test_dashboard_without_the_confident_half_fails(self):
+        # A dashboard branch object with only the unconfident counters,
+        # even where they alone sum to the commits.
+        site = self.site(conf_correct=0, unconf_correct=8)
+        del site["conf_correct"], site["conf_wrong"]
+        with self.assertRaises(AssertionError):
+            checks.check_branch_quadrants([site])
+
+
 if __name__ == "__main__":
     unittest.main()

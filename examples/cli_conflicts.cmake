@@ -43,6 +43,10 @@ expect_refused("--check lockstep" --restore-checkpoint
     --check lockstep --restore-checkpoint /nonexistent.ckpt)
 expect_refused(--sample --branch-profile --sample 2 --branch-profile)
 expect_refused(--sample --telemetry --sample 2 --telemetry)
+expect_refused(--sample --heartbeat --sample 2 --heartbeat 2000)
+expect_refused("--check lockstep" --telemetry --check lockstep --telemetry)
+expect_refused("--check lockstep" --heartbeat
+    --check lockstep --heartbeat 100000)
 expect_error("--cpi-stack needs --report PATH or [$]PUBS_BENCH_CSV: .*"
     --check lockstep --cpi-stack --branch-profile)
 # Each of the sweep's settings, on a run in MODE given the flags ARGN.

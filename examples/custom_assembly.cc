@@ -84,12 +84,13 @@ main()
     sim::RunResult pubs = sim::simulate(sim::makeConfig(sim::Machine::Pubs),
                                         prog, warmup, measure);
     std::printf("base machine      : IPC %.3f, branch MPKI %.1f\n",
-                base.ipc, base.branchMpki);
+                base.pipeline.ipc(), base.pipeline.branchMpki());
     std::printf("PUBS machine      : IPC %.3f, branch MPKI %.1f\n",
-                pubs.ipc, pubs.branchMpki);
+                pubs.pipeline.ipc(), pubs.pipeline.branchMpki());
     std::printf("speedup           : %+.1f%%\n",
                 (pubs.speedupOver(base) - 1.0) * 100.0);
     std::printf("misspec. penalty  : %.1f -> %.1f cycles\n",
-                base.avgMisspecPenalty, pubs.avgMisspecPenalty);
+                base.pipeline.avgMisspecPenalty(),
+                pubs.pipeline.avgMisspecPenalty());
     return 0;
 }

@@ -60,12 +60,13 @@ main()
         sim::RunResult r =
             sim::simulate(variant.params, w.program, warmup, measure);
         if (baseIpc == 0.0)
-            baseIpc = r.ipc;
-        double perf = delay.performance(r.ipc, variant.ageClockPenalty) /
-                      delay.performance(baseIpc, false);
+            baseIpc = r.pipeline.ipc();
+        double perf =
+            delay.performance(r.pipeline.ipc(), variant.ageClockPenalty) /
+            delay.performance(baseIpc, false);
         std::printf("%-28s %8.3f %9.1f%% %9.1f cyc %9.1f cyc\n",
-                    variant.name, r.ipc, (perf - 1.0) * 100.0,
-                    r.avgIqWait, r.avgMisspecPenalty);
+                    variant.name, r.pipeline.ipc(), (perf - 1.0) * 100.0,
+                    r.pipeline.avgIqWait(), r.pipeline.avgMisspecPenalty());
     }
     std::printf("\n*perf folds in the age matrix's +13%% IQ-delay/clock "
                 "penalty (Section V-G1)\n");

@@ -39,7 +39,7 @@ main()
         std::printf("%-12s  LLC MPKI %6.1f | speedup: switch on %+5.1f%%"
                     ", switch off %+5.1f%% | PUBS active %.0f%% of "
                     "intervals\n",
-                    name, base.llcMpki,
+                    name, base.pipeline.llcMpki(),
                     (on.speedupOver(base) - 1.0) * 100.0,
                     (off.speedupOver(base) - 1.0) * 100.0,
                     on.pubsEnabledFraction * 100.0);

@@ -19,6 +19,7 @@
  * chosen mode would drop (a sweep's --jobs on a single run, say).
  */
 
+#include <climits>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -121,7 +122,7 @@ run(int argc, char **argv)
     std::string statsJsonPath;
     std::string pipeviewPath;
     bool telemetry = false;
-    unsigned heartbeat = defaults.heartbeatInterval;
+    unsigned heartbeat = UINT_MAX; // not given: the machine's default
     uint64_t skip = 0;
     std::string saveCkptPath;
     std::string restoreCkptPath;
@@ -202,7 +203,8 @@ run(int argc, char **argv)
             {sampled && !options.report.empty(), "--report"},
             {!lockstep && options.progress, "--progress"},
             {sampled && options.branchProfile, "--branch-profile"},
-            {sampled && telemetry, "--telemetry"},
+            {!single && telemetry, "--telemetry"},
+            {!single && heartbeat != UINT_MAX, "--heartbeat"},
             {!lockstep && options.jobs, "--jobs"},
             {!lockstep && options.procs, "--procs"},
             {!lockstep && !options.journal.empty(), "--journal"},
@@ -224,9 +226,13 @@ run(int argc, char **argv)
             std::printf("%s\n", name.c_str());
         return 0;
     }
-    // The dashboard and the stats/branch profile dumps read telemetry.
-    telemetry = telemetry || !statsJsonPath.empty() ||
-                !options.report.empty() || options.branchProfile;
+    // A single run's dashboard, stats JSON and branch profile read its
+    // telemetry. A sweep's rows take theirs from --branch-profile alone,
+    // and a sampled run's stats JSON holds only its "run" group.
+    const bool single = checkArg != "lockstep" && !options.sampleWindows;
+    telemetry = telemetry || (single && (!statsJsonPath.empty() ||
+                                         !options.report.empty() ||
+                                         options.branchProfile));
 
     sim::Machine machine = parseName(
         machineArg,
@@ -258,7 +264,8 @@ run(int argc, char **argv)
     }
     params.auditInterval = auditInterval;
     params.telemetry = telemetry;
-    params.heartbeatInterval = heartbeat;
+    if (heartbeat != UINT_MAX)
+        params.heartbeatInterval = heartbeat;
 
     const std::string &tracePath = options.traceEvents;
     auto writeTraceIfAsked = [&]() {
@@ -301,19 +308,17 @@ run(int argc, char **argv)
                     "fast-forwarded)\n",
                     plan.describe().c_str(), result.windows,
                     (unsigned long long)result.skippedInsts);
-        std::printf("ipc: %.4f +/- %.4f (95%% CI)\n", result.ipc,
+        const cpu::PipelineStats &stats = result.pipeline;
+        std::printf("ipc: %.4f +/- %.4f (95%% CI)\n", stats.ipc(),
                     result.ipcCi95);
-        std::printf("branch MPKI: %.3f +/- %.3f\n", result.branchMpki,
+        std::printf("branch MPKI: %.3f +/- %.3f\n", stats.branchMpki(),
                     result.branchMpkiCi95);
-        std::printf("LLC MPKI: %.3f +/- %.3f\n", result.llcMpki,
+        std::printf("LLC MPKI: %.3f +/- %.3f\n", stats.llcMpki(),
                     result.llcMpkiCi95);
         std::printf("host speed: %.2f s, %.1f KIPS\n", result.simSeconds,
                     result.kips());
-        if (options.cpiStack) {
-            std::printf("%s",
-                        result.pipeline.cpi.format(result.instructions)
-                            .c_str());
-        }
+        if (options.cpiStack)
+            std::printf("%s", stats.cpi.format(stats.committed).c_str());
         if (!checkpointDir.empty()) {
             std::printf("checkpoint cache: %s\n", checkpointDir.c_str());
         }
@@ -323,17 +328,17 @@ run(int argc, char **argv)
             run.addString("workload", workload);
             run.addString("machine", sim::machineName(machine));
             run.addString("size", cpu::sizeClassName(size));
-            run.add("instructions", (double)result.instructions);
+            run.add("instructions", (double)stats.committed);
             run.add("sampled", 1.0);
             run.add("windows", (double)result.windows);
             run.add("skipped_insts", (double)result.skippedInsts);
-            run.add("ipc", result.ipc);
+            run.add("ipc", stats.ipc());
             run.add("ipc_ci95", result.ipcCi95,
                     "95% confidence half-width on ipc");
-            run.add("branch_mpki", result.branchMpki);
+            run.add("branch_mpki", stats.branchMpki());
             run.add("branch_mpki_ci95", result.branchMpkiCi95,
                     "95% confidence half-width on branch_mpki");
-            run.add("llc_mpki", result.llcMpki);
+            run.add("llc_mpki", stats.llcMpki());
             run.add("llc_mpki_ci95", result.llcMpkiCi95,
                     "95% confidence half-width on llc_mpki");
             run.add("sim_seconds", result.simSeconds);
@@ -379,11 +384,9 @@ run(int argc, char **argv)
     std::printf("host speed: %.2f s, %.1f KIPS\n", result.simSeconds,
                 result.kips());
 
-    if (options.cpiStack) {
-        std::printf("%s",
-                    result.pipeline.cpi.format(result.instructions)
-                        .c_str());
-    }
+    const cpu::PipelineStats &stats = result.pipeline;
+    if (options.cpiStack)
+        std::printf("%s", stats.cpi.format(stats.committed).c_str());
     if (const cpu::CoreTelemetry *t = simulator.pipeline().telemetry())
         std::printf("%s", t->formatBranchProfile().c_str());
 
@@ -393,7 +396,7 @@ run(int argc, char **argv)
         run.addString("workload", workload);
         run.addString("machine", sim::machineName(machine));
         run.addString("size", cpu::sizeClassName(size));
-        run.add("instructions", (double)result.instructions);
+        run.add("instructions", (double)stats.committed);
         run.add("warmup_instructions", (double)warmup);
         run.add("seed", (double)seed);
         run.add("sim_seconds", result.simSeconds,
@@ -413,7 +416,7 @@ run(int argc, char **argv)
             row.result = result;
             row.result.workload = workload;
             row.result.machine = sim::machineName(machine);
-            report.addRun(bench::ReportBuilder::runRow(row, options));
+            report.addRun(row, options);
             report.setStats(registry);
             std::string error = report.writeHtml(options.report);
             if (!error.empty()) {

@@ -32,10 +32,10 @@ main()
 
     if (std::getenv("PUBS_QUICKSTART_VERBOSE")) {
         std::printf("-- detail (base vs pubs) --\n");
-        std::printf("avg IQ wait       : %.2f -> %.2f\n", base.avgIqWait,
-                    pubs.avgIqWait);
+        std::printf("avg IQ wait       : %.2f -> %.2f\n",
+                    base.pipeline.avgIqWait(), pubs.pipeline.avgIqWait());
         std::printf("priority stalls   : %llu cycles\n",
-                    (unsigned long long)pubs.priorityStallCycles);
+                    (unsigned long long)pubs.pipeline.priorityStallCycles);
         std::printf("unconfident rate  : %.2f\n",
                     pubs.unconfidentBranchRate);
         std::printf("slice insts       : %llu of %llu committed\n",
@@ -48,12 +48,13 @@ main()
     }
 
     std::printf("workload          : %s\n", workload.name.c_str());
-    std::printf("branch MPKI       : %.1f\n", base.branchMpki);
-    std::printf("base IPC          : %.3f\n", base.ipc);
-    std::printf("PUBS IPC          : %.3f\n", pubs.ipc);
+    std::printf("branch MPKI       : %.1f\n", base.pipeline.branchMpki());
+    std::printf("base IPC          : %.3f\n", base.pipeline.ipc());
+    std::printf("PUBS IPC          : %.3f\n", pubs.pipeline.ipc());
     std::printf("speedup           : %+.1f%%\n",
                 (pubs.speedupOver(base) - 1.0) * 100.0);
     std::printf("misspec. penalty  : %.1f -> %.1f cycles\n",
-                base.avgMisspecPenalty, pubs.avgMisspecPenalty);
+                base.pipeline.avgMisspecPenalty(),
+                pubs.pipeline.avgMisspecPenalty());
     return 0;
 }

@@ -159,7 +159,6 @@ constexpr ParamRow paramRows[] = {
     PARAM(seed, Timing),
     PARAM(telemetry, Timing),
     PARAM(heartbeatInterval, ParamClass::Observational),
-    PARAM(heartbeatToStderr, ParamClass::Observational),
     PARAM(checkPolicy, Timing, upTo(CheckPolicy::Abort)),
     PARAM(auditPolicy, Timing, upTo(CheckPolicy::Abort)),
     PARAM(auditInterval, Timing),

@@ -108,10 +108,11 @@ struct CoreParams
      * null-pointer check per event.
      */
     bool telemetry = false;
-    /** Cycles between heartbeat samples (0 disables the heartbeat). */
+    /**
+     * Cycles between heartbeat samples (0 disables the heartbeat); each
+     * sample is also printed to stderr as it is taken.
+     */
     unsigned heartbeatInterval = 100000;
-    /** Print each heartbeat sample to stderr as it is taken. */
-    bool heartbeatToStderr = true;
 
     // --- verification (see sim/checker.hh and cpu/audit.hh) ---
     /**

@@ -13,7 +13,6 @@ namespace pubs::cpu
 
 CoreTelemetry::CoreTelemetry(const CoreParams &params)
     : heartbeatInterval_(params.heartbeatInterval),
-      heartbeatToStderr_(params.heartbeatToStderr),
       nextHeartbeat_(params.heartbeatInterval == 0
                          ? neverCycle
                          : (Cycle)params.heartbeatInterval)
@@ -67,14 +66,11 @@ CoreTelemetry::heartbeat(Cycle now, const PipelineStats &stats)
     sample.cpiDelta = stats.cpi.deltaSince(lastCpi_);
     lastCpi_ = stats.cpi;
     heartbeats_.push_back(sample);
-
-    if (heartbeatToStderr_) {
-        inform("heartbeat cycle=%llu committed=%llu ipc=%.3f mpki=%.2f "
-               "iq_occ=%.1f",
-               (unsigned long long)now,
-               (unsigned long long)stats.committed, sample.intervalIpc,
-               sample.intervalMpki, sample.intervalIqOccupancy);
-    }
+    inform("heartbeat cycle=%llu committed=%llu ipc=%.3f mpki=%.2f "
+           "iq_occ=%.1f",
+           (unsigned long long)now, (unsigned long long)stats.committed,
+           sample.intervalIpc, sample.intervalMpki,
+           sample.intervalIqOccupancy);
 
     lastCommitted_ = stats.committed;
     lastMispredicts_ = stats.condMispredicts + stats.indirectMispredicts;
@@ -140,27 +136,18 @@ CoreTelemetry::fillBranchProfile(StatGroup &group, size_t topN) const
               "distinct conditional-branch PCs seen at commit/resolve");
     auto top = topBranchSites(topN);
     for (const auto &[pc, site] : top) {
-        char key[48];
-        std::snprintf(key, sizeof(key), "pc_0x%llx",
+        char prefix[48];
+        std::snprintf(prefix, sizeof(prefix), "pc_0x%llx_",
                       (unsigned long long)pc);
-        std::string prefix = key;
-        group.add(prefix + "_commits", (double)site.commits);
-        group.add(prefix + "_mispredicts", (double)site.mispredicts);
-        group.add(prefix + "_penalty_cycles", (double)site.penaltySum);
-        group.add(prefix + "_avg_penalty",
+        BranchSiteStats::forEachField(
+            [&](const char *name, uint64_t value) {
+                group.add(prefix + std::string(name), (double)value);
+            },
+            site);
+        group.add(prefix + std::string("avg_penalty"),
                   site.mispredicts ? (double)site.penaltySum /
                                          (double)site.mispredicts
                                    : 0.0);
-        group.add(prefix + "_conf_correct", (double)site.confidentCorrect);
-        group.add(prefix + "_conf_wrong", (double)site.confidentWrong);
-        group.add(prefix + "_unconf_correct",
-                  (double)site.unconfidentCorrect);
-        group.add(prefix + "_unconf_wrong", (double)site.unconfidentWrong);
-        group.add(prefix + "_slice_insts", (double)site.sliceInsts,
-                  "true-backward-slice insts of this branch's "
-                  "mispredictions");
-        group.add(prefix + "_slice_covered", (double)site.sliceCovered,
-                  "... classified unconfident-slice at decode");
     }
 }
 

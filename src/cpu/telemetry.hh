@@ -64,23 +64,25 @@ struct BranchSiteStats
     uint64_t sliceCovered = 0;
 
     /**
-     * The field list: calls @p visit once per field, on that field of
-     * every one of @p sites, in sweep-row payload order. The sweep-row
-     * codec and the sampled-window merge walk it.
+     * The field list: calls @p visit once per field, with the field's
+     * column name and that field of every one of @p sites, in sweep-row
+     * payload order. The sweep-row codec, the sampled-window merge,
+     * branch_profile.csv, the dashboard and the stats registry walk it,
+     * so each takes its names from here.
      */
     template <typename Visit, typename... Sites>
     static void
     forEachField(Visit &&visit, Sites &...sites)
     {
-        visit(sites.commits...);
-        visit(sites.mispredicts...);
-        visit(sites.penaltySum...);
-        visit(sites.confidentCorrect...);
-        visit(sites.confidentWrong...);
-        visit(sites.unconfidentCorrect...);
-        visit(sites.unconfidentWrong...);
-        visit(sites.sliceInsts...);
-        visit(sites.sliceCovered...);
+        visit("commits", sites.commits...);
+        visit("mispredicts", sites.mispredicts...);
+        visit("penalty_cycles", sites.penaltySum...);
+        visit("conf_correct", sites.confidentCorrect...);
+        visit("conf_wrong", sites.confidentWrong...);
+        visit("unconf_correct", sites.unconfidentCorrect...);
+        visit("unconf_wrong", sites.unconfidentWrong...);
+        visit("slice_insts", sites.sliceInsts...);
+        visit("slice_covered", sites.sliceCovered...);
     }
 };
 
@@ -288,7 +290,6 @@ class CoreTelemetry
 
   private:
     unsigned heartbeatInterval_;
-    bool heartbeatToStderr_;
     Cycle nextHeartbeat_;
 
     uint64_t trueSliceInsts_ = 0;

@@ -77,7 +77,11 @@ mergeBranchProfile(cpu::BranchSites &into, const cpu::BranchSites &from)
         if (it == into.end())
             into.emplace_back(pc, site);
         else
-            cpu::BranchSiteStats::forEachField(mergeField, it->second, site);
+            cpu::BranchSiteStats::forEachField(
+                [](const char *, auto &into, const auto &from) {
+                    merge(into, from);
+                },
+                it->second, site);
     }
     cpu::rankBranchSites(into, maxBranchProfileRows);
 }
@@ -187,7 +191,7 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
         }
 
         RunResult wr = window.run(plan.warmupInsts, plan.measureInsts);
-        if (wr.instructions == 0)
+        if (wr.pipeline.committed == 0)
             break; // nothing measurable left (halt inside warmup)
 
         cpu::PipelineStats::forEachField(mergeField, total.pipeline,
@@ -200,15 +204,14 @@ simulateSampled(const cpu::CoreParams &params, const isa::Program &program,
         total.unconfidentBranchRate = wr.unconfidentBranchRate;
         total.pubsEnabledFraction = wr.pubsEnabledFraction;
         total.skippedInsts = target;
-        ipcs.push_back(wr.ipc);
-        branchMpkis.push_back(wr.branchMpki);
-        llcMpkis.push_back(wr.llcMpki);
+        ipcs.push_back(wr.pipeline.ipc());
+        branchMpkis.push_back(wr.pipeline.branchMpki());
+        llcMpkis.push_back(wr.pipeline.llcMpki());
     }
 
     // Point estimates come from the pooled counters (the union of the
     // measured windows); the confidence intervals from the per-window
     // spread. See DESIGN.md section 10 for the methodology.
-    total.deriveHeadline();
     total.sampled = true;
     total.windows = (uint32_t)ipcs.size();
     total.ipcCi95 = meanCi(ipcs).halfWidth;

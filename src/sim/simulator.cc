@@ -69,19 +69,6 @@ PhaseScope::~PhaseScope()
     currentPhase = prev_;
 }
 
-void
-RunResult::deriveHeadline()
-{
-    instructions = pipeline.committed;
-    cycles = pipeline.cycles;
-    ipc = pipeline.ipc();
-    branchMpki = pipeline.branchMpki();
-    llcMpki = pipeline.llcMpki();
-    avgMisspecPenalty = pipeline.avgMisspecPenalty();
-    avgIqWait = pipeline.avgIqWait();
-    priorityStallCycles = pipeline.priorityStallCycles;
-}
-
 Simulator::Simulator(const cpu::CoreParams &params,
                      const isa::Program &program)
     : Simulator(params, std::make_unique<emu::Emulator>(program))
@@ -117,7 +104,6 @@ Simulator::run(uint64_t warmupInsts, uint64_t measureInsts)
 
     RunResult result;
     result.pipeline = pipeline_->stats();
-    result.deriveHeadline();
     result.simSeconds = wall.count();
     if (const pubs::SliceUnit *unit = pipeline_->sliceUnit())
         result.unconfidentBranchRate = unit->unconfidentBranchRate();

@@ -68,22 +68,18 @@ class PhaseScope
  *  noise for the profile's purpose (and bloats sweep-row payloads). */
 constexpr size_t maxBranchProfileRows = 64;
 
-/** Headline metrics of one simulation. */
+/**
+ * One simulation's outcome: its pipeline counters, which give every
+ * headline number (pipeline.ipc(), pipeline.branchMpki(), ...), and what
+ * the counters cannot give.
+ */
 struct RunResult
 {
     std::string workload;
     std::string machine;
 
-    uint64_t instructions = 0;
-    uint64_t cycles = 0;
-    double ipc = 0.0;
-    double branchMpki = 0.0;
-    double llcMpki = 0.0;
-    double avgMisspecPenalty = 0.0;
-    double avgIqWait = 0.0;
     double unconfidentBranchRate = 0.0;
     double pubsEnabledFraction = 1.0;
-    uint64_t priorityStallCycles = 0;
 
     /** Host wall-clock seconds of the measurement phase. */
     double simSeconds = 0.0;
@@ -94,9 +90,9 @@ struct RunResult
     bool sampled = false;           ///< stitched from measurement windows
     uint32_t windows = 0;           ///< measurement windows aggregated
     uint64_t skippedInsts = 0;      ///< functionally fast-forwarded insts
-    double ipcCi95 = 0.0;           ///< 95% CI half-width on ipc
-    double branchMpkiCi95 = 0.0;    ///< 95% CI half-width on branchMpki
-    double llcMpkiCi95 = 0.0;       ///< 95% CI half-width on llcMpki
+    double ipcCi95 = 0.0;           ///< 95% CI half-width on IPC
+    double branchMpkiCi95 = 0.0;    ///< ... on branch MPKI
+    double llcMpkiCi95 = 0.0;       ///< ... on LLC MPKI
 
     /** Full pipeline counters for detailed analysis. */
     cpu::PipelineStats pipeline{};
@@ -108,18 +104,12 @@ struct RunResult
      */
     cpu::BranchSites branchProfile;
 
-    /**
-     * Set the eight headline fields — instructions, cycles, ipc,
-     * branchMpki, llcMpki, avgMisspecPenalty, avgIqWait and
-     * priorityStallCycles — from pipeline.
-     */
-    void deriveHeadline();
-
     /** Speedup of this run's IPC over @p baseline (same cycle time). */
     double
     speedupOver(const RunResult &other) const
     {
-        return other.ipc > 0.0 ? ipc / other.ipc : 0.0;
+        double base = other.pipeline.ipc();
+        return base > 0.0 ? pipeline.ipc() / base : 0.0;
     }
 
     /** Simulation speed: kilo-instructions committed per host second. */
@@ -127,7 +117,7 @@ struct RunResult
     kips() const
     {
         return simSeconds > 0.0
-                   ? (double)instructions / simSeconds / 1000.0
+                   ? (double)pipeline.committed / simSeconds / 1000.0
                    : 0.0;
     }
 };

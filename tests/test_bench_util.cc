@@ -226,7 +226,7 @@ TEST(BenchUtil, RunSuiteMixedFailurePreservesGoodResults)
     ASSERT_EQ(run.rows.size(), 1u);
     EXPECT_EQ(run.failed(), 0u);
     EXPECT_TRUE(run.ok(0));
-    EXPECT_GT(run.at(0).ipc, 0.0);
+    EXPECT_GT(run.at(0).pipeline.ipc(), 0.0);
 }
 
 } // namespace

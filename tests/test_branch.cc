@@ -1,14 +1,13 @@
 /**
  * @file
  * Branch-prediction tests: both perceptron configurations learn the
- * patterns they should, the BTB and RAS behave, and the JRS confidence
- * counters follow the paper's resetting semantics.
+ * patterns they should, and the BTB and RAS behave. The JRS confidence
+ * counters are the conf_tab's (test_pubs_tables.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include "branch/btb.hh"
-#include "branch/confidence.hh"
 #include "branch/perceptron.hh"
 #include "branch/predictor.hh"
 #include "branch/ras.hh"
@@ -189,64 +188,6 @@ TEST(RasTest, OverflowWrapsKeepingNewest)
     EXPECT_EQ(ras.pop(), 3u);
     EXPECT_EQ(ras.pop(), 2u);
     EXPECT_EQ(ras.pop(), 0u);
-}
-
-TEST(ConfidenceTest, ResettingCounterSemantics)
-{
-    ResettingCounter counter(3); // max = 7
-    counter.initialise(true);
-    EXPECT_TRUE(counter.confident()); // init to max on correct
-    counter.update(false);
-    EXPECT_FALSE(counter.confident()); // reset to zero
-    EXPECT_EQ(counter.value(), 0u);
-    for (int i = 0; i < 6; ++i)
-        counter.update(true);
-    EXPECT_FALSE(counter.confident()); // 6 < 7
-    counter.update(true);
-    EXPECT_TRUE(counter.confident()); // saturated
-    counter.update(true);
-    EXPECT_EQ(counter.value(), 7u); // stays saturated
-}
-
-TEST(ConfidenceTest, InitialiseIncorrectStartsAtZero)
-{
-    ResettingCounter counter(6);
-    counter.initialise(false);
-    EXPECT_EQ(counter.value(), 0u);
-    EXPECT_FALSE(counter.confident());
-}
-
-TEST(ConfidenceTest, WiderCountersAreHarderToSaturate)
-{
-    // With misprediction probability p, P(confident) collapses as the
-    // width grows — the effect behind Fig. 11's unconfident-rate line.
-    auto confidentFraction = [](unsigned bits, double accuracy) {
-        Rng rng(13);
-        ResettingCounter counter(bits);
-        counter.initialise(true);
-        int confident = 0;
-        const int trials = 20000;
-        for (int i = 0; i < trials; ++i) {
-            confident += counter.confident();
-            counter.update(rng.chance(accuracy));
-        }
-        return (double)confident / trials;
-    };
-    double narrow = confidentFraction(2, 0.95);
-    double wide = confidentFraction(8, 0.95);
-    EXPECT_GT(narrow, wide);
-}
-
-TEST(ConfidenceTest, UpDownCounterToleratesNoise)
-{
-    UpDownCounter updown(4);
-    updown.initialise(true);
-    updown.update(false); // one mistake only decrements
-    EXPECT_EQ(updown.value(), 14u);
-    ResettingCounter resetting(4);
-    resetting.initialise(true);
-    resetting.update(false);
-    EXPECT_EQ(resetting.value(), 0u);
 }
 
 TEST(Factory, NamesRoundTrip)

@@ -60,10 +60,10 @@ fingerprint(const sim::RunResult &r)
         "btb=%llu llc=%llu l1a=%llu l1m=%llu pd=%llu nd=%llu iq=%llu "
         "rob=%llu conf=%llu iss=%llu wpf=%llu sq=%llu chk=%llu div=%llu "
         "aud=%llu vio=%llu",
-        (unsigned long long)r.instructions, (unsigned long long)r.cycles,
-        r.ipc, r.branchMpki, r.llcMpki, r.avgMisspecPenalty, r.avgIqWait,
-        r.unconfidentBranchRate, r.pubsEnabledFraction,
-        (unsigned long long)r.priorityStallCycles,
+        (unsigned long long)p.committed, (unsigned long long)p.cycles,
+        p.ipc(), p.branchMpki(), p.llcMpki(), p.avgMisspecPenalty(),
+        p.avgIqWait(), r.unconfidentBranchRate, r.pubsEnabledFraction,
+        (unsigned long long)p.priorityStallCycles,
         (unsigned long long)p.fetched, (unsigned long long)p.condBranches,
         (unsigned long long)p.condMispredicts,
         (unsigned long long)p.indirectJumps,

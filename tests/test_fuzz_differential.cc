@@ -189,7 +189,7 @@ runChecked(const isa::Program &program, sim::Machine machine,
     try {
         sim::Simulator simulator(params, program);
         sim::RunResult result = simulator.run(0, insts);
-        if (result.instructions == 0)
+        if (result.pipeline.committed == 0)
             return "committed zero instructions";
     } catch (const SimError &error) {
         return std::string(SimError::kindName(error.kind())) + ": " +
@@ -306,7 +306,7 @@ TEST(FuzzDifferential, CorruptedCheckpointsNeverCrashTheLoader)
     // restore and a detailed run work.
     victim.restoreCheckpoint(pristine);
     sim::RunResult result = victim.run(500, 2000);
-    EXPECT_GT(result.instructions, 0u);
+    EXPECT_GT(result.pipeline.committed, 0u);
 }
 
 TEST(FuzzDifferential, RandomProgramsMatchEmulatorInLockstep)

@@ -314,7 +314,6 @@ class TelemetryTest : public ::testing::Test
         params_ = sim::makeConfig(sim::Machine::Pubs);
         params_.telemetry = true;
         params_.heartbeatInterval = 5000;
-        params_.heartbeatToStderr = false;
     }
 
     cpu::CoreParams params_;

@@ -256,7 +256,8 @@ TEST(FrameSplitter, PartialFrameWaitsForMoreBytes)
 
 TEST(ProgressMeter, JsonIsStrictAndTracksRuns)
 {
-    bench::ProgressMeter meter(4, "");
+    bench::ProgressMeter meter("");
+    meter.addRuns(4);
     meter.runFinished(true, 1000000);
     meter.runFinished(false, 0);
     meter.setFarmTotals(2, 1);
@@ -282,7 +283,8 @@ TEST(ProgressMeter, JsonIsStrictAndTracksRuns)
 
 TEST(ProgressMeter, LineShowsDoneKipsFailuresAndRetries)
 {
-    bench::ProgressMeter meter(4, "");
+    bench::ProgressMeter meter("");
+    meter.addRuns(4);
     meter.runFinished(true, 0);
     EXPECT_EQ(meter.line(), "[1/4] 25%");
     meter.runFinished(false, 0);
@@ -318,24 +320,21 @@ TEST(Dashboard, DataBlockStrictParsesBackOutOfHtml)
 {
     bench::ReportBuilder report;
     report.setTitle("golden <title> & escapes");
-    bench::ReportBuilder::Run run;
-    run.workload = "sjeng_like";
-    run.machine = "base";
-    run.ok = true;
-    run.instructions = 1000000;
-    run.cycles = 749586;
-    run.ipc = 1.334;
-    run.kips = 2198.4;
-    run.branchMpki = 11.2;
-    run.llcMpki = 0.4;
-    run.unconfidentRate = 0.21;
-    report.addRun(run);
-    run.machine = "pubs";
-    run.ipc = 1.580;
-    report.addRun(run);
+    const bench::RunOptions options;
+    bench::SweepRow row;
+    row.result.workload = "sjeng_like";
+    row.result.machine = "base";
+    row.result.pipeline.committed = 1000000;
+    row.result.pipeline.cycles = 749586;
+    row.result.simSeconds = 0.455;
+    row.result.unconfidentBranchRate = 0.21;
+    report.addRun(row, options);
+    row.result.machine = "pubs";
+    row.result.pipeline.cycles = 632911;
+    report.addRun(row, options);
     // A workload name with a script terminator must not break the page.
-    run.workload = "evil</script>name";
-    report.addRun(run);
+    row.result.workload = "evil</script>name";
+    report.addRun(row, options);
     StatRegistry stats;
     StatGroup &telemetry = stats.group("pubs.telemetry");
     telemetry.add("slice_coverage", 0.82);
@@ -361,6 +360,61 @@ TEST(Dashboard, DataBlockStrictParsesBackOutOfHtml)
         v.find("stats")->find("pubs", "telemetry");
     ASSERT_NE(coverage, nullptr);
     EXPECT_DOUBLE_EQ(coverage->numberOr("slice_coverage", 0), 0.82);
+}
+
+/** The same JSON scalar: kind and value. */
+bool
+sameScalar(const json::Value &a, const json::Value &b)
+{
+    return a.kind() == b.kind() && a.boolean() == b.boolean() &&
+           a.number() == b.number() && a.str() == b.str();
+}
+
+TEST(Dashboard, RunObjectsHoldTheirStatsJsonRows)
+{
+    // The dashboard renders a row as statsJson() does, and adds to it.
+    const std::string dir = "obs_dash_rows_dir";
+    std::filesystem::create_directory(dir);
+    bench::SweepSpec spec;
+    spec.verbose = false;
+    spec.options.jobs = 2;
+    spec.options.insts = 20000;
+    spec.options.warmup = 2000;
+    spec.options.report = dir + "/dashboard.html";
+    spec.options.cpiStack = true;
+    spec.options.branchProfile = true;
+    wl::Workload w = wl::makeWorkload("hmmer_like");
+    spec.add(w, sim::makeConfig(sim::Machine::Base), "base");
+    spec.add(w, sim::makeConfig(sim::Machine::Pubs), "pubs");
+    bench::globalReport().clear();
+    const std::string stats = bench::runSweep(spec).statsJson();
+    bench::globalReport().clear();
+
+    json::Value sweep, dashboard;
+    std::string error, html;
+    ASSERT_TRUE(json::parse(stats, sweep, error)) << error;
+    ASSERT_TRUE(readWholeFile(spec.options.report, html));
+    ASSERT_TRUE(json::parse(extractDataBlock(html), dashboard, error))
+        << error;
+    const auto &rows = sweep.find("runs")->array();
+    const auto &runs = dashboard.find("runs")->array();
+    ASSERT_EQ(rows.size(), 2u);
+    ASSERT_EQ(runs.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+        for (const auto &[key, value] : rows[i].members()) {
+            SCOPED_TRACE(rows[i].stringOr("machine", "") + " " + key);
+            const json::Value *shown = runs[i].find(key);
+            ASSERT_NE(shown, nullptr);
+            EXPECT_TRUE(sameScalar(*shown, value));
+        }
+        EXPECT_NE(runs[i].find("kips"), nullptr);
+        EXPECT_NE(runs[i].find("cpi"), nullptr);
+        ASSERT_NE(runs[i].find("branches"), nullptr);
+        EXPECT_NE(runs[i].find("branches")->array().at(0).find(
+                      "conf_correct"),
+                  nullptr);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Dashboard, WriteHtmlIsAtomicAndComplete)

@@ -87,8 +87,7 @@ TEST(ParamTable, KeyCoversEveryRowButTheObservationalOnes)
     }
     // The checker, the auditor and telemetry change what a journaled
     // row holds; only the heartbeat changes nothing journaled.
-    EXPECT_EQ(observational, (std::set<std::string>{"heartbeatInterval",
-                                                    "heartbeatToStderr"}));
+    EXPECT_EQ(observational, (std::set<std::string>{"heartbeatInterval"}));
 }
 
 /**

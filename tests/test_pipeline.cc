@@ -160,7 +160,8 @@ TEST(Pipeline, PubsReducesMisspecPenaltyOnBranchyCode)
         sim::simulate(makeConfig(Machine::Base), w.program, 50000, 200000);
     sim::RunResult pubs =
         sim::simulate(makeConfig(Machine::Pubs), w.program, 50000, 200000);
-    EXPECT_LT(pubs.avgMisspecPenalty, base.avgMisspecPenalty);
+    EXPECT_LT(pubs.pipeline.avgMisspecPenalty(),
+              base.pipeline.avgMisspecPenalty());
     EXPECT_GT(pubs.speedupOver(base), 1.05);
 }
 
@@ -219,7 +220,7 @@ TEST(Pipeline, AgeMatrixImprovesRandomQueueIpc)
         sim::simulate(makeConfig(Machine::Base), w.program, 50000, 200000);
     sim::RunResult age =
         sim::simulate(makeConfig(Machine::Age), w.program, 50000, 200000);
-    EXPECT_GT(age.ipc, base.ipc);
+    EXPECT_GT(age.pipeline.ipc(), base.pipeline.ipc());
 }
 
 TEST(Pipeline, ShiftingQueueBeatsRandomQueue)
@@ -231,7 +232,8 @@ TEST(Pipeline, ShiftingQueueBeatsRandomQueue)
         sim::simulate(makeConfig(Machine::Base), w.program, 50000, 150000);
     sim::RunResult shift =
         sim::simulate(shifting, w.program, 50000, 150000);
-    EXPECT_GT(shift.ipc, base.ipc * 0.98); // age order should not lose
+    // age order should not lose
+    EXPECT_GT(shift.pipeline.ipc(), base.pipeline.ipc() * 0.98);
 }
 
 TEST(Pipeline, StoreLoadForwardingWorks)
@@ -324,8 +326,8 @@ TEST(Pipeline, NonStallPolicyAvoidsPriorityStalls)
         sim::simulate(stall, w.program, 20000, 100000);
     sim::RunResult b =
         sim::simulate(nonStall, w.program, 20000, 100000);
-    EXPECT_EQ(b.priorityStallCycles, 0u);
-    EXPECT_GT(a.priorityStallCycles, 0u);
+    EXPECT_EQ(b.pipeline.priorityStallCycles, 0u);
+    EXPECT_GT(a.pipeline.priorityStallCycles, 0u);
 }
 
 TEST(Pipeline, JalJrPairsPredictWellThroughRas)
@@ -356,8 +358,8 @@ TEST(Pipeline, DistributedIqRunsAndCommitsCorrectly)
         params.distributedIq = true;
         sim::RunResult r =
             sim::simulate(params, w.program, 20000, 80000);
-        EXPECT_EQ(r.instructions, 80000u);
-        EXPECT_GT(r.ipc, 0.3) << "usePubs=" << usePubs;
+        EXPECT_EQ(r.pipeline.committed, 80000u);
+        EXPECT_GT(r.pipeline.ipc(), 0.3) << "usePubs=" << usePubs;
     }
 }
 
@@ -373,7 +375,8 @@ TEST(Pipeline, DistributedPubsStillReducesPenalty)
     pubsCfg.pubs.stallPolicy = false;
     sim::RunResult b = sim::simulate(base, w.program, 30000, 150000);
     sim::RunResult p = sim::simulate(pubsCfg, w.program, 30000, 150000);
-    EXPECT_LT(p.avgMisspecPenalty, b.avgMisspecPenalty);
+    EXPECT_LT(p.pipeline.avgMisspecPenalty(),
+              b.pipeline.avgMisspecPenalty());
 }
 
 TEST(Pipeline, IdealPrioritySelectBeatsBase)
@@ -386,9 +389,10 @@ TEST(Pipeline, IdealPrioritySelectBeatsBase)
                                         w.program, 30000, 150000);
     sim::RunResult r = sim::simulate(ideal, w.program, 30000, 150000);
     EXPECT_GT(r.speedupOver(base), 1.03);
-    EXPECT_LT(r.avgMisspecPenalty, base.avgMisspecPenalty);
+    EXPECT_LT(r.pipeline.avgMisspecPenalty(),
+              base.pipeline.avgMisspecPenalty());
     // No reserved entries: the stall stat must stay zero.
-    EXPECT_EQ(r.priorityStallCycles, 0u);
+    EXPECT_EQ(r.pipeline.priorityStallCycles, 0u);
 }
 
 TEST(Pipeline, IdealSelectRequiresSliceUnit)

@@ -204,10 +204,10 @@ TEST_P(MachineSweep, RunsCleanlyWithSaneMetrics)
     wl::Workload w = wl::makeWorkload(c.workload);
     sim::RunResult r = sim::simulate(sim::makeConfig(c.machine),
                                      w.program, 15000, 50000);
-    EXPECT_EQ(r.instructions, 50000u);
-    EXPECT_GT(r.ipc, 0.01);
-    EXPECT_LE(r.ipc, 4.0); // bounded by the 4-wide pipeline
-    EXPECT_GE(r.branchMpki, 0.0);
+    EXPECT_EQ(r.pipeline.committed, 50000u);
+    EXPECT_GT(r.pipeline.ipc(), 0.01);
+    EXPECT_LE(r.pipeline.ipc(), 4.0); // bounded by the 4-wide pipeline
+    EXPECT_GE(r.pipeline.branchMpki(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -237,8 +237,8 @@ TEST_P(SizeSweep, AllMachinesRunAtEverySize)
                          sim::Machine::PubsAge}) {
         cpu::CoreParams params = sim::makeConfig(machine, GetParam());
         sim::RunResult r = sim::simulate(params, w.program, 10000, 30000);
-        EXPECT_GT(r.ipc, 0.0) << sim::machineName(machine);
-        EXPECT_LE(r.ipc, (double)params.issueWidth);
+        EXPECT_GT(r.pipeline.ipc(), 0.0) << sim::machineName(machine);
+        EXPECT_LE(r.pipeline.ipc(), (double)params.issueWidth);
     }
 }
 
@@ -262,7 +262,7 @@ TEST_P(PrioritySweep, PubsRunsWithAnyReasonablePartition)
     cpu::CoreParams params = sim::makeConfig(sim::Machine::Pubs);
     params.pubs.priorityEntries = GetParam();
     sim::RunResult r = sim::simulate(params, w.program, 10000, 40000);
-    EXPECT_GT(r.ipc, 0.1);
+    EXPECT_GT(r.pipeline.ipc(), 0.1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Partitions, PrioritySweep,

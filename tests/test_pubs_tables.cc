@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "pubs/brslice_tab.hh"
 #include "pubs/conf_tab.hh"
 #include "pubs/cost_model.hh"
@@ -188,6 +189,35 @@ TEST(ConfTabTest, PaperAllocationSemantics)
     EXPECT_TRUE(tab.unconfident(key)); // 6 < 7
     tab.update(key, true);
     EXPECT_FALSE(tab.unconfident(key));
+    // One more correct outcome leaves it saturated.
+    tab.update(key, true);
+    uint32_t value = 0;
+    ASSERT_TRUE(tab.counterValue(key, value));
+    EXPECT_EQ(value, 7u);
+}
+
+TEST(ConfTabTest, WiderCountersAreHarderToSaturate)
+{
+    // With misprediction probability p, P(confident) collapses as the
+    // width grows — the effect behind Fig. 11's unconfident-rate line.
+    auto confidentFraction = [](unsigned bits, double accuracy) {
+        PubsParams params;
+        params.confCounterBits = bits;
+        ConfTab tab(params);
+        TableKey key = tab.keyOf(0x1000);
+        Rng rng(13);
+        tab.update(key, true); // allocated at the maximum
+        int confident = 0;
+        const int trials = 20000;
+        for (int i = 0; i < trials; ++i) {
+            confident += !tab.unconfident(key);
+            tab.update(key, rng.chance(accuracy));
+        }
+        return (double)confident / trials;
+    };
+    double narrow = confidentFraction(2, 0.95);
+    double wide = confidentFraction(8, 0.95);
+    EXPECT_GT(narrow, wide);
 }
 
 TEST(ConfTabTest, FirstOutcomeIncorrectStartsUnconfident)
@@ -245,6 +275,71 @@ TEST(ConfTabTest, HashAliasingSharesCounters)
     Pc b = 0x1000 + (Pc)params.confSets * instBytes; // same set
     tab.update(tab.keyOf(a), false);
     EXPECT_TRUE(tab.unconfident(tab.keyOf(b)));
+}
+
+/** The counter @p tab holds for @p key; the test fails if it holds none. */
+uint32_t
+counterOf(ConfTab &tab, const TableKey &key)
+{
+    uint32_t value = 99;
+    EXPECT_TRUE(tab.counterValue(key, value));
+    return value;
+}
+
+TEST(ConfidenceTest, ResettingCounterSemantics)
+{
+    PubsParams params;
+    params.confCounterBits = 3; // max = 7
+    ConfTab tab(params);
+    TableKey key = tab.keyOf(0x1000);
+    tab.update(key, true);
+    EXPECT_EQ(counterOf(tab, key), 7u); // allocated at max on correct
+    EXPECT_FALSE(tab.unconfident(key));
+    tab.update(key, false);
+    EXPECT_EQ(counterOf(tab, key), 0u); // reset to zero
+    EXPECT_TRUE(tab.unconfident(key));
+    for (int i = 0; i < 6; ++i)
+        tab.update(key, true);
+    EXPECT_EQ(counterOf(tab, key), 6u);
+    EXPECT_TRUE(tab.unconfident(key)); // 6 < 7
+    tab.update(key, true);
+    EXPECT_FALSE(tab.unconfident(key)); // saturated
+    tab.update(key, true);
+    EXPECT_EQ(counterOf(tab, key), 7u); // stays saturated
+}
+
+TEST(ConfidenceTest, InitialiseIncorrectStartsAtZero)
+{
+    // A branch whose first outcome is a misprediction is allocated at
+    // zero, whatever the counter's shape.
+    for (CounterShape shape : {CounterShape::Resetting, CounterShape::UpDown}) {
+        PubsParams params;
+        params.confCounterBits = 6;
+        params.counterShape = shape;
+        ConfTab tab(params);
+        TableKey key = tab.keyOf(0x2000);
+        tab.update(key, false);
+        EXPECT_EQ(counterOf(tab, key), 0u);
+        EXPECT_TRUE(tab.unconfident(key));
+    }
+}
+
+TEST(ConfidenceTest, UpDownCounterToleratesNoise)
+{
+    // One misprediction costs a saturated up/down counter one step and
+    // a saturated resetting counter everything.
+    auto afterOneMistake = [](CounterShape shape) {
+        PubsParams params;
+        params.confCounterBits = 4; // max = 15
+        params.counterShape = shape;
+        ConfTab tab(params);
+        TableKey key = tab.keyOf(0x1000);
+        tab.update(key, true);
+        tab.update(key, false);
+        return counterOf(tab, key);
+    };
+    EXPECT_EQ(afterOneMistake(CounterShape::UpDown), 14u);
+    EXPECT_EQ(afterOneMistake(CounterShape::Resetting), 0u);
 }
 
 TEST(CostModelTest, DefaultConfigurationIsAboutFourKB)

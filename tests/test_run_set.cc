@@ -2,15 +2,19 @@
  * @file
  * The evaluation's run set (RunSet, bench/common/bench_util.hh): it
  * deduplicates on the workload name and the machine key, a shared run
- * keeps its first label, and a run from an earlier step is never
- * simulated again.
+ * keeps its first label, a run from an earlier step is never simulated
+ * again, and one progress meter counts every step.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <set>
 
+#include "common/atomic_file.hh"
 #include "common/bench_util.hh"
+#include "json.hh"
 #include "param_rows.hh"
 #include "sim/config.hh"
 
@@ -84,7 +88,7 @@ TEST(RunSet, ALaterStepReusesEarlierRuns)
     cpu::CoreParams base = sim::makeConfig(sim::Machine::Base);
     RunHandle first = runs.add(hmmer, base, "base");
     EXPECT_EQ(runs.run(""), 1u);
-    uint64_t cycles = runs.at(first).cycles;
+    uint64_t cycles = runs.at(first).pipeline.cycles;
 
     // The second step asks for the first step's run and a new one: only
     // the new one is simulated.
@@ -92,10 +96,40 @@ TEST(RunSet, ALaterStepReusesEarlierRuns)
     RunHandle second =
         runs.add(hmmer, sim::makeConfig(sim::Machine::Pubs), "pubs");
     EXPECT_EQ(runs.run(""), 1u);
-    EXPECT_EQ(runs.at(first).cycles, cycles);
+    EXPECT_EQ(runs.at(first).pipeline.cycles, cycles);
     ASSERT_TRUE(runs.ok(second));
     EXPECT_EQ(runs.at(second).machine, "pubs");
     EXPECT_EQ(runs.run(""), 0u) << "a step with no new runs sweeps nothing";
+}
+
+TEST(RunSet, OneProgressMeterCountsEveryStep)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "pubs_run_set_progress.json")
+            .string();
+    std::remove(path.c_str());
+    {
+        RunOptions options = tinyBudgets();
+        options.progress = true;
+        options.progressJson = path;
+        RunSet runs(options);
+        wl::Workload hmmer = wl::makeWorkload("hmmer_like");
+        runs.add(hmmer, sim::makeConfig(sim::Machine::Base), "base");
+        runs.add(hmmer, sim::makeConfig(sim::Machine::Pubs), "pubs");
+        EXPECT_EQ(runs.run(""), 2u);
+        runs.add(wl::makeWorkload("sjeng_like"),
+                 sim::makeConfig(sim::Machine::Base), "base");
+        EXPECT_EQ(runs.run(""), 1u);
+    } // the set's end writes the meter's final document
+
+    std::string text;
+    ASSERT_TRUE(readWholeFile(path, text));
+    json::Value progress;
+    std::string error;
+    ASSERT_TRUE(json::parse(text, progress, error)) << error;
+    EXPECT_EQ(progress.numberOr("total_runs", 0), 3.0);
+    EXPECT_EQ(progress.numberOr("done", 0), 3.0);
+    std::remove(path.c_str());
 }
 
 } // namespace

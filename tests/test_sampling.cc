@@ -124,9 +124,9 @@ TEST(SimulateSampled, ResultIsStitchedAndAnnotated)
     EXPECT_EQ(r.skippedInsts,
               (uint64_t)(plan.windows - 1) * plan.periodInsts);
     // Pooled counters cover every measured window.
-    EXPECT_EQ(r.instructions,
+    EXPECT_EQ(r.pipeline.committed,
               (uint64_t)plan.windows * plan.measureInsts);
-    EXPECT_GT(r.ipc, 0.0);
+    EXPECT_GT(r.pipeline.ipc(), 0.0);
     EXPECT_GE(r.ipcCi95, 0.0);
 }
 
@@ -140,11 +140,11 @@ TEST(SimulateSampled, RepeatedRunsAreBitIdentical)
         sim::simulateSampled(params, w.program, plan, nullptr, "pubs");
     sim::RunResult b =
         sim::simulateSampled(params, w.program, plan, nullptr, "pubs");
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.branchMpki, b.branchMpki);
-    EXPECT_EQ(a.llcMpki, b.llcMpki);
+    EXPECT_EQ(a.pipeline.committed, b.pipeline.committed);
+    EXPECT_EQ(a.pipeline.cycles, b.pipeline.cycles);
+    EXPECT_EQ(a.pipeline.ipc(), b.pipeline.ipc());
+    EXPECT_EQ(a.pipeline.branchMpki(), b.pipeline.branchMpki());
+    EXPECT_EQ(a.pipeline.llcMpki(), b.pipeline.llcMpki());
     EXPECT_EQ(a.ipcCi95, b.ipcCi95);
     EXPECT_EQ(a.branchMpkiCi95, b.branchMpkiCi95);
     EXPECT_EQ(a.llcMpkiCi95, b.llcMpkiCi95);
@@ -175,11 +175,11 @@ TEST(SimulateSampled, CheckpointCacheDoesNotChangeResults)
         sim::simulateSampled(params, w.program, plan, &store, "pubs");
 
     for (const sim::RunResult *r : {&cold, &warm}) {
-        EXPECT_EQ(r->instructions, bare.instructions);
-        EXPECT_EQ(r->cycles, bare.cycles);
-        EXPECT_EQ(r->ipc, bare.ipc);
-        EXPECT_EQ(r->branchMpki, bare.branchMpki);
-        EXPECT_EQ(r->llcMpki, bare.llcMpki);
+        EXPECT_EQ(r->pipeline.committed, bare.pipeline.committed);
+        EXPECT_EQ(r->pipeline.cycles, bare.pipeline.cycles);
+        EXPECT_EQ(r->pipeline.ipc(), bare.pipeline.ipc());
+        EXPECT_EQ(r->pipeline.branchMpki(), bare.pipeline.branchMpki());
+        EXPECT_EQ(r->pipeline.llcMpki(), bare.pipeline.llcMpki());
         EXPECT_EQ(r->ipcCi95, bare.ipcCi95);
         EXPECT_EQ(r->windows, bare.windows);
     }
@@ -201,11 +201,11 @@ TEST(SimulateSampled, SingleWindowFromResetMatchesStraightRun)
         sim::simulateSampled(params, w.program, plan, nullptr, "base");
     sim::RunResult straight =
         sim::simulate(params, w.program, 1000, 5000);
-    EXPECT_EQ(sampled.instructions, straight.instructions);
-    EXPECT_EQ(sampled.cycles, straight.cycles);
-    EXPECT_EQ(sampled.ipc, straight.ipc);
-    EXPECT_EQ(sampled.branchMpki, straight.branchMpki);
-    EXPECT_EQ(sampled.llcMpki, straight.llcMpki);
+    EXPECT_EQ(sampled.pipeline.committed, straight.pipeline.committed);
+    EXPECT_EQ(sampled.pipeline.cycles, straight.pipeline.cycles);
+    EXPECT_EQ(sampled.pipeline.ipc(), straight.pipeline.ipc());
+    EXPECT_EQ(sampled.pipeline.branchMpki(), straight.pipeline.branchMpki());
+    EXPECT_EQ(sampled.pipeline.llcMpki(), straight.pipeline.llcMpki());
     EXPECT_EQ(sampled.ipcCi95, 0.0); // no spread from one window
 }
 

@@ -95,19 +95,20 @@ TEST(Simulator, RunResultFieldsArePopulated)
     RunResult r =
         simulate(makeConfig(Machine::Pubs), w.program, 20000, 80000);
     EXPECT_EQ(r.workload, "sjeng_like");
-    EXPECT_EQ(r.instructions, 80000u);
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.ipc, 0.0);
-    EXPECT_GT(r.branchMpki, 0.0);
-    EXPECT_GT(r.avgMisspecPenalty, 0.0);
+    EXPECT_EQ(r.pipeline.committed, 80000u);
+    EXPECT_GT(r.pipeline.cycles, 0u);
+    EXPECT_GT(r.pipeline.ipc(), 0.0);
+    EXPECT_GT(r.pipeline.branchMpki(), 0.0);
+    EXPECT_GT(r.pipeline.avgMisspecPenalty(), 0.0);
     EXPECT_GT(r.unconfidentBranchRate, 0.0);
 }
 
 TEST(Simulator, SpeedupOver)
 {
     RunResult a, b;
-    a.ipc = 1.2;
-    b.ipc = 1.0;
+    a.pipeline.committed = b.pipeline.committed = 1200;
+    a.pipeline.cycles = 1000; // IPC 1.2
+    b.pipeline.cycles = 1200; // IPC 1.0
     EXPECT_NEAR(a.speedupOver(b), 1.2, 1e-12);
     EXPECT_NEAR(b.speedupOver(a), 1.0 / 1.2, 1e-12);
 }
@@ -117,7 +118,7 @@ TEST(Simulator, WarmupIsExcludedFromStats)
     wl::Workload w = wl::makeWorkload("hmmer_like");
     RunResult warm =
         simulate(makeConfig(Machine::Base), w.program, 50000, 50000);
-    EXPECT_EQ(warm.instructions, 50000u);
+    EXPECT_EQ(warm.pipeline.committed, 50000u);
 }
 
 TEST(Simulator, StreamRunWritesFewOfItsGeneratedPages)
@@ -139,7 +140,7 @@ TEST(Simulator, PubsAgeCombinationRuns)
     wl::Workload w = wl::makeWorkload("gobmk_like");
     RunResult r =
         simulate(makeConfig(Machine::PubsAge), w.program, 20000, 60000);
-    EXPECT_GT(r.ipc, 0.0);
+    EXPECT_GT(r.pipeline.ipc(), 0.0);
 }
 
 } // namespace

@@ -196,7 +196,7 @@ TEST(Stress, TinyPriorityPartitionUnderBlindPubs)
     params.pubs.useConfTab = false;
     params.pubs.priorityEntries = 1;
     sim::RunResult r = sim::simulate(params, w.program, 10000, 50000);
-    EXPECT_EQ(r.instructions, 50000u);
+    EXPECT_EQ(r.pipeline.committed, 50000u);
     EXPECT_GT(r.pipeline.priorityStallCycles, 0u);
 }
 
@@ -205,7 +205,7 @@ TEST(Stress, ZeroWarmupRuns)
     wl::Workload w = wl::makeWorkload("hmmer_like");
     sim::RunResult r =
         sim::simulate(makeConfig(Machine::Pubs), w.program, 0, 20000);
-    EXPECT_EQ(r.instructions, 20000u);
+    EXPECT_EQ(r.pipeline.committed, 20000u);
 }
 
 TEST(Stress, BackToBackMispredicts)

@@ -55,23 +55,25 @@ expectIdenticalRows(const SweepResult &a, const SweepResult &b)
         SCOPED_TRACE("row " + std::to_string(i));
         const sim::RunResult &ra = a.rows[i].result;
         const sim::RunResult &rb = b.rows[i].result;
+        const cpu::PipelineStats &pa = ra.pipeline;
+        const cpu::PipelineStats &pb = rb.pipeline;
         EXPECT_EQ(a.rows[i].ok(), b.rows[i].ok());
         EXPECT_EQ(a.rows[i].error, b.rows[i].error);
         EXPECT_EQ(a.rows[i].errorKind, b.rows[i].errorKind);
         EXPECT_EQ(ra.workload, rb.workload);
         EXPECT_EQ(ra.machine, rb.machine);
-        EXPECT_EQ(ra.instructions, rb.instructions);
-        EXPECT_EQ(ra.cycles, rb.cycles);
+        EXPECT_EQ(pa.committed, pb.committed);
+        EXPECT_EQ(pa.cycles, pb.cycles);
         // Derived doubles come from identical integer counters, so
         // they must be bit-equal, not merely close.
-        EXPECT_EQ(ra.ipc, rb.ipc);
-        EXPECT_EQ(ra.branchMpki, rb.branchMpki);
-        EXPECT_EQ(ra.llcMpki, rb.llcMpki);
-        EXPECT_EQ(ra.avgMisspecPenalty, rb.avgMisspecPenalty);
-        EXPECT_EQ(ra.avgIqWait, rb.avgIqWait);
+        EXPECT_EQ(pa.ipc(), pb.ipc());
+        EXPECT_EQ(pa.branchMpki(), pb.branchMpki());
+        EXPECT_EQ(pa.llcMpki(), pb.llcMpki());
+        EXPECT_EQ(pa.avgMisspecPenalty(), pb.avgMisspecPenalty());
+        EXPECT_EQ(pa.avgIqWait(), pb.avgIqWait());
         EXPECT_EQ(ra.unconfidentBranchRate, rb.unconfidentBranchRate);
         EXPECT_EQ(ra.pubsEnabledFraction, rb.pubsEnabledFraction);
-        EXPECT_EQ(ra.priorityStallCycles, rb.priorityStallCycles);
+        EXPECT_EQ(pa.priorityStallCycles, pb.priorityStallCycles);
     }
 }
 

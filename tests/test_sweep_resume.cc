@@ -103,8 +103,8 @@ TEST(SweepResume, CodecRoundTripsARealRow)
     EXPECT_EQ(encodeSweepRow(decoded), payload)
         << "decode must invert encode bit-exactly";
     EXPECT_EQ(decoded.result.workload, row.result.workload);
-    EXPECT_EQ(decoded.result.cycles, row.result.cycles);
-    EXPECT_EQ(decoded.result.ipc, row.result.ipc);
+    EXPECT_EQ(decoded.result.pipeline.cycles, row.result.pipeline.cycles);
+    EXPECT_EQ(decoded.result.pipeline.ipc(), row.result.pipeline.ipc());
     EXPECT_EQ(decoded.result.pipeline.committed,
               row.result.pipeline.committed);
     EXPECT_EQ(decoded.result.pipeline.iqWait.samples(),
@@ -153,7 +153,8 @@ TEST(SweepResume, FieldListsCoverEveryField)
     EXPECT_EQ(listed, sizeof(stats));
     listed = 0;
     cpu::BranchSiteStats site;
-    cpu::BranchSiteStats::forEachField(count, site);
+    cpu::BranchSiteStats::forEachField(
+        [&](const char *, const auto &field) { count(field); }, site);
     EXPECT_EQ(listed, sizeof(site));
 }
 

@@ -252,13 +252,13 @@ TEST_P(SuitePlacement, LandsInItsQuadrant)
     sim::RunResult r = sim::simulate(
         sim::makeConfig(sim::Machine::Base), w.program, 30000, 120000);
     if (c.hardBp)
-        EXPECT_GT(r.branchMpki, 3.0) << c.name;
+        EXPECT_GT(r.pipeline.branchMpki(), 3.0) << c.name;
     else
-        EXPECT_LT(r.branchMpki, 3.0) << c.name;
+        EXPECT_LT(r.pipeline.branchMpki(), 3.0) << c.name;
     if (c.memIntensive)
-        EXPECT_GT(r.llcMpki, 1.0) << c.name;
+        EXPECT_GT(r.pipeline.llcMpki(), 1.0) << c.name;
     else
-        EXPECT_LT(r.llcMpki, 1.0) << c.name;
+        EXPECT_LT(r.pipeline.llcMpki(), 1.0) << c.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
